@@ -9,6 +9,7 @@ chain via minus continued fractions.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,9 +19,9 @@ from .graph_core import (
     GraphError,
     PlumbingGraph,
     Shape,
+    Vertex,
     classify_shape,
-    intersection_matrix,
-    is_negative_definite,
+    is_negative_definite_graph,
     star_legs,
 )
 from .hjcf import hj_pair
@@ -120,33 +121,51 @@ def blow_down(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     """Contract one -1 vertex meeting the rest in at most two points."""
     if not _contractible(g, vid):
         raise GraphError(f"vertex {vid!r} is not contractible")
-    incident = [e for e in g.edges if vid in e]
-    ends = []
-    for u, w in incident:
-        ends.append(w if u == vid else u)
-    out = g
-    for u in ends:
-        out = out.with_euler(u, out.vertex(u).euler + 1)
+    ends = [w for w in g.neighbors(vid) for _ in range(g.edge_multiplicity(vid, w))]
+    vs = tuple(
+        Vertex(v.id, v.euler + ends.count(v.id), v.genus) if v.id in ends else v
+        for v in g.vertices
+        if v.id != vid
+    )
+    es = [e for e in g.edges if vid not in e]
     if len(ends) == 2:
-        out = out.without_vertex(vid, new_edges=[(ends[0], ends[1])])
-    else:
-        out = out.without_vertex(vid)
-    return out
+        es.append((ends[0], ends[1]))
+    return PlumbingGraph(vs, tuple(es), g.arrows, g.name)
+
+
+def _check_definite(g: PlumbingGraph) -> None:
+    """The precondition of every stage below: connected, negative definite."""
+    if not g.is_connected():
+        raise GraphError("graph must be connected")
+    if not is_negative_definite_graph(g):
+        raise GraphError("graph is not negative definite")
 
 
 def minimal_log_resolution(g: PlumbingGraph) -> PlumbingGraph:
     """Blow down -1 curves until none with <= 2 intersection points remain."""
-    if not g.is_connected():
-        raise GraphError("graph must be connected")
-    if not is_negative_definite(intersection_matrix(g)):
-        raise GraphError("graph is not negative definite")
-    while True:
-        for vid in sorted(g.vertex_ids()):
-            if _contractible(g, vid):
-                g = blow_down(g, vid)
-                break
-        else:
-            return g
+    _check_definite(g)
+    return _resolve(g)
+
+
+def _resolve(g: PlumbingGraph) -> PlumbingGraph:
+    """minimal_log_resolution on a graph already known to be connected and
+    negative definite.  A blow-down splits the lattice as L = L' + <-1>,
+    so every intermediate graph stays negative definite.
+
+    The smallest contractible id goes first.  Only the ends of a blown-down
+    vertex change, so they are the only new candidates for the heap.
+    """
+    heap = sorted(vid for vid in g.vertex_ids() if _contractible(g, vid))
+    while heap:
+        vid = heapq.heappop(heap)
+        if not g.has_vertex(vid) or not _contractible(g, vid):
+            continue
+        ends = g.neighbors(vid)
+        g = blow_down(g, vid)
+        for u in ends:
+            if _contractible(g, u):
+                heapq.heappush(heap, u)
+    return g
 
 
 # -- rational chain tails ------------------------------------------------
@@ -245,12 +264,14 @@ def singularity_class(g: PlumbingGraph) -> SingClass:
     genus-0 stars with 1/a1 + 1/a2 + 1/a3 > 1 give the finite noncyclic
     quotients; everything else has infinite, non-cusp fundamental group.
     """
+    _check_definite(g)
+    return _classify(g)
+
+
+def _classify(g: PlumbingGraph) -> SingClass:
+    """singularity_class without re-checking definiteness."""
     if not g.vertices:
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=1, q=0)
-    if not g.is_connected():
-        raise GraphError("graph must be connected")
-    if not is_negative_definite(intersection_matrix(g)):
-        raise GraphError("graph is not negative definite")
     shape = classify_shape(g)
     if shape.kind is Shape.CHAIN:
         order = _chain_order(g)
@@ -290,7 +311,14 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     Quotient singularities are their own minimal dlt modification and come
     back as SelfDlt with an empty residual graph.
     """
-    cls = singularity_class(g)
+    _check_definite(g)
+    return _dlt_model(g)
+
+
+def _dlt_model(g: PlumbingGraph) -> DltModel:
+    """minimal_dlt_model without re-checking definiteness; the class it
+    computes is ``model.sing_class``."""
+    cls = _classify(g)
     if cls.is_quotient():
         empty = PlumbingGraph((), (), (), g.name)
         return DltModel(DltKind.SELF_DLT, empty, (), cls, g)

@@ -14,7 +14,13 @@ from itertools import product
 from .calculus import DltKind, minimal_dlt_model, minimal_log_resolution, singularity_class
 from .components import chain_system_solvable, enumerate_components
 from .cusp import CuspSequence, check_duality, monodromy, recover_sequence
-from .graph_core import PlumbingGraph, Vertex, intersection_matrix, is_negative_definite
+from .graph_core import (
+    PlumbingGraph,
+    Vertex,
+    intersection_matrix,
+    is_negative_definite,
+    is_negative_definite_graph,
+)
 from .hjcf import hj_pair
 from .inoue import inoue_cross_check
 from .quadratic import QuadNum
@@ -167,8 +173,73 @@ def sigma_2_3_7() -> PlumbingGraph:
     return PlumbingGraph(vs, es, (), "sigma237")
 
 
-def sweep_negative_definite(max_chain: int = 8) -> SweepResult:
-    """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass."""
+# -- definiteness oracles ---------------------------------------------------------
+#
+# Dense, textbook routes kept only to check the sparse elimination in
+# graph_core against: they share no code with it.
+
+
+def determinant(mat) -> int:
+    """Exact integer determinant by fraction-free Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0][0]
+    # Bareiss with row pivoting; exact over the integers.
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def sylvester_negative_definite(mat) -> bool:
+    """Sylvester's criterion: the leading principal minors of A alternate
+    in sign, starting negative."""
+    for k in range(1, len(mat) + 1):
+        if (-1) ** k * determinant([row[:k] for row in mat[:k]]) <= 0:
+            return False
+    return True
+
+
+def negative_definite_cholesky(mat) -> bool:
+    """Dense rational LDL^T on -A in the given order, all pivots positive."""
+    n = len(mat)
+    a = [[Fraction(-mat[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def _random_multigraph(rng: random.Random, max_n: int = 7) -> PlumbingGraph:
+    """A small graph with random weights, loops and parallel edges."""
+    n = rng.randint(1, max_n)
+    vs = tuple(Vertex(f"v{i}", rng.randint(-7, 1)) for i in range(n))
+    es = tuple((f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(rng.randint(0, n + 3)))
+    return PlumbingGraph(vs, es, (), "random")
+
+
+def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5) -> SweepResult:
+    """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass; on
+    seeded random multigraphs the sparse test agrees with Sylvester."""
     cases = 0
     if not is_negative_definite(intersection_matrix(e8_graph())):
         return SweepResult("negative definiteness gate", False, 1, "E8 rejected")
@@ -185,6 +256,15 @@ def sweep_negative_definite(max_chain: int = 8) -> SweepResult:
         cases += 1
         if not is_negative_definite(intersection_matrix(_cycle_graph(bs))):
             return SweepResult("negative definiteness gate", False, cases, f"cusp cycle {bs} rejected")
+    rng = random.Random(seed)
+    for _ in range(samples):
+        cases += 1
+        g = _random_multigraph(rng)
+        mat = intersection_matrix(g)
+        want = sylvester_negative_definite(mat)
+        if is_negative_definite(mat) != want or is_negative_definite_graph(g) != want:
+            witness = f"{g.vertices} {g.edges}: Sylvester says {want}"
+            return SweepResult("negative definiteness gate", False, cases, witness)
     return SweepResult("negative definiteness gate", True, cases)
 
 

@@ -11,10 +11,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .calculus import DltKind, DltModel, SingKind, minimal_dlt_model, minimal_log_resolution, singularity_class
+from .calculus import DltKind, DltModel, SingKind, _dlt_model, _resolve
 from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
 from .cusp import CuspError, CuspSequence, check_duality, dual_sequence, enumerate_cusp_components, monodromy
-from .graph_core import GraphError, PlumbingGraph, intersection_matrix, is_negative_definite, parse_plumbing
+from .graph_core import GraphError, PlumbingGraph, is_negative_definite_graph, parse_plumbing
 from .hjcf import Mat2
 from .inoue import InoueError, inoue_cross_check, parse_field_file
 from .quotient import ClosureError, builtin_generators, conjugacy_classes, group_closure, mckay_report, parse_group_file
@@ -102,14 +102,17 @@ def write_dot(g: PlumbingGraph, path: str) -> None:
 
 
 def analysis_report(g: PlumbingGraph, bound: int) -> dict:
+    """The ``analyze`` report.  Connectivity and definiteness are checked
+    once, here; the resolution, class and model stages then run unchecked,
+    as blowing down keeps the graph negative definite."""
     if not g.is_connected():
         raise InputError("graph must be connected")
-    neg_def = is_negative_definite(intersection_matrix(g))
+    neg_def = is_negative_definite_graph(g)
     if not neg_def:
         raise InputError("intersection matrix is not negative definite")
-    mlr = minimal_log_resolution(g)
-    cls = singularity_class(mlr)
-    model = minimal_dlt_model(mlr)
+    mlr = _resolve(g)
+    model = _dlt_model(mlr)
+    cls = model.sing_class
     report = {
         "schema": SCHEMA,
         "input": g.name,
@@ -474,6 +477,8 @@ def main(argv=None) -> int:
             print("error: quotient needs --group or --builtin", file=sys.stderr)
             return 1
     try:
+        if getattr(args, "bound", 1) < 1:
+            raise InputError(f"--bound must be at least 1, got {args.bound}")
         return args.fn(args)
     except (InputError, GraphError, CuspError, InoueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,11 @@ vertices without renumbering.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GraphError(ValueError):
@@ -34,15 +35,33 @@ def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+@dataclass(slots=True)
+class _Incidence:
+    """One vertex's entry in the adjacency index of a PlumbingGraph."""
+
+    mult: dict[str, int] = field(default_factory=dict)  # neighbor -> edge count, loops excluded
+    loops: int = 0
+    arrows: int = 0
+
+
+_NO_INCIDENCE = _Incidence()
+
+
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Immutable weighted multigraph with optional arrowheads."""
+    """Immutable weighted multigraph with optional arrowheads.
+
+    Next to the id lookup it keeps an adjacency index, so the local
+    queries (degree, neighbors, loops, multiplicities, arrows) cost
+    O(degree) rather than a scan of every edge.
+    """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...] = ()
     arrows: tuple[str, ...] = ()
     name: str = "graph"
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
         by_id = {}
@@ -50,16 +69,24 @@ class PlumbingGraph:
             if v.id in by_id:
                 raise GraphError(f"duplicate vertex id {v.id!r}")
             by_id[v.id] = v
+        adj = {vid: _Incidence() for vid in by_id}
         for u, v in self.edges:
             for end in (u, v):
                 if end not in by_id:
                     raise GraphError(f"edge ({u}, {v}) references unknown vertex {end!r}")
+            if u == v:
+                adj[u].loops += 1
+            else:
+                adj[u].mult[v] = adj[u].mult.get(v, 0) + 1
+                adj[v].mult[u] = adj[v].mult.get(u, 0) + 1
         for a in self.arrows:
             if a not in by_id:
                 raise GraphError(f"arrow references unknown vertex {a!r}")
+            adj[a].arrows += 1
         object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in self.edges)))
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_adj", adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -76,34 +103,23 @@ class PlumbingGraph:
         return tuple(v.id for v in self.vertices)
 
     def loops_at(self, vid: str) -> int:
-        return sum(1 for u, v in self.edges if u == v == vid)
+        return self._adj.get(vid, _NO_INCIDENCE).loops
 
     def degree(self, vid: str) -> int:
         """Number of incident edge-ends; a loop counts twice."""
-        d = 0
-        for u, v in self.edges:
-            if u == vid:
-                d += 1
-            if v == vid:
-                d += 1
-        return d
+        inc = self._adj.get(vid, _NO_INCIDENCE)
+        return sum(inc.mult.values()) + 2 * inc.loops
 
     def arrow_count(self, vid: str) -> int:
-        return sum(1 for a in self.arrows if a == vid)
+        return self._adj.get(vid, _NO_INCIDENCE).arrows
 
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
-        out = set()
-        for u, v in self.edges:
-            if u == vid and v != vid:
-                out.add(v)
-            elif v == vid and u != vid:
-                out.add(u)
-        return sorted(out)
+        return sorted(self._adj.get(vid, _NO_INCIDENCE).mult)
 
     def edge_multiplicity(self, u: str, v: str) -> int:
-        e = _norm_edge(u, v)
-        return sum(1 for f in self.edges if f == e)
+        inc = self._adj.get(u, _NO_INCIDENCE)
+        return inc.loops if u == v else inc.mult.get(v, 0)
 
     def edge_instances(self) -> list[tuple[str, str, int]]:
         """Edges with a copy index distinguishing parallel edges."""
@@ -118,32 +134,16 @@ class PlumbingGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
         stack = [self.vertices[0].id]
-        seen = set()
+        seen = {stack[0]}
         while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(adj[x] - seen)
+            for w in self._adj[stack.pop()].mult:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return len(seen) == len(self.vertices)
 
     # -- rewriting helpers (return new graphs) -------------------------
-
-    def with_euler(self, vid: str, euler: int) -> "PlumbingGraph":
-        vs = tuple(Vertex(v.id, euler, v.genus) if v.id == vid else v for v in self.vertices)
-        return PlumbingGraph(vs, self.edges, self.arrows, self.name)
-
-    def without_vertex(self, vid: str, new_edges: Iterable[tuple[str, str]] = ()) -> "PlumbingGraph":
-        vs = tuple(v for v in self.vertices if v.id != vid)
-        es = [e for e in self.edges if vid not in e]
-        es.extend(new_edges)
-        arrows = tuple(a for a in self.arrows if a != vid)
-        return PlumbingGraph(vs, tuple(es), arrows, self.name)
 
     def restricted_to(self, keep: set[str]) -> "PlumbingGraph":
         vs = tuple(v for v in self.vertices if v.id in keep)
@@ -255,43 +255,22 @@ def intersection_matrix(g: PlumbingGraph) -> list[list[int]]:
     return mat
 
 
-def leading_principal_minors(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Exact leading principal minors det(A_k), k = 1..n."""
-    return [_det_bareiss([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
-
-
-def _det_bareiss(mat: Sequence[Sequence[int]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    # Bareiss with column pivoting; exact over the integers.
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def determinant(mat: Sequence[Sequence[int]]) -> int:
-    return _det_bareiss(mat)
-
-
 def is_negative_definite(mat: Sequence[Sequence[int]]) -> bool:
-    """True iff the leading principal minors alternate, starting negative."""
+    """Exact negative-definiteness test of a symmetric integer matrix A.
+
+    Method: a sparse LDL^T factorisation of B = -A over ``Fraction``,
+    eliminating vertices in minimum-degree order (a heap with lazy
+    deletion), which stops with False at the first pivot <= 0.
+
+    Why the order may be chosen freely: for a permutation matrix P the
+    matrix P B P^T is congruent to B, so both have the same inertia.  The
+    first k pivots of P B P^T multiply to its k-th leading principal
+    minor, so by Sylvester's criterion P B P^T -- and hence B -- is
+    positive definite iff every pivot is positive.  A pivot <= 0 at step
+    k is a principal minor of B that is <= 0, so B is not definite.  On
+    trees with a few cycles minimum degree eliminates leaves and chain
+    vertices first and creates almost no fill.
+    """
     n = len(mat)
     for row in mat:
         if len(row) != n:
@@ -300,24 +279,58 @@ def is_negative_definite(mat: Sequence[Sequence[int]]) -> bool:
         for j in range(n):
             if mat[i][j] != mat[j][i]:
                 raise ValueError("matrix must be symmetric")
-    for k in range(1, n + 1):
-        minor = _det_bareiss([row[:k] for row in mat[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
+    diag = [-mat[i][i] for i in range(n)]
+    rows = [{j: -x for j, x in enumerate(mat[i]) if x and j != i} for i in range(n)]
+    return _positive_definite_ldl(diag, rows)
 
 
-def negative_definite_cholesky(mat: Sequence[Sequence[int]]) -> bool:
-    """Independent oracle: rational LDL^T on -A, all pivots positive."""
-    n = len(mat)
-    a = [[Fraction(-mat[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if a[k][k] <= 0:
+def is_negative_definite_graph(g: PlumbingGraph) -> bool:
+    """``is_negative_definite(intersection_matrix(g))`` without the n x n
+    matrix: the sparse rows of -A come straight from the adjacency index."""
+    index = {vid: i for i, vid in enumerate(g.vertex_ids())}
+    diag = []
+    rows = []
+    for v in g.vertices:
+        inc = g._adj[v.id]
+        diag.append(-(v.euler + 2 * inc.loops))
+        rows.append({index[w]: -m for w, m in inc.mult.items()})
+    return _positive_definite_ldl(diag, rows)
+
+
+def _positive_definite_ldl(diag: list, rows: list[dict[int, int]]) -> bool:
+    """Whether the symmetric matrix B with diagonal ``diag`` and
+    off-diagonal nonzeros ``rows[i] = {j: B_ij}`` is positive definite.
+
+    Both arguments are consumed.  Eliminating pivot p subtracts
+    B_ip B_pj / B_pp from every entry (i, j) over the neighbors of p;
+    entries that cancel to zero are dropped so degrees stay exact.
+    """
+    diag = [Fraction(x) for x in diag]
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * len(diag)
+    while heap:
+        deg, p = heapq.heappop(heap)
+        if done[p] or deg != len(rows[p]):
+            continue  # eliminated, or a stale entry for an older degree
+        d = diag[p]
+        if d <= 0:
             return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+        done[p] = True
+        nbrs = list(rows[p].items())
+        for i, a in nbrs:
+            del rows[i][p]
+            diag[i] -= a * a / d
+        for s, (i, a) in enumerate(nbrs):
+            row_i = rows[i]
+            for j, b in nbrs[s + 1:]:
+                x = row_i.get(j, 0) - a * b / d
+                if x:
+                    row_i[j] = rows[j][i] = x
+                elif j in row_i:
+                    del row_i[j], rows[j][i]
+        for i, _ in nbrs:
+            heapq.heappush(heap, (len(rows[i]), i))
     return True
 
 

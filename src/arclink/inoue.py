@@ -394,29 +394,35 @@ class FieldData:
 
 
 def parse_field_file(text: str) -> FieldData:
-    """Lines: d=<int>, basis=<quad> <quad>, u=<quad>; '#' comments."""
+    """Lines: d=<int>, basis=<quad> <quad>, u=<quad>; '#' comments.
+
+    Every malformed line raises InoueError naming its line number.
+    """
     d = None
     basis = None
     u = None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("d="):
-            d = int(line[2:])
-        elif line.startswith("basis="):
-            if d is None:
-                raise InoueError("d=<int> must come before basis=")
-            toks = line[len("basis="):].split()
-            if len(toks) != 2:
-                raise InoueError("basis needs exactly two elements")
-            basis = (parse_quad_token(toks[0], d), parse_quad_token(toks[1], d))
-        elif line.startswith("u="):
-            if d is None:
-                raise InoueError("d=<int> must come before u=")
-            u = parse_quad_token(line[2:].strip(), d)
-        else:
-            raise InoueError(f"unknown field-file line {line!r}")
+        try:
+            if line.startswith("d="):
+                d = int(line[2:])
+            elif line.startswith("basis="):
+                if d is None:
+                    raise InoueError("d=<int> must come before basis=")
+                toks = line[len("basis="):].split()
+                if len(toks) != 2:
+                    raise InoueError("basis needs exactly two elements")
+                basis = (parse_quad_token(toks[0], d), parse_quad_token(toks[1], d))
+            elif line.startswith("u="):
+                if d is None:
+                    raise InoueError("d=<int> must come before u=")
+                u = parse_quad_token(line[2:].strip(), d)
+            else:
+                raise InoueError(f"unknown field-file line {line!r}")
+        except ValueError as exc:  # InoueError included
+            raise InoueError(f"line {lineno}: {exc}") from None
     if d is None or basis is None or u is None:
         raise InoueError("field file needs d=, basis= and u= lines")
     return FieldData(d, basis, u)

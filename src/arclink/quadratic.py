@@ -211,13 +211,16 @@ def parse_quad_token(token: str, d: int) -> QuadNum:
     m = _QUAD_TOKEN.match(token.replace(" ", ""))
     if not m or (m.group("rat") is None and "sqrt" not in token):
         raise ValueError(f"bad quadratic token {token!r}")
-    rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-    b = Fraction(0)
-    if "sqrt" in token:
-        coef = m.group("coef")
-        b = Fraction(coef[:-1]) if coef else Fraction(1)
-        if m.group("op") == "-":
-            b = -b
-        elif m.group("op") is None and m.group("rat") is not None:
-            raise ValueError(f"missing sign before sqrt part in {token!r}")
+    try:
+        rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+        b = Fraction(0)
+        if "sqrt" in token:
+            coef = m.group("coef")
+            b = Fraction(coef[:-1]) if coef else Fraction(1)
+            if m.group("op") == "-":
+                b = -b
+            elif m.group("op") is None and m.group("rat") is not None:
+                raise ValueError(f"missing sign before sqrt part in {token!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
     return QuadNum.of(rat, b, d if b else 0)

@@ -467,33 +467,45 @@ def parse_group_file(text: str):
     Lines: ``d=<int>`` (field for sqrt parts), ``matrix <n>`` followed by
     n rows of n rationals, or four whitespace-separated quadratic tokens
     forming a quaternion a + b i + c j + e k.  '#' starts a comment.
+    Every malformed line raises ValueError naming its line number.
     """
     d = 0
     quats: list[Quaternion] = []
     mats: list[Matrix] = []
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(no, ln) for no, ln in lines if ln]
     pos = 0
     while pos < len(lines):
-        line = lines[pos]
-        if line.startswith("d="):
-            d = int(line[2:])
-            pos += 1
-            continue
-        if line.startswith("matrix"):
-            n = int(line.split()[1])
-            rows = []
-            for r in range(1, n + 1):
-                rows.append([Fraction(tok) for tok in lines[pos + r].split()])
-                if len(rows[-1]) != n:
-                    raise ValueError(f"matrix row {r} must have {n} entries")
-            mats.append(rational_matrix(rows))
-            pos += n + 1
-            continue
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise ValueError(f"expected 4 quaternion coefficients, got {line!r}")
-        coeffs = [parse_quad_token(t, d) for t in tokens]
+        lineno, line = lines[pos]
+        try:
+            if line.startswith("d="):
+                d = int(line[2:])
+                pos += 1
+                continue
+            if line.startswith("matrix"):
+                head = line.split()
+                if len(head) != 2 or not head[1].isdigit() or int(head[1]) < 1:
+                    raise ValueError(f"expected 'matrix <n>' with n >= 1, got {line!r}")
+                n = int(head[1])
+                if pos + n >= len(lines):
+                    raise ValueError(f"'matrix {n}' needs {n} rows, got {len(lines) - pos - 1}")
+                rows = []
+                for r in range(1, n + 1):
+                    lineno, row = lines[pos + r]
+                    rows.append([Fraction(tok) for tok in row.split()])
+                    if len(rows[-1]) != n:
+                        raise ValueError(f"matrix row {r} must have {n} entries")
+                mats.append(rational_matrix(rows))
+                pos += n + 1
+                continue
+            tokens = line.split()
+            if len(tokens) != 4:
+                raise ValueError(f"expected 4 quaternion coefficients, got {line!r}")
+            coeffs = [parse_quad_token(t, d) for t in tokens]
+        except ZeroDivisionError:
+            raise ValueError(f"line {lineno}: zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         quats.append(Quaternion(*coeffs))
         pos += 1
     if quats and mats:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arclink
 from arclink.cli import main
 from conftest import E8_TEXT, SIGMA_237_TEXT
 
@@ -205,3 +210,40 @@ def test_analyze_general_graph_with_nodes(graph_file, capsys):
     assert all(w["type"] == "edge_torus" for w in node_windings)
     orb = [c for c in comps if c["kind"] == "orbifold_point"]
     assert all("intersection_number" in c for c in orb)
+
+
+# -- malformed input: exit 1, one 'error:' line, never a traceback ------------------
+
+
+def _run_subprocess(*argv) -> subprocess.CompletedProcess:
+    src = str(Path(arclink.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "arclink.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["analyze", "{g}", "--bound", "0", "--json"], {"g": CUSP_TEXT}),
+        (["components", "{g}", "--bound", "-2"], {"g": CUSP_TEXT}),
+        (["cusp", "--seq", "3,3", "--bound", "0"], {}),
+        (["inoue", "--field", "{f}", "--bound", "0"], {"f": FIELD_TEXT}),
+        (["inoue", "--field", "{f}"], {"f": "d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2+1/2*sqrtx\n"}),
+        (["inoue", "--field", "{f}"], {"f": "d=five\nbasis=1 sqrt\nu=1+sqrt\n"}),
+        (["inoue", "--field", "{f}"], {"f": "d=5\nbasis=1 1/0\nu=3/2+1/2*sqrt\n"}),
+        (["quotient", "--group", "{f}"], {"f": "matrix 2\n1 0\n"}),
+        (["quotient", "--group", "{f}"], {"f": "matrix\n1\n"}),
+        (["quotient", "--group", "{f}"], {"f": "matrix 1\n1/0\n"}),
+    ],
+)
+def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / tok[1:-1]) if tok.startswith("{") else tok for tok in argv]
+    proc = _run_subprocess(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert proc.stdout == ""

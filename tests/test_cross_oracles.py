@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from arclink.cusp import CuspSequence, dual_construction, monodromy
-from arclink.graph_core import determinant, intersection_matrix, is_negative_definite
+from arclink.checks import determinant
+from arclink.graph_core import intersection_matrix, is_negative_definite
 from arclink.hjcf import Mat2, hj_numerator, mono_product
 from arclink.seifert import pi1_presentation, seifert_data
 from conftest import chain_graph, cycle_graph, star_graph

@@ -3,16 +3,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arclink.checks import determinant, negative_definite_cholesky, sylvester_negative_definite
 from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
     Shape,
     Vertex,
     classify_shape,
-    determinant,
     intersection_matrix,
     is_negative_definite,
-    negative_definite_cholesky,
+    is_negative_definite_graph,
     parse_plumbing,
     serialize_plumbing,
 )
@@ -75,10 +75,21 @@ _random_graph = st.builds(
 )
 
 
-def _make_graph(n, eulers, genera, edge_picks):
+def _make_graph(n, eulers, genera, edge_picks, arrow_picks=()):
     vs = tuple(Vertex(f"v{i}", eulers[i], genera[i]) for i in range(n))
     es = tuple((f"v{a % n}", f"v{b % n}") for a, b in edge_picks)
-    return PlumbingGraph(vs, es, (), "random")
+    arrows = tuple(f"v{a % n}" for a in arrow_picks)
+    return PlumbingGraph(vs, es, arrows, "random")
+
+
+_random_graph_with_arrows = st.builds(
+    _make_graph,
+    st.integers(1, 8),
+    st.lists(st.integers(-7, 3), min_size=8, max_size=8),
+    st.lists(st.integers(0, 2), min_size=8, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+    st.lists(st.integers(0, 7), max_size=4),
+)
 
 
 @given(_random_graph)
@@ -153,6 +164,70 @@ def test_valid_cusp_cycles_are_negative_definite():
             assert is_negative_definite(intersection_matrix(cycle_graph(list(bs))))
     # The all -2 cycle is only semidefinite.
     assert not is_negative_definite(intersection_matrix(cycle_graph([2, 2, 2])))
+
+
+@given(_random_graph)
+@settings(max_examples=300)
+def test_definiteness_agrees_with_sylvester_oracle(g):
+    m = intersection_matrix(g)
+    want = sylvester_negative_definite(m)
+    assert is_negative_definite(m) == want
+    assert is_negative_definite_graph(g) == want
+
+
+@given(_random_graph, st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_definiteness_invariant_under_relabelling_and_reordering(g, rnd):
+    ids = list(g.vertex_ids())
+    fresh = {vid: f"w{k}" for vid, k in zip(ids, rnd.sample(range(10 * len(ids)), len(ids)))}
+    vertex_lines = [f"vertex {fresh[v.id]} euler={v.euler} genus={v.genus}" for v in g.vertices]
+    edge_lines = [f"edge {fresh[u]} {fresh[w]}" for u, w in g.edges]
+    rnd.shuffle(vertex_lines)
+    rnd.shuffle(edge_lines)
+    relabelled = parse_plumbing("\n".join(vertex_lines + edge_lines))
+    assert is_negative_definite_graph(relabelled) == is_negative_definite_graph(g)
+    assert is_negative_definite(intersection_matrix(relabelled)) == is_negative_definite(
+        intersection_matrix(g)
+    )
+
+
+def test_large_chain_accepted():
+    # The leading minors of -A(A_n) are the continuants k + 1 > 0.
+    assert is_negative_definite_graph(chain_graph([2] * 1000))
+
+
+def test_large_cycle_with_a_three_accepted():
+    # -A is irreducibly diagonally dominant (strictly at the -3 vertex).
+    bs = [2] * 1000
+    bs[417] = 3
+    assert is_negative_definite_graph(cycle_graph(bs))
+    assert is_negative_definite(intersection_matrix(cycle_graph(bs)))
+
+
+def test_large_all_minus_two_cycle_rejected():
+    # -A is the cycle Laplacian: the all-ones vector spans its kernel.
+    g = cycle_graph([2] * 1000)
+    assert all(sum(row) == 0 for row in intersection_matrix(g))
+    assert not is_negative_definite_graph(g)
+
+
+# -- adjacency index ------------------------------------------------------
+
+
+@given(_random_graph_with_arrows)
+@settings(max_examples=200)
+def test_adjacency_index_matches_edge_scan(g):
+    ids = g.vertex_ids()
+    for v in ids:
+        assert g.loops_at(v) == sum(1 for a, b in g.edges if a == b == v)
+        assert g.degree(v) == sum((a == v) + (b == v) for a, b in g.edges)
+        assert g.arrow_count(v) == sum(1 for a in g.arrows if a == v)
+        assert g.neighbors(v) == sorted(
+            {b if a == v else a for a, b in g.edges if v in (a, b) and a != b}
+        )
+        for w in ids:
+            key = (v, w) if v <= w else (w, v)
+            assert g.edge_multiplicity(v, w) == sum(1 for e in g.edges if e == key)
 
 
 # -- shapes ---------------------------------------------------------------

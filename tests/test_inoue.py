@@ -222,3 +222,14 @@ def test_cross_check_other_fields():
         basis = (ONE, QuadNum.of(0, 1, d))
         report = inoue_cross_check(d, basis, u, 2)
         assert report.passed, report.render()
+
+
+def test_parse_field_file_bad_tokens_are_inoue_errors():
+    with pytest.raises(InoueError, match="line 3: bad quadratic token"):
+        parse_field_file("d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2+1/2*sqrtx\n")
+    with pytest.raises(InoueError, match="line 1"):
+        parse_field_file("d=x\nbasis=1 sqrt\nu=1+sqrt\n")
+    with pytest.raises(InoueError, match="line 2: bad quadratic token"):
+        parse_field_file("d=5\nbasis=1 2*sqr\nu=1+sqrt\n")
+    with pytest.raises(InoueError, match="zero denominator"):
+        parse_field_file("d=5\nbasis=1 sqrt\nu=1/0+sqrt\n")

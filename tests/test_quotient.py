@@ -231,3 +231,14 @@ def test_parse_rejects_mixed_and_garbage():
         parse_group_file("1 2 3\n")
     with pytest.raises(ValueError):
         parse_group_file("d=5\nflub 0 0 zork\n")
+
+
+def test_parse_matrix_errors_name_the_line():
+    with pytest.raises(ValueError, match="line 2: 'matrix 2' needs 2 rows"):
+        parse_group_file("# truncated\nmatrix 2\n1 0\n")
+    with pytest.raises(ValueError, match="line 1: expected 'matrix <n>'"):
+        parse_group_file("matrix\n1\n")
+    with pytest.raises(ValueError, match="line 3: matrix row 2"):
+        parse_group_file("matrix 2\n1 0\n1\n")
+    with pytest.raises(ValueError, match="line 2: zero denominator"):
+        parse_group_file("matrix 1\n1/0\n")
