@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice, takewhile
 from math import gcd
 
 from .graph_core import (
@@ -23,6 +24,7 @@ from .graph_core import (
     classify_shape,
     is_negative_definite_graph,
     star_legs,
+    walk,
 )
 from .hjcf import hj_pair
 
@@ -194,58 +196,29 @@ def rational_chain_tails(g: PlumbingGraph) -> list[list[str]]:
         raise WholeChainError("the whole graph is a rational chain")
     if shape.kind is Shape.CYCLE:
         return []
-    tails = []
-    for v in sorted(g.vertex_ids()):
-        if g.degree(v) == 1 and _chain_member(g, v):
-            tail = [v]
-            prev, cur = None, v
-            while True:
-                nxt = [w for w in g.neighbors(cur) if w != prev]
-                if len(nxt) != 1:
-                    break
-                step = nxt[0]
-                if not _chain_member(g, step):
-                    break
-                tail.append(step)
-                prev, cur = cur, step
-            tails.append(tail)
-    return tails
+    return [
+        list(takewhile(lambda w: _chain_member(g, w), walk(g, None, v)))
+        for v in sorted(g.vertex_ids())
+        if g.degree(v) == 1 and _chain_member(g, v)
+    ]
 
 
 # -- singularity class ----------------------------------------------------
 
 
 def _chain_order(g: PlumbingGraph) -> list[str]:
-    """Vertex ids of a chain graph in path order (deterministic end)."""
-    if len(g.vertices) == 1:
-        return [g.vertices[0].id]
-    ends = sorted(v.id for v in g.vertices if g.degree(v.id) == 1)
-    start = ends[0]
-    order = [start]
-    prev, cur = None, start
-    while len(order) < len(g.vertices):
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
+    """Vertex ids of a chain graph in path order, from its smaller end."""
+    return list(walk(g, None, min(v.id for v in g.vertices if g.degree(v.id) <= 1)))
 
 
 def cycle_order(g: PlumbingGraph) -> list[str]:
-    """Vertex ids of a cycle graph in traversal order, canonical start."""
+    """Vertex ids of a cycle graph in traversal order, canonical start:
+    the smallest id, then its smaller neighbor."""
     ids = sorted(g.vertex_ids())
-    start = ids[0]
     if len(ids) == 1:
         return ids
-    if len(ids) == 2:
-        return ids
-    first = g.neighbors(start)[0]
-    order = [start, first]
-    prev, cur = start, first
-    while len(order) < len(ids):
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
+    start = ids[0]
+    return list(islice(walk(g, g.neighbors(start)[-1], start), len(ids)))
 
 
 def _canonical_cycle_sequence(bs: list[int]) -> tuple[int, ...]:

@@ -21,10 +21,11 @@ from .graph_core import (
     is_negative_definite,
     is_negative_definite_graph,
 )
-from .hjcf import hj_pair
+from .hjcf import hj_expand, hj_pair
 from .inoue import inoue_cross_check
 from .quadratic import QuadNum
 from .quotient import (
+    ArcCenter,
     builtin_generators,
     conjugacy_classes,
     cyclic_quotient_components,
@@ -281,7 +282,9 @@ def sweep_seifert_vs_components(bound: int = 6) -> SweepResult:
 
 
 def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int = 2) -> SweepResult:
-    """Chains route to SelfDlt cyclic quotients matching the direct labels."""
+    """Chains route to SelfDlt cyclic quotients 1/m(q, 1) whose chain the
+    expansion of m/q gives back, and whose labels a/m (1 <= a <= bound*m)
+    carry the model arc (a, c) with c*q = a mod m."""
     cases = 0
     for k in range(1, max_len + 1):
         for bs in product(range(2, max_b + 1), repeat=k):
@@ -291,15 +294,26 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
             if model.kind is not DltKind.SELF_DLT:
                 return SweepResult("chain quotient agreement", False, cases, f"{bs} not SelfDlt")
             cls = model.sing_class
+            m, q = cls.m, cls.q
             m_direct, om_f = hj_pair(list(bs))
             _, om_b = hj_pair(list(bs)[::-1])
-            if cls.m != m_direct or cls.q not in (om_f, om_b):
+            if m != m_direct or q not in (om_f, om_b):
                 return SweepResult("chain quotient agreement", False, cases, f"{bs}: class {cls}")
-            if cls.m <= 300:  # compare full label lists where affordable
-                labels = cyclic_quotient_components(cls.m, cls.q, bound)
-                direct = cyclic_quotient_components(m_direct, min(om_f, om_b), bound)
-                if len(labels) != bound * cls.m or [r.label for r in labels] != [r.label for r in direct]:
-                    return SweepResult("chain quotient agreement", False, cases, f"{bs}: label mismatch")
+            if hj_expand(m, q) not in (list(bs), list(bs)[::-1]):
+                return SweepResult("chain quotient agreement", False, cases, f"{bs}: {m}/{q} expands otherwise")
+            if m <= 300:  # check the full label list where affordable
+                labels = cyclic_quotient_components(m, q, bound)
+                if len(labels) != bound * m:
+                    return SweepResult("chain quotient agreement", False, cases, f"{bs}: {len(labels)} labels")
+                for a, r in enumerate(labels, start=1):
+                    if (
+                        r.label.numerator * m != a * r.label.denominator  # label == a/m
+                        or (r.center is ArcCenter.ON_CURVE) != (a % m == 0)
+                        or r.m1 != a
+                        or not 0 <= r.c < m
+                        or (r.c * q - a) % m
+                    ):
+                        return SweepResult("chain quotient agreement", False, cases, f"{bs}: label {a}/{m} is {r}")
     return SweepResult("chain quotient agreement", True, cases)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .calculus import DltKind, DltModel, SelfDltError, SingKind, cycle_order, minimal_log_resolution
 from .cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy, v_sequence
-from .graph_core import GraphError, PlumbingGraph, graph_nodes
+from .graph_core import GraphError, PlumbingGraph, graph_nodes, walk
 from .hjcf import chain_exponent, hj_numerator
 
 Vec = tuple[int, int]
@@ -164,41 +164,32 @@ def _maximal_chains(g: PlumbingGraph, nodes: set[str]):
 
     Yields (end_a, end_b, interior, instance_path); terminals are nodes or
     chain ends (leaves), and each edge instance is consumed exactly once.
+    Chains leave each node in the order of their first edge instance, and
+    the copies of a parallel edge are consumed in index order, so a count
+    of used copies per vertex pair names each instance.
     """
-    remaining = list(g.edge_instances())
-    used: set[EdgeInstance] = set()
+    used: dict[tuple[str, str], int] = {}
 
-    def instances_at(v: str):
-        out = []
-        for inst in remaining:
-            if inst in used:
-                continue
-            if inst[0] == v or inst[1] == v:
-                out.append(inst)
-        return out
-
-    def walk(start: str, first: EdgeInstance):
-        used.add(first)
-        path = [first]
-        cur = first[1] if first[0] == start else first[0]
-        interior = []
-        while cur not in nodes:
-            nxt = instances_at(cur)
-            if not nxt:
-                return start, cur, interior, path  # ends at a leaf
-            interior.append(cur)
-            inst = nxt[0]
-            used.add(inst)
-            path.append(inst)
-            cur = inst[1] if inst[0] == cur else inst[0]
-        return start, cur, interior, path
+    def instance(u: str, v: str) -> EdgeInstance:
+        key = (u, v) if u <= v else (v, u)
+        k = used.get(key, 0)
+        used[key] = k + 1
+        return (key[0], key[1], k)
 
     for node in sorted(nodes):
-        while True:
-            insts = instances_at(node)
-            if not insts:
-                break
-            yield walk(node, insts[0])
+        for first in sorted(g.neighbors(node) + [node]):  # node itself: its loops
+            key = (node, first) if node <= first else (first, node)
+            while used.get(key, 0) < g.edge_multiplicity(node, first):
+                prev, interior, path = node, [], []
+                for cur in walk(g, node, first):
+                    path.append(instance(prev, cur))
+                    if cur in nodes:
+                        break
+                    interior.append(cur)
+                    prev = cur
+                else:
+                    interior.pop()  # the walk ended at a leaf
+                yield node, cur, interior, path
 
 
 def jsj_split(g: PlumbingGraph) -> JsjSplit:

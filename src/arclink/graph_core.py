@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -373,39 +373,38 @@ def classify_shape(g: PlumbingGraph) -> ShapeClass:
             return ShapeClass(Shape.CYCLE)
         return ShapeClass(Shape.CHAIN)
     if len(nodes) == 1 and n_edges == n_vertices - 1:
-        center = nodes[0]
-        if _legs_are_chains(g, center):
-            return ShapeClass(Shape.STAR, center=center)
+        # A connected graph with n - 1 edges is a tree: no loops and no
+        # parallel edges.  Every other vertex is not a node, so it has
+        # genus 0 and valency <= 2, and a leg attached at an inner vertex
+        # would give that vertex valency 3: the legs are chains hanging
+        # off the center at one end.
+        return ShapeClass(Shape.STAR, center=nodes[0])
     return ShapeClass(Shape.GENERAL, nodes=tuple(nodes))
 
 
-def _legs_are_chains(g: PlumbingGraph, center: str) -> bool:
-    """Each component of g - center is a path joined to center at one end."""
-    rest = set(g.vertex_ids()) - {center}
-    for vid in rest:
-        deg = g.degree(vid)
-        if deg > 2 or g.loops_at(vid):
-            return False
-        if g.edge_multiplicity(center, vid) > 1:
-            return False
-    # Tree with all non-center valencies <= 2 and single attachment edges:
-    # every component of the complement is then automatically a chain
-    # hanging off the center at one end.
-    return True
+def walk(g: PlumbingGraph, prev: str | None, start: str) -> Iterator[str]:
+    """Yield ``start``, then the path that leaves ``prev`` through it.
+
+    Each step takes the one edge-end at the current vertex other than the
+    end it arrived by (none is discounted at ``start`` when ``prev`` is
+    None).  A loop counts as two ends and each copy of a parallel edge as
+    one, so a walk may turn back along a double edge or round a loop.  The
+    walk ends at a vertex with zero or several remaining ends; around a
+    cycle it never ends, so the caller stops it.
+    """
+    cur = start
+    while True:
+        yield cur
+        inc = g._adj[cur]
+        if sum(inc.mult.values()) + 2 * inc.loops - (prev is not None) != 1:
+            return
+        if inc.loops:  # arrived by one end of the loop, leave by the other
+            nxt = cur
+        else:
+            nxt = next(w for w, m in inc.mult.items() if w != prev or m > 1)
+        prev, cur = cur, nxt
 
 
 def star_legs(g: PlumbingGraph, center: str) -> list[list[str]]:
     """Legs of a star, each listed from the center outward."""
-    legs = []
-    for first in g.neighbors(center):
-        for _ in range(g.edge_multiplicity(center, first)):
-            leg = [first]
-            prev, cur = center, first
-            while True:
-                nxt = [w for w in g.neighbors(cur) if w != prev]
-                if not nxt:
-                    break
-                (cur, prev) = (nxt[0], cur)
-                leg.append(cur)
-            legs.append(leg)
-    return sorted(legs)
+    return sorted(list(walk(g, center, first)) for first in g.neighbors(center))

@@ -151,7 +151,6 @@ def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
     else:
         n = len(first)
         identity = _mat_identity(n)
-        mul = _mat_mul
         for g in generators:
             if len(g) != n or any(len(row) != n for row in g):
                 raise ClosureError("generators must share one matrix size")
@@ -161,12 +160,15 @@ def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
     elements = [identity]
     index = {identity: 0}
     parents: list[tuple[int, int] | None] = [None]  # (z, gen column): e = e_z * e_gcol
+    gen_cols: list[int] = []  # column of identity * g, read off the first step
     frontier = [0]
     while frontier:
         nxt = []
         for xi in frontier:
-            for g in generators:
+            for j, g in enumerate(generators):
                 y = mul(elements[xi], g)
+                if xi == 0:
+                    gen_cols.append(index.get(y, len(elements)))
                 if y not in index:
                     if len(elements) >= ceiling:
                         raise ClosureError(
@@ -174,7 +176,7 @@ def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
                         )
                     index[y] = len(elements)
                     elements.append(y)
-                    parents.append((xi, index[mul(identity, g)]))
+                    parents.append((xi, gen_cols[j]))
                     nxt.append(index[y])
         frontier = nxt
     # Cayley table: real products for generator columns, then associativity

@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .graph_core import GraphError, PlumbingGraph, Shape, classify_shape
+from .graph_core import GraphError, PlumbingGraph, Shape, classify_shape, star_legs
 from .hjcf import hj_pair
 
 Word = tuple[tuple[str, int], ...]
@@ -60,24 +60,16 @@ def seifert_data(g: PlumbingGraph) -> SeifertData:
     cv = g.vertex(center)
     legs = []
     arrow_count = g.arrow_count(center)
-    for first in sorted(body.neighbors(center)):
-        chain = [first]
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in body.neighbors(cur) if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            chain.append(cur)
+    for chain in star_legs(body, center):
         if any(g.arrow_count(v) for v in chain):
             # Euler numbers along arrowed chains are irrelevant for the piece.
             arrow_count += 1
             continue
         terms = tuple(-g.vertex(v).euler for v in chain)
         if any(t < 2 for t in terms):
-            raise GraphError(f"leg through {first!r} is not minimal (some b < 2)")
+            raise GraphError(f"leg through {chain[0]!r} is not minimal (some b < 2)")
         alpha, omega = hj_pair(terms)
-        legs.append(SeifertLeg(alpha, omega, leg_id=first, end_id=chain[-1], terms=terms))
+        legs.append(SeifertLeg(alpha, omega, leg_id=chain[0], end_id=chain[-1], terms=terms))
     return SeifertData(
         b=-cv.euler, genus=cv.genus, legs=tuple(legs), arrows=arrow_count, center=center
     )

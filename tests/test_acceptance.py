@@ -6,9 +6,11 @@ computed in exact arithmetic.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from fractions import Fraction
 
+from arclink import checks
 from arclink.calculus import minimal_dlt_model
 from arclink.checks import (
     sweep_chain_quotient_agreement,
@@ -115,6 +117,33 @@ def test_criterion_8_chain_vs_cor65():
     result = sweep_chain_quotient_agreement(max_len=6, max_b=5, bound=2)
     assert result.passed, result.witness
     _report(8, f"dlt route and direct cyclic labels agree on {result.cases} chains")
+
+
+def _other_q(m: int, q: int) -> int:
+    # m - q is coprime to m and differs from q for every m > 2.
+    return m - q if m > 2 else q
+
+
+def test_criterion_8_sweep_catches_labels_of_a_wrong_q(monkeypatch):
+    real = checks.cyclic_quotient_components
+    monkeypatch.setattr(
+        checks, "cyclic_quotient_components", lambda m, q, bound: real(m, _other_q(m, q), bound)
+    )
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and "label" in result.witness
+
+
+def test_criterion_8_sweep_catches_a_wrong_class_q(monkeypatch):
+    real = checks.minimal_dlt_model
+
+    def planted(g):
+        model = real(g)
+        cls = model.sing_class
+        return dataclasses.replace(model, sing_class=dataclasses.replace(cls, q=_other_q(cls.m, cls.q)))
+
+    monkeypatch.setattr(checks, "minimal_dlt_model", planted)
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and "class" in result.witness
 
 
 def test_criterion_9_chain_system():

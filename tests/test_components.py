@@ -4,13 +4,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arclink.calculus import SelfDltError, minimal_dlt_model, minimal_log_resolution
+from arclink.calculus import DltKind, SelfDltError, minimal_dlt_model, minimal_log_resolution
 from arclink.components import (
     ArcComponent,
     ComponentKind,
     CuspLattice,
     HomotopyKind,
+    JsjChain,
     canonical_label,
     chain_system_solvable,
     are_conjugate,
@@ -21,7 +23,7 @@ from arclink.components import (
     winding_class,
 )
 from arclink.cusp import CuspSequence, enumerate_cusp_components
-from arclink.graph_core import GraphError, parse_plumbing
+from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
 from arclink.seifert import enumerate_seifert_components, seifert_data
 from conftest import chain_graph, cycle_graph, star_graph
 
@@ -98,6 +100,72 @@ def test_jsj_rejects_nodeless():
         jsj_split(chain_graph([2, 2]))
     with pytest.raises(GraphError):
         jsj_split(cycle_graph([3, 3, 3]))
+
+
+def test_jsj_cycle_through_a_valency_two_node():
+    # n is a node by its genus alone; the chain leaves and re-enters it.
+    g = parse_plumbing(
+        "vertex n euler=-3 genus=1\nvertex a euler=-2 genus=0\nvertex b euler=-2 genus=0\n"
+        "edge n a\nedge a b\nedge b n"
+    )
+    split = jsj_split(g)
+    assert split.chains == (JsjChain("n", "n", ("a", "b"), (2, 2), ("a", "n", 0)),)
+    (piece,) = split.pieces
+    assert piece.edges == (("a", "b"), ("b", "n"))
+    assert piece.arrows == ("a", "n")
+    assert sorted(piece.vertex_ids()) == ["a", "b", "n"]
+
+
+def test_jsj_double_edge_chain_instances():
+    g = parse_plumbing(
+        "vertex n euler=-3 genus=1\nvertex x euler=-2 genus=0\nedge n x\nedge x n"
+    )
+    split = jsj_split(g)
+    assert split.chains == (JsjChain("n", "n", ("x",), (2,), ("n", "x", 0)),)
+    assert split.pieces[0].edges == (("n", "x"),)
+
+
+def _node_ring(k: int, chain: int, tail: int) -> PlumbingGraph:
+    """k nodes on a ring joined by chains of ``chain`` -2 curves, a tail of
+    ``tail`` -2 curves on every node and a loop on every even node.  -A is
+    diagonally dominant, strictly at the nodes, so the graph is definite."""
+    vs, es = [], []
+    for i in range(k):
+        node = f"n{i:03d}"
+        vs.append(Vertex(node, -6 if i % 2 == 0 else -4, 0))
+        if i % 2 == 0:
+            es.append((node, node))
+        for prefix, length, end in (("c", chain, f"n{(i + 1) % k:03d}"), ("t", tail, None)):
+            prev = node
+            for j in range(length):
+                vid = f"{prefix}{i:03d}_{j:03d}"
+                vs.append(Vertex(vid, -2, 0))
+                es.append((prev, vid))
+                prev = vid
+            if end is not None:
+                es.append((prev, end))
+    return PlumbingGraph(tuple(vs), tuple(es), (), "ring")
+
+
+def test_jsj_large_node_ring_closed_forms():
+    k, chain, tail = 20, 40, 9
+    g = _node_ring(k, chain, tail)
+    n_vertices = k * (1 + chain + tail)
+    n_edges = k * (chain + 1) + k * tail + k // 2
+    assert (len(g.vertices), len(g.edges)) == (n_vertices, n_edges) == (1000, 1010)
+    split = jsj_split(g)
+    n_chains = k + k // 2  # one per ring segment, one per loop
+    assert len(split.pieces) == k
+    assert len(split.chains) == n_chains
+    ring_chains = [c for c in split.chains if c.interior]
+    assert len(ring_chains) == k
+    assert all(c.terms == (2,) * chain for c in ring_chains)
+    assert sorted(c.cut_edge[:2] for c in split.chains if not c.interior) == [
+        (f"n{i:03d}", f"n{i:03d}") for i in range(0, k, 2)
+    ]
+    assert sum(len(p.vertices) for p in split.pieces) == n_vertices
+    assert sum(len(p.edges) for p in split.pieces) == n_edges - n_chains
+    assert sum(len(p.arrows) for p in split.pieces) == 2 * n_chains
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -481,3 +549,67 @@ def test_jsj_pieces_carry_valid_seifert_data():
     # n2's piece keeps legs a and b and gets the chain stub as an arrow.
     assert data["n2"].arrows == 1
     assert sorted(data["n2"].pairs()) == [(2, 1), (3, 1)]
+
+
+# -- relabelling invariance of the whole pipeline ----------------------------------
+
+
+@st.composite
+def _definite_graphs(draw):
+    """Connected graphs that are negative definite by construction.
+
+    With -e_v >= valency (loops counting twice) at every vertex and strict
+    at one, -A is irreducibly diagonally dominant, hence positive definite.
+    Point and edge blow-ups then keep the lattice definite and give the
+    resolution something to blow down.
+    """
+    n = draw(st.integers(1, 7))
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    valency = dict.fromkeys(ids, 0)
+    for u, w in edges:
+        valency[u] += 1
+        valency[w] += 1
+    strict = draw(st.sampled_from(ids))
+    euler = {v: -valency[v] - draw(st.integers(0, 2)) - (v == strict) for v in ids}
+    genus = {v: draw(st.sampled_from((0, 0, 0, 1))) for v in ids}
+    for b in range(draw(st.integers(0, 3))):
+        new = f"e{b}"
+        if edges and draw(st.booleans()):  # an intersection point, or a loop's double point
+            u, w = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(u, new), (new, w)]
+            euler[w] -= 1
+        else:  # a general point of one curve
+            u = draw(st.sampled_from(ids))
+            edges.append((u, new))
+        euler[u] -= 1
+        ids.append(new)
+        euler[new], genus[new] = -1, 0
+    vs = tuple(Vertex(v, euler[v], genus[v]) for v in ids)
+    return PlumbingGraph(vs, tuple(edges), (), "definite")
+
+
+def _pipeline_summary(g: PlumbingGraph):
+    model = minimal_dlt_model(minimal_log_resolution(g))
+    shape = (
+        model.kind,
+        len(model.residual.vertices),
+        len(model.residual.edges),
+        sorted((p.m, p.omega, p.terms) for p in model.orbifold_points),
+    )
+    count = len(enumerate_components(model, 2)) if model.kind is DltKind.MODEL else None
+    return model.sing_class, shape, count
+
+
+@given(_definite_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_pipeline_invariant_under_relabelling_and_reordering(g, rnd):
+    ids = list(g.vertex_ids())
+    fresh = {vid: f"w{k}" for vid, k in zip(ids, rnd.sample(range(10 * len(ids)), len(ids)))}
+    vertex_lines = [f"vertex {fresh[v.id]} euler={v.euler} genus={v.genus}" for v in g.vertices]
+    edge_lines = [f"edge {fresh[u]} {fresh[w]}" for u, w in g.edges]
+    rnd.shuffle(vertex_lines)
+    rnd.shuffle(edge_lines)
+    relabelled = parse_plumbing("\n".join(vertex_lines + edge_lines))
+    assert _pipeline_summary(relabelled) == _pipeline_summary(g)

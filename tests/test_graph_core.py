@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,8 @@ from arclink.graph_core import (
     is_negative_definite_graph,
     parse_plumbing,
     serialize_plumbing,
+    star_legs,
+    walk,
 )
 from conftest import chain_graph, cycle_graph, star_graph
 
@@ -263,3 +267,41 @@ def test_shape_rejects_disconnected_and_arrows():
         classify_shape(g)
     with pytest.raises(GraphError):
         classify_shape(parse_plumbing("vertex a euler=-2 genus=0\narrow a"))
+
+
+# -- path walker -------------------------------------------------------------
+
+
+def test_walk_double_edge_two_cycle():
+    g = cycle_graph([2, 3])  # v0 and v1 joined by two edges
+    assert list(islice(walk(g, "v1", "v0"), 5)) == ["v0", "v1", "v0", "v1", "v0"]
+    assert list(walk(g, None, "v0")) == ["v0"]  # two ends left: no step
+
+
+def test_walk_one_vertex_loop():
+    g = cycle_graph([3])
+    assert list(islice(walk(g, "v0", "v0"), 3)) == ["v0", "v0", "v0"]
+    assert list(walk(g, None, "v0")) == ["v0"]
+
+
+def test_walk_from_and_to_a_leaf():
+    g = chain_graph([2, 3, 4])
+    assert list(walk(g, None, "v0")) == ["v0", "v1", "v2"]
+    assert list(walk(g, None, "v2")) == ["v2", "v1", "v0"]
+    assert list(walk(g, "v0", "v1")) == ["v1", "v2"]
+    assert list(walk(g, "v1", "v2")) == ["v2"]
+
+
+def test_walk_turns_back_along_a_double_edge_to_its_node():
+    g = parse_plumbing(
+        "vertex n euler=-4 genus=0\nvertex x euler=-2 genus=0\nvertex y euler=-2 genus=0\n"
+        "edge n x\nedge x n\nedge n y"
+    )
+    # x leaves by the other copy of the double edge; n has two ends left.
+    assert list(walk(g, "n", "x")) == ["x", "n"]
+    assert list(walk(g, "n", "y")) == ["y"]
+
+
+def test_walk_stops_at_a_node_and_star_legs(e8):
+    assert list(walk(e8, None, "d4")) == ["d4", "d3", "d2", "d1", "c"]
+    assert star_legs(e8, "c") == [["a1"], ["b1", "b2"], ["d1", "d2", "d3", "d4"]]

@@ -73,6 +73,13 @@ def test_table_matches_direct_products():
         assert g.elements[g.table[i][j]] == g.elements[i] * g.elements[j]
 
 
+def test_closure_ignores_repeated_and_identity_generators():
+    gens = builtin_generators("2T")
+    g = group_closure(gens)
+    again = group_closure([*gens, gens[0], Quaternion.of(1)])
+    assert again.elements == g.elements and again.table == g.table
+
+
 def test_infinite_group_hits_ceiling():
     shear = rational_matrix([[1, 1], [0, 1]])
     with pytest.raises(ClosureError, match="likely infinite"):
