@@ -64,16 +64,8 @@ from .graph_core import (
     parse_plumbing,
     serialize_plumbing,
 )
-from .hjcf import HJFraction, Mat2, chain_exponent, hj_expand, hj_numerator, mono_product
-from .inoue import (
-    InoueArcSpec,
-    InoueError,
-    QuadElement,
-    arc_translation_class,
-    inoue_cross_check,
-    quad_mult_matrix,
-    sign_cone,
-)
+from .hjcf import Mat2, chain_exponent, hj_expand, hj_numerator, mono_product
+from .inoue import InoueError, inoue_cross_check, quad_mult_matrix, sign_cone
 from .quadratic import QuadNum
 from .quotient import (
     ConjClasses,
@@ -87,13 +79,6 @@ from .quotient import (
     mckay_report,
     real_A_component_count,
 )
-from .seifert import (
-    Presentation,
-    SeifertData,
-    enumerate_seifert_components,
-    has_finite_pi1,
-    pi1_presentation,
-    seifert_data,
-)
+from .seifert import Presentation, SeifertData, has_finite_pi1, pi1_presentation, seifert_data
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from itertools import product
 
 from .calculus import DltKind, minimal_dlt_model, minimal_log_resolution, singularity_class
 from .components import chain_system_solvable, enumerate_components
-from .cusp import CuspSequence, check_duality, monodromy, recover_sequence
+from .cusp import CuspSequence, check_duality, dual_sequence, monodromy, recover_sequence
 from .graph_core import (
     PlumbingGraph,
     Vertex,
@@ -32,7 +32,7 @@ from .quotient import (
     group_closure,
     mckay_report,
 )
-from .seifert import enumerate_seifert_components, has_finite_pi1, seifert_data
+from .seifert import SeifertData, has_finite_pi1, seifert_data
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +71,6 @@ def sweep_duality(max_k: int = 6, max_b: int = 6) -> SweepResult:
 
 def sweep_dual_involution(max_k: int = 5, max_b: int = 5) -> SweepResult:
     """dual(dual(b)) is a rotation of b and traces agree."""
-    from .cusp import dual_sequence
-
     cases = 0
     for bs in _valid_sequences(max_k, max_b):
         cases += 1
@@ -269,13 +267,31 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
     return SweepResult("negative definiteness gate", True, cases)
 
 
+def seifert_labels(sd: SeifertData, bound: int) -> list[tuple]:
+    """Sorted component labels of a closed link with infinite pi_1, read
+    off its Seifert data alone: h^m for m <= bound, and g_i^m for each leg
+    with alpha_i not dividing m (g_i^{alpha_i} = h is already central)."""
+    if has_finite_pi1(sd):
+        raise ValueError("finite fundamental group: route to the quotient machinery")
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    ms = range(1, bound + 1)
+    labels = [("curve_interior", sd.center, m) for m in ms]
+    labels += [
+        ("orbifold_point", sd.center, leg.leg_id, m, leg.alpha)
+        for leg in sd.legs
+        for m in ms
+        if m % leg.alpha
+    ]
+    return sorted(labels)
+
+
 def sweep_seifert_vs_components(bound: int = 6) -> SweepResult:
     """Sigma(2,3,7): both routes give the same 19 labels at bound 6."""
     g = sigma_2_3_7()
     model = minimal_dlt_model(minimal_log_resolution(g))
     comp_labels = sorted(c.label() for c in enumerate_components(model, bound))
-    sd = seifert_data(g)
-    seif_labels = sorted(c.label() for c in enumerate_seifert_components(sd, bound))
+    seif_labels = seifert_labels(seifert_data(g), bound)
     ok = comp_labels == seif_labels and len(comp_labels) == 19
     witness = "" if ok else f"{len(comp_labels)} vs {len(seif_labels)} labels"
     return SweepResult("seifert vs components (sigma(2,3,7))", ok, 1, witness)

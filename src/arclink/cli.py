@@ -17,7 +17,15 @@ from .cusp import CuspError, CuspSequence, check_duality, dual_sequence, enumera
 from .graph_core import GraphError, PlumbingGraph, is_negative_definite_graph, parse_plumbing
 from .hjcf import Mat2
 from .inoue import InoueError, inoue_cross_check, parse_field_file
-from .quotient import ClosureError, builtin_generators, conjugacy_classes, group_closure, mckay_report, parse_group_file
+from .quotient import (
+    ClosureError,
+    builtin_generators,
+    conjugacy_classes,
+    cyclic_quotient_components,
+    group_closure,
+    mckay_report,
+    parse_group_file,
+)
 from .checks import run_all_sweeps
 
 SCHEMA = 1
@@ -29,6 +37,15 @@ class InputError(Exception):
 
 class Falsified(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: one ``error:`` line, exit 1.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -147,8 +164,6 @@ def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
     if model.kind is DltKind.MODEL:
         return [_component_json(c) for c in enumerate_components(model, bound)]
     if cls.kind is SingKind.CYCLIC_QUOTIENT:
-        from .quotient import cyclic_quotient_components
-
         rows = cyclic_quotient_components(cls.m, cls.q, bound)
         return [
             {
@@ -420,7 +435,7 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arclink",
         description="Exact computations on resolution graphs of surface singularities",
     )

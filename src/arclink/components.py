@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import ceil, floor, gcd
 
-from .calculus import DltKind, DltModel, SelfDltError, SingKind, cycle_order, minimal_log_resolution
+from .calculus import DltKind, DltModel, SelfDltError, SingKind, _dlt_model, cycle_order, minimal_log_resolution
 from .cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy, v_sequence
 from .graph_core import GraphError, PlumbingGraph, graph_nodes, walk
 from .hjcf import chain_exponent, hj_numerator
@@ -271,6 +272,32 @@ def cusp_structure(model: DltModel) -> CuspStructure:
     return CuspStructure(seq, tuple(order), tuple(steps))
 
 
+def _cusp_vector(st: CuspStructure, location: tuple, multiplicities: tuple[int, ...]) -> Vec:
+    """Lattice vector of gamma_v^m (location (v,)) or of an edge class
+    (location an edge instance, multiplicities in its (u, v) order).
+
+    The curve order[p] carries the ray v_{p+1} (indices mod k), and the
+    edge of step t spans the rays v_{t+1} and v_{t+2}.
+    """
+    k = st.sequence.k
+    vs = v_sequence(st.sequence, 0, k)
+    if len(location) == 1:
+        (vid,) = location
+        if vid not in st.order:
+            raise GraphError(f"curve {vid!r} is not part of the model")
+        (m,) = multiplicities
+        i = (st.order.index(vid) + 1) % k
+        return (m * vs[i][0], m * vs[i][1])
+    if location not in st.step_instances:
+        raise GraphError(f"edge instance {location} is not part of the model")
+    i = (st.step_instances.index(location) + 1) % k
+    mu, mv = multiplicities
+    if location[0] != location[1] and location[0] != st.ray_curve(i):
+        mu, mv = mv, mu
+    vi, vi1 = vs[i], vs[i + 1]
+    return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
+
+
 # -- enumeration -------------------------------------------------------------
 
 
@@ -385,29 +412,9 @@ def winding_class(comp: ArcComponent, model: DltModel) -> WindingClass:
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity has no dlt winding labels")
     if model.sing_class.kind is SingKind.CUSP:
-        st = cusp_structure(model)
-        k = st.sequence.k
-        vs = v_sequence(st.sequence, 0, k)
-        if comp.kind is ComponentKind.CURVE_INTERIOR:
-            (vid,) = comp.location
-            if vid not in st.order:
-                raise GraphError(f"curve {vid!r} is not part of the model")
-            m = comp.multiplicities[0]
-            i = (st.order.index(vid) + 1) % k
-            return CuspLattice((m * vs[i][0], m * vs[i][1]))
-        if comp.kind is ComponentKind.NODE_POINT:
-            inst = comp.location
-            if inst not in st.step_instances:
-                raise GraphError(f"edge instance {inst} is not part of the model")
-            t = st.step_instances.index(inst)
-            i = (t + 1) % k
-            first_curve = st.ray_curve(i)
-            mu, mv = comp.multiplicities
-            if inst[0] != inst[1] and inst[0] != first_curve:
-                mu, mv = mv, mu
-            vi, vi1 = vs[i], vs[i + 1]
-            return CuspLattice((mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1]))
-        raise ValueError("cusp models have no orbifold points")
+        if comp.kind is ComponentKind.ORBIFOLD_POINT:
+            raise ValueError("cusp models have no orbifold points")
+        return CuspLattice(_cusp_vector(cusp_structure(model), comp.location, comp.multiplicities))
     if comp.kind is ComponentKind.CURVE_INTERIOR:
         (vid,) = comp.location
         model.residual.vertex(vid)
@@ -495,26 +502,15 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
 
 def _cusp_label(model: DltModel, w: WindingClass):
     st = cusp_structure(model)
-    k = st.sequence.k
-    vs = v_sequence(st.sequence, 0, k)
     if isinstance(w, CuspLattice):
         vec = w.vector
     elif isinstance(w, SeifertWord):
         if len(w.terms) != 1:
             raise ValueError("expected a single fiber power for a cusp graph")
-        vid = _parse_gamma(w.terms[0][0])
-        m = w.terms[0][1]
-        i = (st.order.index(vid) + 1) % k
-        vec = (m * vs[i][0], m * vs[i][1])
+        gen, m = w.terms[0]
+        vec = _cusp_vector(st, (_parse_gamma(gen),), (m,))
     else:
-        u, v, idx = w.chain
-        t = st.step_instances.index((u, v, idx))
-        i = (t + 1) % k
-        mu, mv = w.vector
-        if u != v and u != st.ray_curve(i):
-            mu, mv = mv, mu
-        vi, vi1 = vs[i], vs[i + 1]
-        vec = (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
+        vec = _cusp_vector(st, w.chain, w.vector)
     rep, _ = reduce_mod_monodromy(vec, st.sequence)
     return ("cusp_lattice", rep)
 
@@ -550,12 +546,10 @@ def are_conjugate(w1: WindingClass, w2: WindingClass, g: PlumbingGraph) -> bool:
     g must be a minimal log resolution with infinite fundamental group;
     conjugacy reduces to equality of canonical component labels.
     """
-    from .calculus import minimal_dlt_model
-
     mlr = minimal_log_resolution(g)
     if mlr.vertex_ids() != g.vertex_ids():
         raise GraphError("are_conjugate expects a minimal log resolution")
-    model = minimal_dlt_model(g)
+    model = _dlt_model(mlr)
     return canonical_label(w1, model) == canonical_label(w2, model)
 
 
@@ -611,8 +605,6 @@ def chain_system_solvable(
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
     """(x, y, g) with a*x + b*y = g = gcd(|a|, |b|)."""
-    from math import gcd
-
     g = gcd(a, b)
     old_r, r = abs(a), abs(b)
     old_s, s = 1, 0
@@ -630,8 +622,6 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
 
 def _line_feasible(a: int, b: int, c: int) -> bool:
     """Does a*x + b*y = c admit integers with x > 0 and y >= 0?"""
-    from math import ceil, floor
-
     if a == 0 and b == 0:
         return c == 0
     if b == 0:

@@ -130,29 +130,3 @@ def chain_exponent(s: int, i: int, terms: Sequence[int]) -> int:
         raise IndexError(f"index i={i} outside 1..{s}")
     # det[b_s,...,b_{i+1}] equals det[b_{i+1},...,b_s] (reversal-invariant).
     return hj_numerator(ts[i:])
-
-
-@dataclass(frozen=True, slots=True)
-class HJFraction:
-    """A minus continued fraction together with its coprime value."""
-
-    terms: tuple[int, ...]
-    alpha: int
-    omega: int
-
-    @staticmethod
-    def from_terms(terms: Sequence[int]) -> "HJFraction":
-        ts = tuple(terms)
-        if not ts:
-            raise ValueError("term list must be nonempty")
-        alpha, omega = hj_pair(ts)
-        return HJFraction(ts, alpha, omega)
-
-    @staticmethod
-    def from_value(alpha: int, omega: int) -> "HJFraction":
-        return HJFraction(tuple(hj_expand(alpha, omega)), alpha, omega)
-
-    def __post_init__(self) -> None:
-        if all(b >= 2 for b in self.terms):
-            if not (0 < self.omega < self.alpha or (len(self.terms) == 1 and self.omega == 1)):
-                raise ValueError(f"inconsistent fraction {self.terms} -> ({self.alpha},{self.omega})")

@@ -4,11 +4,9 @@ A rank-2 lattice H in K = Q(sqrt(d)) together with a totally positive
 unit u with uH = H realizes the cusp monodromy as multiplication by u.
 Short arcs on the two cusps correspond to the four sign cones of (m, m');
 everything here verifies that correspondence exactly, orbit by orbit.
-The only numerics live in the diagnostic arc-translation evaluator.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,8 +22,6 @@ from .cusp import (
 )
 from .hjcf import Mat2, mono_product
 from .quadratic import QuadNum, parse_quad_token
-
-QuadElement = QuadNum  # the field element type this module works with
 
 Vec = tuple[int, int]
 
@@ -335,52 +331,6 @@ def inoue_cross_check(
     checks.append(CheckResult("window completeness of the enumeration", not missing, missing))
 
     return InoueReport(d=d, matrix=m_u, sequence=seq.canonical().b, checks=tuple(checks))
-
-
-# -- numeric arc-translation diagnostic ----------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class InoueArcSpec:
-    """Truncated Fourier data of an arc through the +infinity cusp.
-
-    The arc lifts to phi(w) = (m w + sum a_n e^{2 pi i n w},
-    m' w + sum b_n e^{2 pi i n w}); ``fourier`` lists (a_n, b_n) from n = 0.
-    """
-
-    m: QuadNum
-    fourier: tuple[tuple[complex, complex], ...] = ()
-
-
-def arc_translation_class(spec: InoueArcSpec, samples: int) -> tuple[float, float]:
-    """Evaluate phi(w+1) - phi(w) numerically; the series cancels exactly.
-
-    Returns the translation vector, which equals the embeddings (m, m')
-    up to floating point error.
-    """
-    if samples < 2:
-        raise InoueError("need at least 2 sample points")
-    m = complex(float(spec.m))
-    m_conj = complex(float(spec.m.conjugate()))
-
-    def phi(w: complex) -> tuple[complex, complex]:
-        z1 = m * w
-        z2 = m_conj * w
-        for n, (a_n, b_n) in enumerate(spec.fourier):
-            e = cmath.exp(2j * cmath.pi * n * w)
-            z1 += complex(a_n) * e
-            z2 += complex(b_n) * e
-        return z1, z2
-
-    totals = []
-    for j in range(samples):
-        w = complex(j / samples, 1.0)
-        p1, p2 = phi(w)
-        q1, q2 = phi(w + 1)
-        totals.append((q1 - p1, q2 - p2))
-    avg1 = sum(t[0] for t in totals) / samples
-    avg2 = sum(t[1] for t in totals) / samples
-    return avg1.real, avg2.real
 
 
 # -- field files -----------------------------------------------------------------

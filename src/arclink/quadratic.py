@@ -26,17 +26,6 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def sqrt_int_compare(n: int, d: int) -> int:
-    """Sign of n - sqrt(d) for an integer n and a positive non-square d."""
-    if n < 0:
-        return -1
-    if n * n < d:
-        return -1
-    if n * n > d:
-        return 1
-    raise ValueError(f"d={d} is a perfect square; sqrt(d) is not irrational")
-
-
 def quadint_sign(a: int, b: int, d: int) -> int:
     """Exact sign of a + b*sqrt(d) with integer a, b and non-square d > 0."""
     if b == 0:
@@ -187,9 +176,6 @@ class QuadNum:
             base = base * base
             n >>= 1
         return result
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * (self.d**0.5 if self.b else 0.0)
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -357,17 +357,6 @@ def cyclic_permutation_generators(m: int) -> list[Matrix]:
     return [rational_matrix(rows)]
 
 
-def cyclic_rotation_generator() -> Quaternion:
-    """An exact order-5 unit quaternion (the class of diag(zeta_5, zeta_5^-1))."""
-    # ((phi-1)/2, phi/2, 1/2, 0): square of the 36-degree icosian rotation.
-    return Quaternion(
-        QuadNum.of(Fraction(-1, 4), Fraction(1, 4), 5),
-        _phi_half(),
-        QuadNum.of(_HALF, 0, 5),
-        QuadNum.of(0, 0, 5),
-    )
-
-
 BUILTIN_GROUPS = {
     "2T": binary_tetrahedral_generators,
     "2O": binary_octahedral_generators,

@@ -1,4 +1,4 @@
-"""Star-shaped graphs: Seifert invariants, pi_1, arc components.
+"""Star-shaped graphs: Seifert invariants and pi_1.
 
 The central vertex contributes the fiber generator h; each boundaryless
 leg with continued fraction [b_1,...,b_s] (b_1 next to the node)
@@ -8,7 +8,6 @@ with g_i^{alpha_i} = h.  Arrowed legs only count boundary components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -165,60 +164,3 @@ def has_finite_pi1(sd: SeifertData) -> bool:
     if sd.n == 3:
         return sum(Fraction(1, leg.alpha) for leg in sd.legs) > 1
     return False
-
-
-# -- arc components --------------------------------------------------------
-
-
-class Family(Enum):
-    ONE_PARAMETER = "one_parameter_family"
-    UNIQUE = "unique"
-    NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True, slots=True)
-class SeifertComponent:
-    """A short-arc component of an infinite-pi_1 Seifert link.
-
-    Central components are the classes h^m; orbifold components are
-    g_i^{m_i} with alpha_i not dividing m_i (other powers coincide with
-    central classes and are not emitted separately).
-    """
-
-    kind: str                  # "curve_interior" | "orbifold_point"
-    curve: str                 # central vertex id
-    leg: str | None
-    multiplicity: int          # m for h^m, numerator m_i for g_i^{m_i}
-    alpha: int | None
-    family: Family
-
-    def label(self) -> tuple:
-        if self.kind == "curve_interior":
-            return ("curve_interior", self.curve, self.multiplicity)
-        return ("orbifold_point", self.curve, self.leg, self.multiplicity, self.alpha)
-
-
-def enumerate_seifert_components(sd: SeifertData, bound: int) -> list[SeifertComponent]:
-    """Conjugacy-distinct arc classes with multiplicity <= bound."""
-    if sd.arrows:
-        raise ValueError("component enumeration applies to closed links")
-    if has_finite_pi1(sd):
-        raise ValueError("finite fundamental group: route to the quotient machinery")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    out = []
-    for m in range(1, bound + 1):
-        out.append(
-            SeifertComponent("curve_interior", sd.center, None, m, None, Family.ONE_PARAMETER)
-        )
-    for leg in sd.legs:
-        for m in range(1, bound + 1):
-            if m % leg.alpha == 0:
-                continue  # g_i^{alpha_i} = h: already counted centrally
-            out.append(
-                SeifertComponent(
-                    "orbifold_point", sd.center, leg.leg_id, m, leg.alpha, Family.UNIQUE
-                )
-            )
-    out.sort(key=lambda comp: comp.label())
-    return out

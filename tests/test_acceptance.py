@@ -13,6 +13,7 @@ from fractions import Fraction
 from arclink import checks
 from arclink.calculus import minimal_dlt_model
 from arclink.checks import (
+    seifert_labels,
     sweep_chain_quotient_agreement,
     sweep_chain_system,
     sweep_duality,
@@ -34,7 +35,7 @@ from arclink.quotient import (
     mckay_report,
     real_A_catalog_entry,
 )
-from arclink.seifert import enumerate_seifert_components, seifert_data
+from arclink.seifert import seifert_data
 
 
 def _report(n: int, text: str) -> None:
@@ -105,9 +106,7 @@ def test_criterion_6_cyclic_labels():
 def test_criterion_7_sigma237_cross_module(sigma237):
     model = minimal_dlt_model(sigma237)
     comp_labels = sorted(c.label() for c in enumerate_components(model, 6))
-    seif_labels = sorted(
-        c.label() for c in enumerate_seifert_components(seifert_data(sigma237), 6)
-    )
+    seif_labels = seifert_labels(seifert_data(sigma237), 6)
     assert len(comp_labels) == len(seif_labels) == 19
     assert comp_labels == seif_labels
     _report(7, "sigma(2,3,7) at bound 6: both modules give the same 19 labels")

@@ -235,6 +235,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         (["quotient", "--group", "{f}"], {"f": "matrix 2\n1 0\n"}),
         (["quotient", "--group", "{f}"], {"f": "matrix\n1\n"}),
         (["quotient", "--group", "{f}"], {"f": "matrix 1\n1/0\n"}),
+        (["cusp"], {}),
+        (["frobnicate"], {}),
+        (["cusp", "--seq", "3,3", "--bound", "x"], {}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
@@ -247,3 +250,10 @@ def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert proc.stdout == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cusp", "--help"])
+    assert exc.value.code == 0
+    assert "--seq" in capsys.readouterr().out

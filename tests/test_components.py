@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arclink.calculus import DltKind, SelfDltError, minimal_dlt_model, minimal_log_resolution
+from arclink.checks import seifert_labels
 from arclink.components import (
     ArcComponent,
     ComponentKind,
@@ -24,7 +25,7 @@ from arclink.components import (
 )
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
-from arclink.seifert import enumerate_seifert_components, seifert_data
+from arclink.seifert import seifert_data
 from conftest import chain_graph, cycle_graph, star_graph
 
 
@@ -175,8 +176,7 @@ def test_sigma237_matches_seifert(sigma237):
     model = minimal_dlt_model(sigma237)
     comps = enumerate_components(model, 6)
     assert len(comps) == 19
-    seif = enumerate_seifert_components(seifert_data(sigma237), 6)
-    assert sorted(c.label() for c in comps) == sorted(s.label() for s in seif)
+    assert sorted(c.label() for c in comps) == seifert_labels(seifert_data(sigma237), 6)
 
 
 def test_self_dlt_is_rejected(e8):
@@ -418,9 +418,8 @@ def test_more_stars_match_seifert():
     ]
     for g in cases:
         model = minimal_dlt_model(minimal_log_resolution(g))
-        seif = enumerate_seifert_components(seifert_data(g), 4)
         comps = enumerate_components(model, 4)
-        assert sorted(c.label() for c in comps) == sorted(s.label() for s in seif)
+        assert sorted(c.label() for c in comps) == seifert_labels(seifert_data(g), 4)
 
 
 def test_orbifold_winding_from_two_two_tail():
@@ -444,6 +443,14 @@ def test_winding_class_rejects_foreign_component(sigma237, cusp333):
     comp = enumerate_components(model_a, 1)[0]
     with pytest.raises(GraphError):
         winding_class(comp, model_b)
+
+
+def test_canonical_label_rejects_foreign_curve_and_edge(cusp333):
+    model = minimal_dlt_model(cusp333)
+    with pytest.raises(GraphError, match="nope"):
+        canonical_label(gamma_power("nope", 1), model)
+    with pytest.raises(GraphError, match="'v0', 'v1', 5"):
+        canonical_label(edge_class("v0", "v1", 1, 1, 5), model)
 
 
 def _random_negative_definite_tree(rng):

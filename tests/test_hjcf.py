@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from arclink.hjcf import HJFraction, Mat2, chain_exponent, hj_expand, hj_numerator, hj_pair, mono_product
+from arclink.hjcf import Mat2, chain_exponent, hj_expand, hj_numerator, hj_pair, mono_product
 
 
 def test_expand_examples():
@@ -28,6 +28,7 @@ def test_numerator_examples():
     assert hj_numerator([3, 2]) == 5
     assert hj_numerator([17]) == 17
     assert hj_numerator([]) == 1
+    assert hj_pair([7]) == (7, 1)
 
 
 def test_roundtrip_exhaustive_to_200():
@@ -89,11 +90,3 @@ def test_mat2_algebra():
     assert m ** 3 == m * m * m
     assert m ** -2 == (m.inverse()) * (m.inverse())
     assert m.apply((1, 0)) == (2, 1)
-
-
-def test_hjfraction_constructors():
-    f = HJFraction.from_terms([3, 2])
-    assert (f.alpha, f.omega) == (5, 2)
-    g = HJFraction.from_value(5, 2)
-    assert g.terms == (3, 2)
-    assert hj_pair([7]) == (7, 1)

@@ -8,10 +8,8 @@ import pytest
 from arclink.cusp import four_cone
 from arclink.hjcf import Mat2
 from arclink.inoue import (
-    InoueArcSpec,
     InoueError,
     SignCone,
-    arc_translation_class,
     coordinates,
     from_coordinates,
     inoue_cross_check,
@@ -159,36 +157,6 @@ def test_cross_check_orbit_scaling():
     n1 = len(enumerate_cusp_components(CuspSequence((3,)), 4))
     n2 = len(enumerate_cusp_components(CuspSequence((3, 3)), 4))
     assert n2 == 2 * n1
-
-
-# -- numeric evaluator ------------------------------------------------------------------
-
-
-def test_translation_linear_case():
-    assert arc_translation_class(InoueArcSpec(ONE), 2) == (1.0, 1.0)
-
-
-def test_translation_with_fourier_terms():
-    rng = random.Random(17)
-    fourier = tuple(
-        (
-            complex(rng.uniform(-10, 10), rng.uniform(-10, 10)),
-            complex(rng.uniform(-10, 10), rng.uniform(-10, 10)),
-        )
-        for _ in range(20)
-    )
-    spec = InoueArcSpec(U5, fourier)
-    t = arc_translation_class(spec, 9)
-    assert abs(t[0] - float(U5)) < 1e-9
-    assert abs(t[1] - float(U5.conjugate())) < 1e-9
-
-
-def test_translation_depends_only_on_m():
-    a = arc_translation_class(InoueArcSpec(U2, ((1 + 2j, -0.5j),)), 5)
-    b = arc_translation_class(InoueArcSpec(U2, ((0.25, 3j), (1j, 1j))), 5)
-    assert abs(a[0] - b[0]) < 1e-9 and abs(a[1] - b[1]) < 1e-9
-    with pytest.raises(InoueError):
-        arc_translation_class(InoueArcSpec(U2), 1)
 
 
 # -- field files ----------------------------------------------------------------------

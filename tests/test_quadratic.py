@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink.quadratic import QuadNum, is_square, parse_quad_token, quadint_sign, sqrt_int_compare
+from arclink.quadratic import QuadNum, is_square, parse_quad_token, quadint_sign
 
 _rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 _ds = st.sampled_from([2, 3, 5, 6, 7, 10])
@@ -61,11 +61,6 @@ def test_square_d_rejected():
 
 
 def test_integer_sqrt_comparisons():
-    assert sqrt_int_compare(2, 5) == -1
-    assert sqrt_int_compare(3, 5) == 1
-    assert sqrt_int_compare(-1, 5) == -1
-    with pytest.raises(ValueError):
-        sqrt_int_compare(2, 4)
     assert is_square(49) and not is_square(50)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arclink.quadratic import QuadNum
 from arclink.quotient import (
     ArcCenter,
     ClosureError,
@@ -14,7 +15,6 @@ from arclink.quotient import (
     conjugacy_classes,
     cyclic_permutation_generators,
     cyclic_quotient_components,
-    cyclic_rotation_generator,
     group_closure,
     mckay_report,
     parse_group_file,
@@ -26,9 +26,18 @@ from arclink.quotient import (
 
 # -- closure -----------------------------------------------------------------
 
+# An exact order-5 unit quaternion (the class of diag(zeta_5, zeta_5^-1)):
+# ((phi-1)/2, phi/2, 1/2, 0), the square of the 36-degree icosian rotation.
+CYCLIC_ROTATION = Quaternion(
+    QuadNum.of(Fraction(-1, 4), Fraction(1, 4), 5),
+    QuadNum.of(Fraction(1, 4), Fraction(1, 4), 5),
+    QuadNum.of(Fraction(1, 2), 0, 5),
+    QuadNum.of(0, 0, 5),
+)
+
 
 def test_cyclic_order_five_quaternion():
-    g = group_closure([cyclic_rotation_generator()])
+    g = group_closure([CYCLIC_ROTATION])
     assert g.order == 5
     assert conjugacy_classes(g).count == 5
 

@@ -2,16 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from arclink.checks import seifert_labels
 from arclink.graph_core import GraphError, parse_plumbing
 from arclink.quotient import builtin_generators, conjugacy_classes, group_closure
-from arclink.seifert import (
-    Family,
-    Presentation,
-    enumerate_seifert_components,
-    has_finite_pi1,
-    pi1_presentation,
-    seifert_data,
-)
+from arclink.seifert import Presentation, has_finite_pi1, pi1_presentation, seifert_data
 from conftest import chain_graph, star_graph
 
 
@@ -145,27 +139,25 @@ def test_two_legs_always_finite():
 
 def test_sigma237_components_count(sigma237):
     sd = seifert_data(sigma237)
-    comps = enumerate_seifert_components(sd, 6)
-    assert len(comps) == 19
-    central = [c for c in comps if c.kind == "curve_interior"]
+    labels = seifert_labels(sd, 6)
+    assert len(labels) == 19
+    central = [lab for lab in labels if lab[0] == "curve_interior"]
     assert len(central) == 6
-    assert all(c.family is Family.ONE_PARAMETER for c in central)
-    orb = [c for c in comps if c.kind == "orbifold_point"]
-    assert all(c.family is Family.UNIQUE for c in orb)
-    assert all(c.multiplicity % c.alpha != 0 for c in orb)
+    orb = [lab for lab in labels if lab[0] == "orbifold_point"]
+    assert all(m % alpha != 0 for *_, m, alpha in orb)
 
 
 def test_minimal_bound_count(sigma237):
     sd = seifert_data(sigma237)
-    comps = enumerate_seifert_components(sd, 1)
-    assert len(comps) == 1 + sum(1 for leg in sd.legs if leg.alpha > 1)
+    labels = seifert_labels(sd, 1)
+    assert len(labels) == 1 + sum(1 for leg in sd.legs if leg.alpha > 1)
 
 
 def test_components_monotone_and_duplicate_free(sigma237):
     sd = seifert_data(sigma237)
     prev = set()
     for n in range(1, 6):
-        labels = [c.label() for c in enumerate_seifert_components(sd, n)]
+        labels = seifert_labels(sd, n)
         assert len(labels) == len(set(labels))
         assert prev < set(labels)
         prev = set(labels)
@@ -173,7 +165,7 @@ def test_components_monotone_and_duplicate_free(sigma237):
 
 def test_enumeration_rejects_finite(e8):
     with pytest.raises(ValueError):
-        enumerate_seifert_components(seifert_data(e8), 3)
+        seifert_labels(seifert_data(e8), 3)
 
 
 def test_finite_case_matches_group_classes(e8):
