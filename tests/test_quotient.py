@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,14 +74,79 @@ def test_closure_is_closed_with_identity_and_inverses():
     assert all(g.element_order(i) >= 1 for i in range(n))
 
 
-def test_table_matches_direct_products():
-    g = group_closure(builtin_generators("2O"))
-    import random
+# Groups whose Cayley tables and element strings are pinned below.
+PINNED_GENERATORS = {
+    **{name: (lambda name=name: builtin_generators(name)) for name in ("Q8", "2T", "2O", "2I")},
+    **{f"bd:{n}": (lambda n=n: builtin_generators(f"bd:{n}")) for n in range(2, 7)},
+    **{f"cyclic:{m}": (lambda m=m: builtin_generators(f"cyclic:{m}")) for m in range(1, 17)},
+    # Non-permutation rational matrices: an entry 1/2, and signed entries.
+    "half-order-6": lambda: [rational_matrix([[0, Fraction(-1, 2)], [2, 1]])],
+    "signed-S3": lambda: [rational_matrix([[0, -1], [1, -1]]), rational_matrix([[0, 1], [1, 0]])],
+}
 
+# sha256 of repr((table, [str(e) for e in elements])), recorded from the
+# closure that multiplied Quaternion and Fraction-matrix objects directly.
+TABLE_SHA256 = {
+    "Q8": "91351f075d2cb35b40a8e1922a361b5d9b0e332a23222ebb39534f520e1bf3d5",
+    "2T": "a2ef20ab185593e6a3b8d53f681bf19e43d25174a8c1bbff09af77e9128b9e15",
+    "2O": "44300e939a4f954ba774af07d77183a9fab316bd566de7de49b3b0094e6cdaa6",
+    "2I": "c519adf68b33244468ed84b004f216364bd59fc5f47338e31108a357bad7f267",
+    "bd:2": "f2e0f8a03590c6fd990413d3e48253394bf98a01b2adff2512ca633b03350da2",
+    "bd:3": "15f2eabdbfabbdc05e90a11e52585ad362bd51ef3003062ac07029ccf3a843ff",
+    "bd:4": "dbe55c992ce324438b6782b50ee420d7164cc2aa438c40b78b9363e4d5e3cedc",
+    "bd:5": "e42c913474f8eb2e9d11cae0f4bbf4eee37c04afd7a62c052536ed47bfb77a97",
+    "bd:6": "946345571a48dcd5a11623526b0f6bf2fcb5abb7a03670417ba4b7648a4fbd50",
+    "cyclic:1": "096bcd18624fe0f34187f64e241a20a411397519ae38dc8465a5cbe09039b2a0",
+    "cyclic:2": "1e60c28df14385aef0c09f567a263fe8e693a2cfbfa52239f325ee902fd72691",
+    "cyclic:3": "17262dcea922f3ca5e734169be37a008aa05468630b5bc83b9d516bf9c139716",
+    "cyclic:4": "f3b4e9435a4152e621b39298b370cf870af2bf23e283978858e30d5c0b8675aa",
+    "cyclic:5": "5bc122b85071ee07e22020ca680862eb5fc3a27614b729563c3683d0cde0858e",
+    "cyclic:6": "f1cefd29a8e5b5b73b044f897125081784946b2519346dc176ea3a31c2595331",
+    "cyclic:7": "17e2529d4bb43bed5a1261d6b438bbc26ce7defe5b1b236351b92bd8ffd9fccb",
+    "cyclic:8": "59aa37e6b1fcb5f17d06ec5784a9d5243edd89ecdcb3b81740d6d90247e2fd4b",
+    "cyclic:9": "a6a5a4572fd671618ae73d0a69627a767b72d840557e01cf0ded59bf7ac084fb",
+    "cyclic:10": "93c5e1436f64d7478f173bf83bb7b55055e3249a5274259c64ef5b7f9a3a3210",
+    "cyclic:11": "31e0e41ddce9e68a4dfbfbd9d78368ed99a52191bbc7963a92f68bd11123a544",
+    "cyclic:12": "7e4d57ffe247c17410209fd56d85ef017ce27de190a902678d1dcc87c44b4db1",
+    "cyclic:13": "a8ca1dd6a385bc5d73ab6b4f3d11daef5f32f96e37574057f5a0da7a3dca8283",
+    "cyclic:14": "1b3a76d23a9111f00360cdc8dfc3d9b2aecd0e5ee78cd6c0d70485996cdcb5b0",
+    "cyclic:15": "f5743ed94d872fb25b28c8bcc4cb6386a0be20b81e5dda6b81c05dabf1960590",
+    "cyclic:16": "7db54755b2bc9fa3b4bd9a708cc882665210e4a20518ad6b48a9ee25c48f71c6",
+    "half-order-6": "5de76db02627631a2dde4ece0106526bfb54d60f5f9019a3f4f3c098edc5b463",
+    "signed-S3": "7e741054cf3a7630ea1b505a9b839d94c68d7568a33b664d470f3953483c9ad2",
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_SHA256))
+def test_table_and_elements_are_pinned(name):
+    g = group_closure(PINNED_GENERATORS[name]())
+    digest = hashlib.sha256(repr((g.table, [str(e) for e in g.elements])).encode()).hexdigest()
+    assert digest == TABLE_SHA256[name]
+
+
+def _dense_product(x, y):
+    """Oracle: the textbook product of two square rational matrices."""
+    n = len(x)
+    return tuple(
+        tuple(sum((x[i][k] * y[k][j] for k in range(n) if x[i][k]), Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_table_matches_direct_products():
+    # Every table entry of each pinned group against the object product:
+    # Quaternion.__mul__, or the dense Fraction matrix product above.
     rng = random.Random(0)
-    for _ in range(200):
-        i, j = rng.randrange(g.order), rng.randrange(g.order)
-        assert g.elements[g.table[i][j]] == g.elements[i] * g.elements[j]
+    for name, gens in PINNED_GENERATORS.items():
+        g = group_closure(gens())
+        n = g.order
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        if len(pairs) > 256:
+            pairs = rng.sample(pairs, 256)
+        for i, j in pairs:
+            x, y = g.elements[i], g.elements[j]
+            product = x * y if isinstance(x, Quaternion) else _dense_product(x, y)
+            assert g.elements[g.table[i][j]] == product, (name, i, j)
 
 
 def test_closure_ignores_repeated_and_identity_generators():
