@@ -300,8 +300,11 @@ def sweep_seifert_vs_components(bound: int = 6) -> SweepResult:
 def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int = 2) -> SweepResult:
     """Chains route to SelfDlt cyclic quotients 1/m(q, 1) whose chain the
     expansion of m/q gives back, and whose labels a/m (1 <= a <= bound*m)
-    carry the model arc (a, c) with c*q = a mod m."""
+    carry the model arc (a, c) with c*q = a mod m.  For m <= 16 the label
+    count is also bound times the class count of the closed cyclic group
+    of order m."""
     cases = 0
+    class_counts: dict[int, int] = {}  # one closure per distinct m
     for k in range(1, max_len + 1):
         for bs in product(range(2, max_b + 1), repeat=k):
             cases += 1
@@ -321,6 +324,12 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
                 labels = cyclic_quotient_components(m, q, bound)
                 if len(labels) != bound * m:
                     return SweepResult("chain quotient agreement", False, cases, f"{bs}: {len(labels)} labels")
+                if m <= 16:
+                    if m not in class_counts:
+                        class_counts[m] = conjugacy_classes(group_closure(builtin_generators(f"cyclic:{m}"))).count
+                    if len(labels) != bound * class_counts[m]:
+                        witness = f"{bs}: {len(labels)} labels, {class_counts[m]} classes in Z/{m}"
+                        return SweepResult("chain quotient agreement", False, cases, witness)
                 for a, r in enumerate(labels, start=1):
                     if (
                         r.label.numerator * m != a * r.label.denominator  # label == a/m

@@ -420,8 +420,12 @@ def winding_class(comp: ArcComponent, model: DltModel) -> WindingClass:
         model.residual.vertex(vid)
         return gamma_power(vid, comp.multiplicities[0])
     if comp.kind is ComponentKind.NODE_POINT:
+        if comp.location not in model.residual.edge_instances():
+            raise GraphError(f"edge instance {comp.location} is not part of the model")
         return EdgeTorus(comp.location, comp.multiplicities)
     host, leg = comp.location
+    if not any(pt.host == host and pt.leg == leg for pt in model.orbifold_points):
+        raise GraphError(f"orbifold point {host}/{leg} is not part of the model")
     return SeifertWord(piece=host, terms=((f"g[{host}/{leg}]", comp.multiplicities[0]),))
 
 

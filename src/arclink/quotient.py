@@ -2,16 +2,15 @@
 
 SL(2)-type subgroups are realized as unit quaternions with coordinates in
 Q(sqrt(d)); arbitrary finite subgroups of GL(n) may instead be given by
-exact rational matrices (cyclic groups of any order come in as
-permutation matrices).  Everything is exact; no numerical tolerance
-appears anywhere.
+exact rational matrices (cyclic groups come in as permutation matrices).
+Everything is exact; no numerical tolerance appears anywhere.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .quadratic import QuadNum, parse_quad_token
 
@@ -64,41 +63,21 @@ class Quaternion:
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def rational_matrix(rows) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def _mat_identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _is_invertible(m: Matrix) -> bool:
-    a = [list(row) for row in m]
-    n = len(a)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return False
-        a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
-
-
 # -- closure and conjugacy ----------------------------------------------------
+
+# Default bound on the group order.  The Cayley table has order^2 cells, so
+# 1024 elements mean about 10^6 table entries (some 8 MB), and a cyclic:1024
+# decodes to 1024 matrices that share 1024 distinct rows.
+_CEILING = 1024
 
 
 class ClosureError(ValueError):
-    """Element ceiling exceeded or a generator is not invertible."""
+    """Element ceiling exceeded, or a generator that is not invertible, not
+    of the common size, or not over the common field."""
 
 
 @dataclass(frozen=True)
@@ -138,25 +117,154 @@ class FiniteGroup:
         return sum(1 for i in range(self.order) if self.element_order(i) == 2)
 
 
-def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
-    """Breadth-first closure under multiplication plus the Cayley table."""
+# Closure multiplies and hashes integer keys, never element objects.  A
+# quaternion over Q(sqrt(d)) is the key (den, a, a', b, b', c, c', e, e') for
+# ((a + a' sqrt(d)) + (b + b' sqrt(d)) i + (c + c' sqrt(d)) j + (e + e' sqrt(d)) k)/den,
+# and a rational matrix is (den, rows) with each row a tuple of its nonzero
+# (column, numerator) pairs.  Keys have den > 0 and gcd(den, numerators) = 1,
+# so equal elements have equal keys.
+
+
+def _quaternion_kernel(generators):
+    """Check unit quaternions over one field; return the key product, the
+    identity key, the generator keys and the decoder."""
+    d = 0
+    for g in generators:
+        if not isinstance(g, Quaternion):
+            raise ClosureError(f"generator {g} is not a unit quaternion")
+        for x in (g.a, g.b, g.c, g.e):
+            if x.b and x.d != d:
+                if d:
+                    raise ClosureError(f"generators mix sqrt({d}) and sqrt({x.d}); one group needs one field")
+                d = x.d
+        if not g.is_unit():
+            raise ClosureError(f"generator {g} is not a unit quaternion")
+
+    def product(x, y):
+        den, a, a_, b, b_, c, c_, e, e_ = x
+        ey, p, p_, q, q_, r, r_, s, s_ = y
+        nums = (
+            a * p - b * q - c * r - e * s + d * (a_ * p_ - b_ * q_ - c_ * r_ - e_ * s_),
+            a * p_ + a_ * p - b * q_ - b_ * q - c * r_ - c_ * r - e * s_ - e_ * s,
+            a * q + b * p + c * s - e * r + d * (a_ * q_ + b_ * p_ + c_ * s_ - e_ * r_),
+            a * q_ + a_ * q + b * p_ + b_ * p + c * s_ + c_ * s - e * r_ - e_ * r,
+            a * r - b * s + c * p + e * q + d * (a_ * r_ - b_ * s_ + c_ * p_ + e_ * q_),
+            a * r_ + a_ * r - b * s_ - b_ * s + c * p_ + c_ * p + e * q_ + e_ * q,
+            a * s + b * r - c * q + e * p + d * (a_ * s_ + b_ * r_ - c_ * q_ + e_ * p_),
+            a * s_ + a_ * s + b * r_ + b_ * r - c * q_ - c_ * q + e * p_ + e_ * p,
+        )
+        den *= ey
+        g = gcd(den, *nums)
+        return (den, *nums) if g == 1 else (den // g, *(v // g for v in nums))
+
+    def key(g: Quaternion) -> tuple:
+        parts = [x for coeff in (g.a, g.b, g.c, g.e) for x in (coeff.a, coeff.b)]
+        den = lcm(*(x.denominator for x in parts))  # lcm of reduced fractions: normalised
+        return (den, *(x.numerator * (den // x.denominator) for x in parts))
+
+    def decode(keys) -> tuple:
+        return tuple(
+            Quaternion(*(QuadNum(Fraction(k[i], k[0]), Fraction(k[i + 1], k[0]), d) for i in (1, 3, 5, 7)))
+            for k in keys
+        )
+
+    return product, (1, 1, 0, 0, 0, 0, 0, 0, 0), [key(g) for g in generators], decode
+
+
+def _matrix_product(x, y):
+    den, ys = x[0] * y[0], y[1]
+    rows = []
+    for row in x[1]:
+        if len(row) == 1 and row[0][1] == 1:
+            # A permutation row picks y's row as it is: O(1), and the keys
+            # of a permutation group share their row tuples.
+            rows.append(ys[row[0][0]])
+            continue
+        acc: dict[int, int] = {}
+        for k, v in row:
+            for j, w in ys[k]:
+                acc[j] = acc.get(j, 0) + v * w
+        rows.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    if den > 1:
+        g = gcd(den, *(v for row in rows for _, v in row))
+        if g > 1:
+            den //= g
+            rows = [tuple((j, v // g) for j, v in row) for row in rows]
+    return (den, tuple(rows))
+
+
+def _is_invertible(rows) -> bool:
+    """Full rank by fraction-free elimination of sparse integer rows: each
+    row is reduced against the kept rows until its leading column is new."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        row = dict(r)
+        while row:
+            lead = min(row)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = row
+                break
+            a, b = p[lead], row[lead]
+            row = {j: a * row.get(j, 0) - b * p.get(j, 0) for j in row.keys() | p.keys()}
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                g = gcd(*row.values())
+                row = {j: v // g for j, v in row.items()}
+        else:
+            return False
+    return True
+
+
+def _matrix_kernel(generators):
+    """Check square invertible matrices of one size; return the key
+    product, the identity key, the generator keys and the decoder."""
+    n = len(generators[0])
+    keys = []
+    for g in generators:
+        if len(g) != n or any(len(row) != n for row in g):
+            raise ClosureError("generators must share one matrix size")
+        den = lcm(*(v.denominator for row in g for v in row))  # reduced entries: normalised
+        rows = tuple(
+            tuple((j, v.numerator * (den // v.denominator)) for j, v in enumerate(row) if v) for row in g
+        )
+        if not _is_invertible(rows):
+            raise ClosureError("non-invertible generator")
+        keys.append((den, rows))
+
+    def decode(keys) -> tuple:
+        zero = Fraction(0)
+        dense: dict[tuple, tuple] = {}  # one decoded row per distinct (den, row)
+        out = []
+        for den, rows in keys:
+            element = []
+            for r in rows:
+                row = dense.get((den, r))
+                if row is None:
+                    entries = [zero] * n
+                    for j, v in r:
+                        entries[j] = Fraction(v, den)
+                    row = dense[den, r] = tuple(entries)
+                element.append(row)
+            out.append(tuple(element))
+        return tuple(out)
+
+    identity = (1, tuple(((i, 1),) for i in range(n)))
+    return _matrix_product, identity, keys, decode
+
+
+def group_closure(generators, ceiling: int = _CEILING) -> FiniteGroup:
+    """Breadth-first closure under multiplication plus the Cayley table.
+
+    Unit quaternions over one field Q(sqrt(d)), or invertible square
+    rational matrices of one size.  Products run on integer keys; elements
+    are decoded to Quaternion or Matrix once.  A group with more than
+    ``ceiling`` elements raises ClosureError before its table is built.
+    """
     if not generators:
         raise ClosureError("need at least one generator")
-    first = generators[0]
-    if isinstance(first, Quaternion):
-        identity = Quaternion.of(1)
-        for g in generators:
-            if not isinstance(g, Quaternion) or not g.is_unit():
-                raise ClosureError(f"generator {g} is not a unit quaternion")
-    else:
-        n = len(first)
-        identity = _mat_identity(n)
-        for g in generators:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise ClosureError("generators must share one matrix size")
-            if not _is_invertible(g):
-                raise ClosureError("non-invertible generator")
-    mul = (lambda x, y: x * y) if isinstance(first, Quaternion) else _mat_mul
+    kernel = _quaternion_kernel if isinstance(generators[0], Quaternion) else _matrix_kernel
+    mul, identity, gens, decode = kernel(generators)
     elements = [identity]
     index = {identity: 0}
     parents: list[tuple[int, int] | None] = [None]  # (z, gen column): e = e_z * e_gcol
@@ -165,14 +273,15 @@ def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
     while frontier:
         nxt = []
         for xi in frontier:
-            for j, g in enumerate(generators):
+            for j, g in enumerate(gens):
                 y = mul(elements[xi], g)
                 if xi == 0:
                     gen_cols.append(index.get(y, len(elements)))
                 if y not in index:
                     if len(elements) >= ceiling:
                         raise ClosureError(
-                            f"closure exceeded {ceiling} elements; the group is likely infinite"
+                            f"closure exceeded {ceiling} elements; the group is likely infinite, "
+                            "or too large for its Cayley table"
                         )
                     index[y] = len(elements)
                     elements.append(y)
@@ -196,7 +305,7 @@ def group_closure(generators, ceiling: int = 20000) -> FiniteGroup:
             for i in range(n):
                 table[i][col] = table[table[i][z]][gcol]
         filled[col] = True
-    return FiniteGroup(tuple(elements), 0, tuple(tuple(row) for row in table))
+    return FiniteGroup(decode(elements), 0, tuple(tuple(row) for row in table))
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,13 +457,12 @@ def binary_dihedral_generators(n: int) -> list[Quaternion]:
 
 
 def cyclic_permutation_generators(m: int) -> list[Matrix]:
-    """Z/m as the m-by-m cyclic shift matrix (exact rationals)."""
+    """Z/m as the m-by-m cyclic shift matrix, with int entries 0 and 1."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m == 1:
-        return [_mat_identity(1)]
-    rows = [[Fraction(int(j == (i + 1) % m)) for j in range(m)] for i in range(m)]
-    return [rational_matrix(rows)]
+    if m > _CEILING:
+        raise ClosureError(f"Z/{m} has more than the {_CEILING} elements a closure accepts")
+    return [tuple(tuple(int(j == (i + 1) % m) for j in range(m)) for i in range(m))]
 
 
 BUILTIN_GROUPS = {

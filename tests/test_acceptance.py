@@ -145,6 +145,20 @@ def test_criterion_8_sweep_catches_a_wrong_class_q(monkeypatch):
     assert not result.passed and "class" in result.witness
 
 
+def test_criterion_8_sweep_catches_a_wrong_class_count(monkeypatch):
+    real = checks.conjugacy_classes
+
+    def planted(group):
+        cc = real(group)
+        if group.order != 3:
+            return cc
+        return dataclasses.replace(cc, classes=cc.classes[1:], representatives=cc.representatives[1:])
+
+    monkeypatch.setattr(checks, "conjugacy_classes", planted)
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and "2 classes in Z/3" in result.witness
+
+
 def test_criterion_9_chain_system():
     result = sweep_chain_system(samples=200)
     assert result.passed, result.witness

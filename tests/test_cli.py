@@ -238,6 +238,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         (["cusp"], {}),
         (["frobnicate"], {}),
         (["cusp", "--seq", "3,3", "--bound", "x"], {}),
+        # quaternions over Q(sqrt 2), then a d=3 line and more quaternions
+        (["quotient", "--group", "{f}"], {"f": "d=2\n1/2*sqrt 1/2*sqrt 0 0\nd=3\n1/2 1/2*sqrt 0 0\n0 0 1 0\n"}),
+        (["quotient", "--builtin", "cyclic:1000000"], {}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):

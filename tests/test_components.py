@@ -445,6 +445,27 @@ def test_winding_class_rejects_foreign_component(sigma237, cusp333):
         winding_class(comp, model_b)
 
 
+def test_winding_class_rejects_foreign_node_point():
+    two_node = parse_plumbing("vertex n1 euler=-3 genus=1\nvertex m euler=-2 genus=1\nedge n1 m")
+    model = minimal_dlt_model(two_node)
+    (node,) = [c for c in enumerate_components(model, 2) if c.kind is ComponentKind.NODE_POINT]
+    assert node.location == ("m", "n1", 0)
+    assert winding_class(node, model).chain == ("m", "n1", 0)
+    one_vertex = minimal_dlt_model(parse_plumbing("vertex x euler=-1 genus=1"))
+    with pytest.raises(GraphError, match="'m', 'n1', 0"):
+        winding_class(node, one_vertex)
+
+
+def test_winding_class_rejects_foreign_orbifold_point(sigma237):
+    model = minimal_dlt_model(sigma237)
+    orb = next(c for c in enumerate_components(model, 1) if c.kind is ComponentKind.ORBIFOLD_POINT)
+    host, leg = orb.location
+    assert winding_class(orb, model) == orb.winding
+    one_vertex = minimal_dlt_model(parse_plumbing("vertex x euler=-1 genus=1"))
+    with pytest.raises(GraphError, match=f"{host}/{leg}"):
+        winding_class(orb, one_vertex)
+
+
 def test_canonical_label_rejects_foreign_curve_and_edge(cusp333):
     model = minimal_dlt_model(cusp333)
     with pytest.raises(GraphError, match="nope"):

@@ -162,9 +162,41 @@ def test_infinite_group_hits_ceiling():
         group_closure([shear], ceiling=500)
 
 
+def test_default_ceiling_bounds_the_table():
+    shear = rational_matrix([[1, Fraction(1, 2)], [0, 1]])
+    with pytest.raises(ClosureError, match="exceeded 1024 elements"):
+        group_closure([shear])
+    assert group_closure(builtin_generators("cyclic:1024")).order == 1024
+    # Rejected before the 10^12-entry generator is built.
+    with pytest.raises(ClosureError, match="1024"):
+        builtin_generators("cyclic:1000000")
+
+
+def test_cyclic_64_closes_without_dense_products():
+    # A dense Fraction product makes this ~m^4 work; sparse integer rows
+    # make each permutation product O(m).  No wall-clock assertion.
+    g = group_closure(builtin_generators("cyclic:64"))
+    assert g.order == 64
+    assert conjugacy_classes(g).count == 64
+    assert mckay_report(g).family == "A63"
+
+
+def test_generators_from_two_fields_rejected():
+    over_sqrt2 = Quaternion(QuadNum.of(0, Fraction(1, 2), 2), QuadNum.of(0, Fraction(1, 2), 2), QuadNum.of(0), QuadNum.of(0))
+    over_sqrt3 = Quaternion(QuadNum.of(Fraction(1, 2)), QuadNum.of(0, Fraction(1, 2), 3), QuadNum.of(0), QuadNum.of(0))
+    assert group_closure([over_sqrt2]).order == 8
+    assert group_closure([over_sqrt3]).order == 6
+    with pytest.raises(ClosureError, match=r"sqrt\(2\) and sqrt\(3\)"):
+        group_closure([over_sqrt2, Quaternion.of(0, 0, 1, 0), over_sqrt3])
+
+
 def test_non_invertible_generator_rejected():
     with pytest.raises(ClosureError):
         group_closure([rational_matrix([[1, 0], [0, 0]])])
+    with pytest.raises(ClosureError, match="non-invertible"):
+        group_closure([rational_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 2]])])  # row 3 = row 1 + row 2
+    with pytest.raises(ClosureError, match="non-invertible"):
+        group_closure([rational_matrix([[Fraction(1, 2), 1], [1, 2]])])
     with pytest.raises(ClosureError):
         group_closure([Quaternion.of(2)])  # norm 4, not a unit
 
