@@ -159,10 +159,28 @@ def test_arrow_graph_roundtrip(graph_file, capsys):
     assert code == 1 or json.loads(out)["schema"] == 1
 
 
+# Every sweep and its case count: ranges never shrink to buy speed.
+CHECK_SWEEPS = [
+    ("duality sweep", 19524),
+    ("dual involution", 1359),
+    ("recover roundtrip", 500),
+    ("chain system infeasibility", 200),
+    ("mckay families", 21),
+    ("negative definiteness gate", 526),
+    ("seifert vs components (sigma(2,3,7))", 1),
+    ("chain quotient agreement", 5460),
+    ("quotient detection", 343),
+    ("inoue cross-check", 2),
+]
+
+
 def test_check_subcommand_green(capsys):
-    code, out = run(capsys, "check")
+    code, out = run(capsys, "check", "--json")
     assert code == 0
-    assert "FALSIFIED" not in out
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [(s["name"], s["cases"]) for s in report["sweeps"]] == CHECK_SWEEPS
+    assert all(s["passed"] and s["witness"] == "" for s in report["sweeps"])
 
 
 def test_check_goes_red_under_seeded_mutation(capsys, monkeypatch):
