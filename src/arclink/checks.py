@@ -56,14 +56,17 @@ def _valid_sequences(max_k: int, max_b: int):
 
 
 def sweep_duality(max_k: int = 6, max_b: int = 6) -> SweepResult:
-    """M T = T M* and trace >= 3 over every valid sequence in range."""
+    """M T = T M* and trace >= 3 over every valid sequence in range.
+
+    The trace is read from the monodromy of the rotation that
+    check_duality uses: rotation conjugates M and keeps its trace.
+    """
     cases = 0
     for bs in _valid_sequences(max_k, max_b):
         cases += 1
-        c = CuspSequence(bs)
-        if monodromy(c).trace() < 3:
+        report = check_duality(CuspSequence(bs))
+        if report.m.trace() < 3:
             return SweepResult("duality sweep", False, cases, f"trace < 3 at {bs}")
-        report = check_duality(c)
         if not report.ok:
             return SweepResult("duality sweep", False, cases, f"MT != TM* at {bs}")
     return SweepResult("duality sweep", True, cases)
@@ -128,17 +131,19 @@ def sweep_mckay() -> SweepResult:
         cases += 1
         g = group_closure(builtin_generators(name))
         cc = conjugacy_classes(g)
-        if g.order != order or cc.count != classes or not mckay_report(g).matches:
+        if g.order != order or cc.count != classes or not mckay_report(g, cc).matches:
             return SweepResult("mckay families", False, cases, f"{name}: order {g.order}, classes {cc.count}")
     for m in range(1, 13):
         cases += 1
         g = group_closure(builtin_generators(f"cyclic:{m}"))
-        if conjugacy_classes(g).count != m or not mckay_report(g).matches:
+        cc = conjugacy_classes(g)
+        if cc.count != m or not mckay_report(g, cc).matches:
             return SweepResult("mckay families", False, cases, f"cyclic:{m}")
     for n in range(2, 7):
         cases += 1
         g = group_closure(builtin_generators(f"bd:{n}"))
-        if conjugacy_classes(g).count != n + 3 or not mckay_report(g).matches:
+        cc = conjugacy_classes(g)
+        if cc.count != n + 3 or not mckay_report(g, cc).matches:
             return SweepResult("mckay families", False, cases, f"bd:{n}")
     return SweepResult("mckay families", True, cases)
 
@@ -331,12 +336,13 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
                         witness = f"{bs}: {len(labels)} labels, {class_counts[m]} classes in Z/{m}"
                         return SweepResult("chain quotient agreement", False, cases, witness)
                 for a, r in enumerate(labels, start=1):
+                    label, center, m1, c = r
                     if (
-                        r.label.numerator * m != a * r.label.denominator  # label == a/m
-                        or (r.center is ArcCenter.ON_CURVE) != (a % m == 0)
-                        or r.m1 != a
-                        or not 0 <= r.c < m
-                        or (r.c * q - a) % m
+                        label.numerator * m != a * label.denominator  # label == a/m
+                        or (center is ArcCenter.ON_CURVE) != (a % m == 0)
+                        or m1 != a
+                        or not 0 <= c < m
+                        or (c * q - a) % m
                     ):
                         return SweepResult("chain quotient agreement", False, cases, f"{bs}: label {a}/{m} is {r}")
     return SweepResult("chain quotient agreement", True, cases)
@@ -375,16 +381,30 @@ def sweep_inoue() -> SweepResult:
     return SweepResult("inoue cross-check", True, 2)
 
 
+def _run(sweep) -> SweepResult:
+    """A sweep that raises one of the library's errors (all ValueErrors)
+    falsifies too: the sweep builds only valid inputs, so the library has
+    rejected one of its own results.  The result is named after the
+    function, as the sweep never got to name it."""
+    try:
+        return sweep()
+    except ValueError as exc:
+        return SweepResult(sweep.__name__, False, 0, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all_sweeps() -> list[SweepResult]:
     return [
-        sweep_duality(),
-        sweep_dual_involution(),
-        sweep_recover_roundtrip(),
-        sweep_chain_system(),
-        sweep_mckay(),
-        sweep_negative_definite(),
-        sweep_seifert_vs_components(),
-        sweep_chain_quotient_agreement(),
-        sweep_quotient_detection(),
-        sweep_inoue(),
+        _run(sweep)
+        for sweep in (
+            sweep_duality,
+            sweep_dual_involution,
+            sweep_recover_roundtrip,
+            sweep_chain_system,
+            sweep_mckay,
+            sweep_negative_definite,
+            sweep_seifert_vs_components,
+            sweep_chain_quotient_agreement,
+            sweep_quotient_detection,
+            sweep_inoue,
+        )
     ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .calculus import DltKind, DltModel, SingKind, _dlt_model, _resolve
 from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
-from .cusp import CuspError, CuspSequence, check_duality, dual_sequence, enumerate_cusp_components, monodromy
+from .cusp import CuspError, CuspSequence, check_duality, enumerate_cusp_components, monodromy
 from .graph_core import GraphError, PlumbingGraph, is_negative_definite_graph, parse_plumbing
 from .hjcf import Mat2
 from .inoue import InoueError, inoue_cross_check, parse_field_file
@@ -150,7 +150,7 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     if cls.kind is SingKind.CUSP:
         dual = check_duality(CuspSequence(cls.b_sequence))
         report["duality"] = {
-            "dual_sequence": list(dual_sequence(CuspSequence(cls.b_sequence)).b),
+            "dual_sequence": list(CuspSequence(dual.dual).canonical().b),
             "auto_dual": dual.is_auto_dual(),
             "mt_equals_tm_star": dual.t_identity_holds,
             "traces_equal": dual.traces_equal,
@@ -284,7 +284,7 @@ def cmd_cusp(args) -> int:
         "sequence": list(c.b),
         "monodromy": _mat_json(m),
         "trace": m.trace(),
-        "dual_sequence": list(dual_sequence(c).b),
+        "dual_sequence": list(CuspSequence(dual.dual).canonical().b),
         "auto_dual": dual.is_auto_dual(),
         "bound": args.bound,
         "components": [
@@ -319,7 +319,7 @@ def cmd_dual(args) -> int:
         "schema": SCHEMA,
         "sequence": list(c.b),
         "rotated": list(report.sequence),
-        "dual_sequence": list(dual_sequence(c).b),
+        "dual_sequence": list(CuspSequence(report.dual).canonical().b),
         "dual_construction_order": list(report.dual),
         "m": _mat_json(report.m),
         "m_star": _mat_json(report.m_star),
@@ -361,7 +361,7 @@ def cmd_quotient(args) -> int:
         "class_sizes": [len(cl) for cl in classes.classes],
     }
     try:
-        report = mckay_report(group)
+        report = mckay_report(group, classes)
         out["mckay"] = {
             "family": report.family,
             "nontrivial_classes": report.nontrivial_classes,

@@ -237,13 +237,21 @@ def enumerate_cusp_components(c: CuspSequence, bound: int) -> list[CuspComponent
 
 T_MATRIX = Mat2(-1, -1, 1, 2)
 
+# The dual has sum(b_i - 2) entries; a longer one is refused before any
+# list is built.  Canonical rotation is quadratic in the length, so at
+# this ceiling `dual` and `cusp` still finish in about 3 s.
+_DUAL_CEILING = 10_000
+
 
 def _construction_rotation(c: CuspSequence) -> CuspSequence:
-    """Smallest rotation with last entry >= 3 (always exists)."""
+    """Smallest rotation with last entry >= 3 (always exists).
+
+    The rotation by s ends in b[s - 1], so one scan finds the shift.
+    """
+    b = c.b
     for shift in range(c.k):
-        rot = c.rotated(shift)
-        if rot.b[-1] >= 3:
-            return rot
+        if b[shift - 1] >= 3:
+            return CuspSequence(b[shift:] + b[:shift])
     raise CuspError("no entry >= 3; invalid cusp sequence")  # pragma: no cover
 
 
@@ -263,6 +271,9 @@ def _parse_blocks(b: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def dual_construction(c: CuspSequence) -> tuple[CuspSequence, CuspSequence]:
     """(rotated input, dual sequence) with matching cut conventions."""
+    length = sum(c.b) - 2 * c.k
+    if length > _DUAL_CEILING:
+        raise CuspError(f"the dual would have sum(b_i - 2) = {length} entries, more than {_DUAL_CEILING}")
     rot = _construction_rotation(c)
     dual: list[int] = []
     for k_star, k_plain in _parse_blocks(rot.b):

@@ -110,11 +110,17 @@ def hj_expand(alpha: int, omega: int) -> list[int]:
 
 
 def mono_product(terms: Iterable[int]) -> Mat2:
-    """Product of the matrices ((a_i, 1), (-1, 0)) in the given order."""
-    result = Mat2.identity()
+    """Product of the matrices ((a_i, 1), (-1, 0)) in the given order.
+
+    Right-multiplying by ((a, 1), (-1, 0)) sends each row (x, y) to
+    (a*x - y, x), so both rows run the continuant recurrence on plain
+    ints and only the result is a Mat2.
+    """
+    p, q, r, s = 1, 0, 0, 1
     for a in terms:
-        result = result * Mat2(a, 1, -1, 0)
-    return result
+        p, q = a * p - q, p
+        r, s = a * r - s, r
+    return Mat2(p, q, r, s)
 
 
 def chain_exponent(s: int, i: int, terms: Sequence[int]) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .quadratic import QuadNum, parse_quad_token
 
@@ -354,13 +355,15 @@ class McKayReport:
         )
 
 
-def mckay_report(group: FiniteGroup) -> McKayReport:
+def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKayReport:
     """Match class counts against the A/D/E exceptional-curve catalog.
 
     cyclic m -> A_{m-1} (m-1 curves); binary dihedral of order 4n ->
-    D_{n+2} (n+2 curves); 2T -> E6; 2O -> E7; 2I -> E8.
+    D_{n+2} (n+2 curves); 2T -> E6; 2O -> E7; 2I -> E8.  A caller that
+    already holds the group's classes passes them in.
     """
-    classes = conjugacy_classes(group)
+    if classes is None:
+        classes = conjugacy_classes(group)
     order, count = group.order, classes.count
     if group.is_abelian():
         if not group.is_cyclic():
@@ -492,8 +495,7 @@ class ArcCenter(Enum):
     AT_ORIGIN = "at_origin"
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicComponentLabel:
+class CyclicComponentLabel(NamedTuple):
     """One component of the cyclic-quotient pair ((x=0) in C^2)/(1/m)(q,1).
 
     ``label`` is the intersection number with the image curve; the model
@@ -518,12 +520,11 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     if bound < 1:
         raise ValueError("bound must be positive")
     q_inv = pow(q, -1, m) if m > 1 else 0
-    out = []
-    for a in range(1, bound * m + 1):
-        center = ArcCenter.ON_CURVE if a % m == 0 else ArcCenter.AT_ORIGIN
-        c = (a * q_inv) % m if m > 1 else 0
-        out.append(CyclicComponentLabel(Fraction(a, m), center, m1=a, c=c))
-    return out
+    on_curve, at_origin = ArcCenter.ON_CURVE, ArcCenter.AT_ORIGIN
+    return [
+        CyclicComponentLabel(Fraction(a, m), at_origin if a % m else on_curve, a, a * q_inv % m)
+        for a in range(1, bound * m + 1)
+    ]
 
 
 # -- real A-type catalog -----------------------------------------------------------

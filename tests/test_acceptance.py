@@ -82,15 +82,17 @@ def test_criterion_4_recover_roundtrip():
 def test_criterion_5_conjugacy_classes_and_mckay():
     for m in range(1, 13):
         g = group_closure(builtin_generators(f"cyclic:{m}"))
-        assert conjugacy_classes(g).count == m
-        rep = mckay_report(g)
+        cc = conjugacy_classes(g)
+        assert cc.count == m
+        rep = mckay_report(g, cc)
         assert rep.nontrivial_classes == m - 1 == rep.expected_exceptional_curves
     expected = {"Q8": (8, 5, 4), "2T": (24, 7, 6), "2O": (48, 8, 7), "2I": (120, 9, 8)}
     for name, (order, classes, curves) in expected.items():
         g = group_closure(builtin_generators(name))
         assert g.order == order
-        assert conjugacy_classes(g).count == classes
-        rep = mckay_report(g)
+        cc = conjugacy_classes(g)
+        assert cc.count == classes
+        rep = mckay_report(g, cc)
         assert rep.matches and rep.expected_exceptional_curves == curves
     _report(5, "class counts m, 5, 7, 8, 9 with McKay offsets A/D4/E6/E7/E8")
 
@@ -157,6 +159,19 @@ def test_criterion_8_sweep_catches_a_wrong_class_count(monkeypatch):
     monkeypatch.setattr(checks, "conjugacy_classes", planted)
     result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
     assert not result.passed and "2 classes in Z/3" in result.witness
+
+
+def test_mckay_sweep_computes_the_classes_once(monkeypatch):
+    # mckay_report gets the classes the sweep holds; recomputing them
+    # inside it would call this.
+    import arclink.quotient as quotient_mod
+
+    def recompute(group):
+        raise AssertionError("conjugacy classes computed twice")
+
+    monkeypatch.setattr(quotient_mod, "conjugacy_classes", recompute)
+    result = checks.sweep_mckay()
+    assert result.passed and result.cases == 21, result.witness
 
 
 def test_criterion_9_chain_system():

@@ -191,6 +191,59 @@ def test_check_goes_red_under_seeded_mutation(capsys, monkeypatch):
     assert main(["check", "--quiet"]) == 2
 
 
+def test_check_goes_red_under_a_planted_continuant(capsys, monkeypatch):
+    # The ordinary (plus) continuant in place of the minus one: the
+    # duality sweep must falsify, and the sweeps the wrong matrices make
+    # the library reject count as falsified, not as bad input.
+    import arclink.cusp as cusp_mod
+
+    def plus_continuant(terms):
+        p, q, r, s = 1, 0, 0, 1
+        for a in terms:
+            p, q = a * p + q, p
+            r, s = a * r + s, r
+        return cusp_mod.Mat2(p, q, r, s)
+
+    monkeypatch.setattr(cusp_mod, "mono_product", plus_continuant)
+    code, out = run(capsys, "check", "--json")
+    assert code == 2
+    sweeps = json.loads(out)["sweeps"]
+    assert sweeps[0]["name"] == "duality sweep" and sweeps[0]["witness"] == "MT != TM* at (3,)"
+    raised = [s for s in sweeps if s["witness"].startswith("raised CuspError")]
+    assert raised and not any(s["passed"] for s in raised)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{g}", "--json"],
+    ["cusp", "--seq", "2,3,4", "--json"],
+    ["dual", "--seq", "2,3,4", "--json"],
+])
+def test_one_dual_construction_per_report(graph_file, capsys, monkeypatch, argv):
+    import arclink.cusp as cusp_mod
+
+    calls = []
+    real = cusp_mod.dual_construction
+    monkeypatch.setattr(cusp_mod, "dual_construction", lambda c: calls.append(c) or real(c))
+    argv = [graph_file(CUSP_TEXT) if tok == "{g}" else tok for tok in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    assert len(calls) == 1
+
+
+def test_quotient_computes_the_classes_once(capsys, monkeypatch):
+    import arclink.cli as cli_mod
+    import arclink.quotient as quotient_mod
+
+    calls = []
+    real = quotient_mod.conjugacy_classes
+    counted = lambda g: calls.append(g) or real(g)
+    monkeypatch.setattr(quotient_mod, "conjugacy_classes", counted)
+    monkeypatch.setattr(cli_mod, "conjugacy_classes", counted)
+    code, out = run(capsys, "quotient", "--builtin", "2T", "--json")
+    assert code == 0 and json.loads(out)["mckay"]["family"] == "E6"
+    assert len(calls) == 1
+
+
 def test_vertex_declaration_order_does_not_matter(graph_file, capsys):
     lines = [ln for ln in SIGMA_237_TEXT.strip().splitlines()]
     head, vertices, edges = lines[0], lines[1:5], lines[5:]
@@ -259,6 +312,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         # quaternions over Q(sqrt 2), then a d=3 line and more quaternions
         (["quotient", "--group", "{f}"], {"f": "d=2\n1/2*sqrt 1/2*sqrt 0 0\nd=3\n1/2 1/2*sqrt 0 0\n0 0 1 0\n"}),
         (["quotient", "--builtin", "cyclic:1000000"], {}),
+        # the dual would have about 10^23 entries
+        (["dual", "--seq", "99999999999999999999999,3"], {}),
+        (["cusp", "--seq", "100000000,3"], {}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):

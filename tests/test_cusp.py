@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arclink.cusp as cusp_mod
 from arclink.cusp import (
     Cone,
     CuspError,
@@ -273,6 +274,24 @@ def test_dual_construction_rotates_to_big_last():
     rot, dual = dual_construction(CuspSequence((4, 2, 2)))
     assert rot.b[-1] >= 3
     assert CuspSequence(dual.b).is_rotation_of(dual_sequence(CuspSequence((4, 2, 2))))
+
+
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=12).filter(lambda bs: any(b > 2 for b in bs)))
+def test_construction_rotation_is_the_first_rotation_ending_big(bs):
+    b = tuple(bs)
+    brute = next(b[s:] + b[:s] for s in range(len(b)) if (b[s:] + b[:s])[-1] >= 3)
+    assert cusp_mod._construction_rotation(CuspSequence(b)).b == brute
+
+
+def test_dual_length_is_bounded_before_it_is_built():
+    ceiling = cusp_mod._DUAL_CEILING
+    rot, dual = dual_construction(CuspSequence((ceiling + 2,)))
+    assert dual.k == ceiling
+    for bs in [(ceiling + 3,), (10**23, 3), (3,) * (ceiling + 1)]:
+        with pytest.raises(CuspError, match="sum"):
+            dual_construction(CuspSequence(bs))
+        with pytest.raises(CuspError, match="sum"):
+            check_duality(CuspSequence(bs))
 
 
 # -- recovery --------------------------------------------------------------------------

@@ -62,6 +62,24 @@ def test_mono_product_entries_are_continuants(terms):
     assert m.q == hj_numerator(terms[:-1])
 
 
+def _product_oracle(terms) -> Mat2:
+    # The definition: Mat2 products of ((a, 1), (-1, 0)), left to right.
+    result = Mat2.identity()
+    for a in terms:
+        result = result * Mat2(a, 1, -1, 0)
+    return result
+
+
+@given(st.lists(st.integers(-10**30, 10**30), max_size=64))
+def test_mono_product_matches_the_matrix_product(terms):
+    assert mono_product(terms) == _product_oracle(terms)
+    assert mono_product(iter(terms)) == _product_oracle(terms)
+
+
+def test_mono_product_of_nothing_is_the_identity():
+    assert mono_product([]) == Mat2.identity()
+
+
 def test_chain_exponent():
     assert chain_exponent(3, 3, [2, 2, 2]) == 1  # empty determinant
     assert chain_exponent(2, 1, [5, 4]) == 4  # det[b_s]

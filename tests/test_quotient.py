@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from arclink.quadratic import QuadNum
 from arclink.quotient import (
     ArcCenter,
     ClosureError,
+    CyclicComponentLabel,
     Quaternion,
     RealForm,
     binary_dihedral_generators,
@@ -178,8 +180,9 @@ def test_cyclic_64_closes_without_dense_products():
     # make each permutation product O(m).  No wall-clock assertion.
     g = group_closure(builtin_generators("cyclic:64"))
     assert g.order == 64
-    assert conjugacy_classes(g).count == 64
-    assert mckay_report(g).family == "A63"
+    cc = conjugacy_classes(g)
+    assert cc.count == 64
+    assert mckay_report(g, cc).family == "A63"
 
 
 def test_generators_from_two_fields_rejected():
@@ -230,6 +233,15 @@ def test_mckay_families(name, order, classes, family, curves):
     assert report.family == family
     assert report.expected_exceptional_curves == curves
     assert report.matches
+
+
+def test_mckay_report_reads_the_classes_it_is_given():
+    g = group_closure(builtin_generators("cyclic:3"))
+    cc = conjugacy_classes(g)
+    assert mckay_report(g, cc) == mckay_report(g)
+    short = dataclasses.replace(cc, classes=cc.classes[1:], representatives=cc.representatives[1:])
+    report = mckay_report(g, short)
+    assert report.class_count == 2 and report.family == "A2" and not report.matches
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -290,6 +302,17 @@ def test_labels_smooth_case():
     rows = cyclic_quotient_components(1, 0, 3)
     assert [r.label for r in rows] == [1, 2, 3]
     assert all(r.center is ArcCenter.ON_CURVE for r in rows)
+
+
+def test_label_is_an_immutable_hashable_record():
+    r = cyclic_quotient_components(5, 2, 1)[2]
+    assert repr(r) == (
+        "CyclicComponentLabel(label=Fraction(3, 5), center=<ArcCenter.AT_ORIGIN: 'at_origin'>, m1=3, c=4)"
+    )
+    assert CyclicComponentLabel._fields == ("label", "center", "m1", "c")
+    with pytest.raises(AttributeError):
+        r.c = 0
+    assert {r, CyclicComponentLabel(Fraction(3, 5), ArcCenter.AT_ORIGIN, 3, 4)} == {r}
 
 
 def test_label_count_is_bound_times_m():
