@@ -27,13 +27,14 @@ class CuspSequence:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        if not self.b:
+        b = tuple(self.b)
+        object.__setattr__(self, "b", b)
+        if not b:
             raise CuspError("empty cusp sequence")
-        if any(x < 2 for x in self.b):
-            raise CuspError(f"all entries must be >= 2, got {self.b}")
-        if all(x == 2 for x in self.b):
-            raise CuspError(f"sum(b_i - 2) must be positive, got {self.b}")
+        if min(b) < 2:
+            raise CuspError(f"all entries must be >= 2, got {b}")
+        if max(b) == 2:
+            raise CuspError(f"sum(b_i - 2) must be positive, got {b}")
 
     @property
     def k(self) -> int:
