@@ -285,7 +285,7 @@ def test_construction_rotation_is_the_first_rotation_ending_big(bs):
 
 def test_dual_length_is_bounded_before_it_is_built():
     ceiling = cusp_mod._DUAL_CEILING
-    rot, dual = dual_construction(CuspSequence((ceiling + 2,)))
+    _, dual = dual_construction(CuspSequence((ceiling + 2,)))
     assert dual.k == ceiling
     for bs in [(ceiling + 3,), (10**23, 3), (3,) * (ceiling + 1)]:
         with pytest.raises(CuspError, match="sum"):
