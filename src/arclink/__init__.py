@@ -66,6 +66,7 @@ from .graph_core import (
 )
 from .hjcf import Mat2, chain_exponent, hj_expand, hj_numerator, mono_product
 from .inoue import InoueError, inoue_cross_check, quad_mult_matrix, sign_cone
+from .inputs import InputError
 from .quadratic import QuadNum
 from .quotient import (
     ConjClasses,

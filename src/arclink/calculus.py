@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd
 
+from .cusp import CuspSequence
 from .graph_core import (
     GraphError,
     PlumbingGraph,
@@ -27,13 +28,14 @@ from .graph_core import (
     walk,
 )
 from .hjcf import hj_pair
+from .inputs import InputError
 
 
 class WholeChainError(GraphError):
     """The whole graph is a chain: callers must branch to CyclicQuotient."""
 
 
-class SelfDltError(ValueError):
+class SelfDltError(InputError):
     """Operation needs a genuine dlt model, not a quotient singularity."""
 
 
@@ -221,15 +223,6 @@ def cycle_order(g: PlumbingGraph) -> list[str]:
     return list(islice(walk(g, g.neighbors(start)[-1], start), len(ids)))
 
 
-def _canonical_cycle_sequence(bs: list[int]) -> tuple[int, ...]:
-    """Lexicographically minimal representative over rotations/reflections."""
-    candidates = []
-    for seq in (bs, bs[::-1]):
-        for i in range(len(seq)):
-            candidates.append(tuple(seq[i:] + seq[:i]))
-    return min(candidates)
-
-
 def singularity_class(g: PlumbingGraph) -> SingClass:
     """Classify a minimal log resolution graph.
 
@@ -260,7 +253,9 @@ def _classify(g: PlumbingGraph) -> SingClass:
         bs = [-g.vertex(v).euler for v in order]
         if any(b < 2 for b in bs):
             raise GraphError("cycle is not a minimal log resolution (some b < 2)")
-        return SingClass(SingKind.CUSP, b_sequence=_canonical_cycle_sequence(bs))
+        # least rotation of either direction; the definiteness gate makes bs a cusp sequence
+        b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
+        return SingClass(SingKind.CUSP, b_sequence=b_sequence)
     if shape.kind is Shape.STAR:
         center = shape.center
         cv = g.vertex(center)

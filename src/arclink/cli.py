@@ -11,28 +11,24 @@ import json
 import sys
 from fractions import Fraction
 
-from .calculus import DltKind, DltModel, SingKind, _dlt_model, _resolve
+from .calculus import DltKind, DltModel, SingKind, _check_definite, _dlt_model, _resolve
 from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
-from .cusp import CuspError, CuspSequence, check_duality, enumerate_cusp_components, monodromy
-from .graph_core import GraphError, PlumbingGraph, is_negative_definite_graph, parse_plumbing
+from .cusp import CuspSequence, check_duality, enumerate_cusp_components, monodromy
+from .graph_core import PlumbingGraph, parse_plumbing
 from .hjcf import Mat2
-from .inoue import InoueError, inoue_cross_check, parse_field_file
+from .inoue import inoue_cross_check, parse_field_file
+from .inputs import InputError
 from .quotient import (
-    ClosureError,
+    _mckay_match,
     builtin_generators,
     conjugacy_classes,
     cyclic_quotient_components,
     group_closure,
-    mckay_report,
     parse_group_file,
 )
 from .checks import run_all_sweeps
 
 SCHEMA = 1
-
-
-class InputError(Exception):
-    pass
 
 
 class Falsified(Exception):
@@ -44,8 +40,15 @@ class _Parser(argparse.ArgumentParser):
     Subparsers are built from the same class."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(1)
+        raise InputError(message)
+
+
+def positive_int(text: str) -> int:
+    """The ``--bound`` type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -122,18 +125,14 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     """The ``analyze`` report.  Connectivity and definiteness are checked
     once, here; the resolution, class and model stages then run unchecked,
     as blowing down keeps the graph negative definite."""
-    if not g.is_connected():
-        raise InputError("graph must be connected")
-    neg_def = is_negative_definite_graph(g)
-    if not neg_def:
-        raise InputError("intersection matrix is not negative definite")
+    _check_definite(g)
     mlr = _resolve(g)
     model = _dlt_model(mlr)
     cls = model.sing_class
     report = {
         "schema": SCHEMA,
         "input": g.name,
-        "negative_definite": neg_def,
+        "negative_definite": True,
         "singularity_class": _sing_json(cls),
         "minimal_log_resolution": _graph_json(mlr),
         "dlt_model": {
@@ -189,7 +188,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -270,7 +269,7 @@ def cmd_components(args) -> int:
 def _parse_seq(text: str) -> CuspSequence:
     try:
         return CuspSequence(tuple(int(tok) for tok in text.split(",")))
-    except (ValueError, CuspError) as exc:
+    except ValueError as exc:  # a bad integer, or a CuspError
         raise InputError(f"bad cusp sequence {text!r}: {exc}") from None
 
 
@@ -339,20 +338,11 @@ def cmd_dual(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    if args.builtin:
-        try:
-            gens = builtin_generators(args.builtin)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+    if args.builtin is not None:
+        gens = builtin_generators(args.builtin)
     else:
-        try:
-            gens = parse_group_file(_read(args.group))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-    try:
-        group = group_closure(gens)
-    except ClosureError as exc:
-        raise InputError(str(exc)) from None
+        gens = parse_group_file(_read(args.group))
+    group = group_closure(gens)
     classes = conjugacy_classes(group)
     out = {
         "schema": SCHEMA,
@@ -360,17 +350,17 @@ def cmd_quotient(args) -> int:
         "classes": classes.count,
         "class_sizes": [len(cl) for cl in classes.classes],
     }
-    try:
-        report = mckay_report(group, classes)
+    report = _mckay_match(group, classes)
+    if isinstance(report, str):
+        out["mckay"] = {"error": report}
+        report = None
+    else:
         out["mckay"] = {
             "family": report.family,
             "nontrivial_classes": report.nontrivial_classes,
             "expected_exceptional_curves": report.expected_exceptional_curves,
             "matches": report.matches,
         }
-    except ValueError as exc:
-        out["mckay"] = {"error": str(exc)}
-        report = None
     if args.json:
         print(json.dumps(out, indent=2))
     elif not args.quiet:
@@ -384,11 +374,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_inoue(args) -> int:
-    try:
-        data = parse_field_file(_read(args.field))
-        report = inoue_cross_check(data.d, data.basis, data.u, args.bound)
-    except InoueError as exc:
-        raise InputError(str(exc)) from None
+    data = parse_field_file(_read(args.field))
+    report = inoue_cross_check(data.d, data.basis, data.u, args.bound)
     if args.json:
         out = {
             "schema": SCHEMA,
@@ -443,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, bound=True):
         if bound:
-            p.add_argument("--bound", type=int, default=3, help="multiplicity bound (default 3)")
+            p.add_argument("--bound", type=positive_int, default=3, help="multiplicity bound (default 3)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--quiet", action="store_true", help="suppress normal output")
 
@@ -469,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("quotient", help="conjugacy classes and McKay report")
-    p.add_argument("--group", help="group file (quaternion or matrix generators)")
-    p.add_argument("--builtin", help="builtin group: 2T, 2O, 2I, Q8, cyclic:m, bd:n")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--group", help="group file (quaternion or matrix generators)")
+    source.add_argument("--builtin", help="builtin group: 2T, 2O, 2I, Q8, cyclic:m, bd:n")
     common(p, bound=False)
     p.set_defaults(fn=cmd_quotient)
 
@@ -486,16 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "group", None) is None and getattr(args, "builtin", None) is None:
-        if args.command == "quotient":
-            print("error: quotient needs --group or --builtin", file=sys.stderr)
-            return 1
     try:
-        if getattr(args, "bound", 1) < 1:
-            raise InputError(f"--bound must be at least 1, got {args.bound}")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (InputError, GraphError, CuspError, InoueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Falsified as exc:

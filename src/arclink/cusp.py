@@ -13,12 +13,13 @@ from enum import Enum
 from math import isqrt
 
 from .hjcf import Mat2, mono_product
+from .inputs import InputError
 from .quadratic import quadint_sign
 
 Vec = tuple[int, int]
 
 
-class CuspError(ValueError):
+class CuspError(InputError):
     """Invalid cusp sequence or vector outside the expected cone."""
 
 
@@ -102,9 +103,6 @@ class ConePosition:
     sector_index: int | None = None  # i mod k when strictly inside [v_i, v_{i+1})
     coeffs: tuple[int, ...] = ()
     index_abs: int | None = None     # the absolute fan index i
-
-    def is_ray(self) -> bool:
-        return self.ray_index is not None
 
 
 def _det2(u: Vec, w: Vec) -> int:

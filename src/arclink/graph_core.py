@@ -15,8 +15,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .inputs import InputError, numbered_lines
 
-class GraphError(ValueError):
+
+class GraphError(InputError):
     """Malformed graph text or violated structural invariant."""
 
 
@@ -167,10 +169,7 @@ def parse_plumbing(text: str) -> PlumbingGraph:
     ids = set()
     edges: list[tuple[str, str]] = []
     arrows: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         tokens = line.split()
         kind = tokens[0]
 

@@ -21,12 +21,13 @@ from .cusp import (
     reduce_mod_monodromy,
 )
 from .hjcf import Mat2, mono_product
+from .inputs import InputError, numbered_lines
 from .quadratic import QuadNum, parse_quad_token
 
 Vec = tuple[int, int]
 
 
-class InoueError(ValueError):
+class InoueError(InputError):
     """Violated precondition in the field data."""
 
 
@@ -218,10 +219,11 @@ def inoue_cross_check(
     """
     checks: list[CheckResult] = []
     m_u = quad_mult_matrix(u, basis)
+    grid = list(_grid_elements(basis))
 
     # Multiplication by u realizes M_u on coordinates.
     bad = None
-    for coords, elt in _grid_elements(basis):
+    for coords, elt in grid:
         if coordinates(u * elt, basis) != m_u.apply(coords):
             bad = coords
             break
@@ -235,7 +237,7 @@ def inoue_cross_check(
     mapping: dict[SignCone, Cone] = {}
     consistent = True
     witness = ""
-    for coords, elt in _grid_elements(basis):
+    for coords, elt in grid:
         sc = sign_cone(elt)
         ec = four_cone(m_u, coords)
         if sc in mapping and mapping[sc] is not ec:
@@ -258,10 +260,14 @@ def inoue_cross_check(
             f"basis orientation reversed: {flipped}",
         )
     )
-    checks.append(CheckResult("totally positive class is the principal cone", True))
 
     def to_cusp_frame(coords: Vec) -> Vec:
         return p.inverse().apply(transform.apply(coords))
+
+    # Every totally positive grid element lands in the principal cone.
+    off = next((coords for coords, elt in grid if sign_cone(elt) is SignCone.PLUS_PLUS
+                and cone_position(to_cusp_frame(coords), seq).cone is not Cone.CONE), None)
+    checks.append(CheckResult("totally positive class is the principal cone", off is None, str(off or "")))
 
     def from_cusp_frame(vec: Vec) -> QuadNum:
         return from_coordinates(transform.inverse().apply(p.apply(vec)), basis)
@@ -351,10 +357,7 @@ def parse_field_file(text: str) -> FieldData:
     d = None
     basis = None
     u = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text):
         try:
             if line.startswith("d="):
                 d = int(line[2:])

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .inputs import InputError, numbered_lines
 from .quadratic import QuadNum, parse_quad_token
 
 # -- elements ---------------------------------------------------------------
@@ -76,7 +77,7 @@ def rational_matrix(rows) -> Matrix:
 _CEILING = 1024
 
 
-class ClosureError(ValueError):
+class ClosureError(InputError):
     """Element ceiling exceeded, or a generator that is not invertible, not
     of the common size, or not over the common field."""
 
@@ -360,18 +361,25 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
 
     cyclic m -> A_{m-1} (m-1 curves); binary dihedral of order 4n ->
     D_{n+2} (n+2 curves); 2T -> E6; 2O -> E7; 2I -> E8.  A caller that
-    already holds the group's classes passes them in.
+    already holds the group's classes passes them in.  A group outside
+    the catalog raises InputError.
     """
-    if classes is None:
-        classes = conjugacy_classes(group)
+    report = _mckay_match(group, conjugacy_classes(group) if classes is None else classes)
+    if isinstance(report, str):
+        raise InputError(report)
+    return report
+
+
+def _mckay_match(group: FiniteGroup, classes: ConjClasses) -> McKayReport | str:
+    """mckay_report, or the reason the group is outside the catalog."""
     order, count = group.order, classes.count
     if group.is_abelian():
         if not group.is_cyclic():
-            raise ValueError("abelian but not cyclic: no free SL(2) action exists")
+            return "abelian but not cyclic: no free SL(2) action exists"
         family, expected = f"A{order - 1}", order - 1
     else:
         if group.involution_count() != 1:
-            raise ValueError("a finite SL(2) subgroup has a unique involution")
+            return "a finite SL(2) subgroup has a unique involution"
         if order == 24 and count == 7:
             family, expected = "E6", 6
         elif order == 48 and count == 8:
@@ -382,9 +390,7 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
             n = order // 4
             family, expected = f"D{n + 2}", n + 2
         else:
-            raise ValueError(
-                f"order {order} with {count} classes is not an SL(2)-type group"
-            )
+            return f"order {order} with {count} classes is not an SL(2)-type group"
     return McKayReport(
         group_order=order,
         class_count=count,
@@ -435,7 +441,7 @@ def quaternion_group_generators() -> list[Quaternion]:
 def binary_dihedral_generators(n: int) -> list[Quaternion]:
     """Binary dihedral group of order 4n; needs cos(pi/n) quadratic."""
     if n < 2:
-        raise ValueError("binary dihedral groups need n >= 2")
+        raise InputError("binary dihedral groups need n >= 2")
     j = Quaternion.of(0, 0, 1, 0)
     if n == 2:
         return [Quaternion.of(0, 0, 0, 1), j]
@@ -455,14 +461,14 @@ def binary_dihedral_generators(n: int) -> list[Quaternion]:
             QuadNum.of(0, _HALF, 3), QuadNum.of(_HALF, 0, 3), QuadNum.of(0, 0, 3), QuadNum.of(0, 0, 3)
         )
     else:
-        raise ValueError(f"cos(pi/{n}) is not quadratic; no Q(sqrt(d)) model here")
+        raise InputError(f"cos(pi/{n}) is not quadratic; no Q(sqrt(d)) model here")
     return [x, j]
 
 
 def cyclic_permutation_generators(m: int) -> list[Matrix]:
     """Z/m as the m-by-m cyclic shift matrix, with int entries 0 and 1."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InputError("m must be positive")
     if m > _CEILING:
         raise ClosureError(f"Z/{m} has more than the {_CEILING} elements a closure accepts")
     return [tuple(tuple(int(j == (i + 1) % m) for j in range(m)) for i in range(m))]
@@ -480,11 +486,15 @@ def builtin_generators(name: str):
     """Generators for '2T', '2O', '2I', 'Q8', 'cyclic:m' or 'bd:n'."""
     if name in BUILTIN_GROUPS:
         return BUILTIN_GROUPS[name]()
-    if name.startswith("cyclic:"):
-        return cyclic_permutation_generators(int(name.split(":", 1)[1]))
-    if name.startswith("bd:"):
-        return binary_dihedral_generators(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown builtin group {name!r}")
+    family, colon, size = name.partition(":")
+    helpers = {"cyclic": cyclic_permutation_generators, "bd": binary_dihedral_generators}
+    if not colon or family not in helpers:
+        raise InputError(f"unknown builtin group {name!r}")
+    try:
+        n = int(size)
+    except ValueError:
+        raise InputError(f"{family}:<n> needs an integer n, got {name!r}") from None
+    return helpers[family](n)
 
 
 # -- cyclic quotient component labels --------------------------------------------
@@ -567,13 +577,12 @@ def parse_group_file(text: str):
     Lines: ``d=<int>`` (field for sqrt parts), ``matrix <n>`` followed by
     n rows of n rationals, or four whitespace-separated quadratic tokens
     forming a quaternion a + b i + c j + e k.  '#' starts a comment.
-    Every malformed line raises ValueError naming its line number.
+    Every malformed line raises InputError naming its line number.
     """
     d = 0
     quats: list[Quaternion] = []
     mats: list[Matrix] = []
-    lines = [(no, ln.split("#", 1)[0].strip()) for no, ln in enumerate(text.splitlines(), start=1)]
-    lines = [(no, ln) for no, ln in lines if ln]
+    lines = numbered_lines(text)
     pos = 0
     while pos < len(lines):
         lineno, line = lines[pos]
@@ -603,11 +612,11 @@ def parse_group_file(text: str):
                 raise ValueError(f"expected 4 quaternion coefficients, got {line!r}")
             coeffs = [parse_quad_token(t, d) for t in tokens]
         except ZeroDivisionError:
-            raise ValueError(f"line {lineno}: zero denominator") from None
+            raise InputError(f"line {lineno}: zero denominator") from None
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {lineno}: {exc}") from None
         quats.append(Quaternion(*coeffs))
         pos += 1
     if quats and mats:
-        raise ValueError("mix of quaternion and matrix generators is not supported")
+        raise InputError("mix of quaternion and matrix generators is not supported")
     return quats or mats

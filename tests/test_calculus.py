@@ -193,10 +193,12 @@ def test_cusp_class(cusp333):
 
 
 def test_cusp_class_canonical_rotation():
-    cls = singularity_class(cycle_graph([2, 2, 3, 4]))
-    assert cls.b_sequence == min(
-        tuple(seq[i:] + seq[:i]) for seq in ([2, 2, 3, 4], [4, 3, 2, 2]) for i in range(4)
-    )
+    # the last two read least in the reverse direction
+    for bs in ([2, 2, 3, 4], [2, 2, 4, 3], [3, 2, 5, 2, 4, 2]):
+        cls = singularity_class(cycle_graph(bs))
+        assert cls.b_sequence == min(
+            tuple(seq[i:] + seq[:i]) for seq in (bs, bs[::-1]) for i in range(len(bs))
+        )
 
 
 def test_spherical_triples():

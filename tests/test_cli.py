@@ -315,6 +315,10 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         # the dual would have about 10^23 entries
         (["dual", "--seq", "99999999999999999999999,3"], {}),
         (["cusp", "--seq", "100000000,3"], {}),
+        (["quotient", "--group", "{f}", "--builtin", "2T"], {"f": GROUP_2I_TEXT}),
+        (["quotient", "--builtin", ""], {}),
+        (["quotient", "--builtin", "cyclic:x"], {}),
+        (["quotient", "--builtin", "bd:1"], {}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
@@ -327,6 +331,43 @@ def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert proc.stdout == ""
+
+
+def test_quotient_refuses_two_sources(graph_file, capsys):
+    # --group used to be ignored silently when --builtin was given too
+    path = graph_file(GROUP_2I_TEXT, "2i.grp")
+    assert main(["quotient", "--group", path, "--builtin", "2T"]) == 1
+    captured = capsys.readouterr()
+    lines = [ln for ln in captured.err.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert captured.out == ""
+
+
+def test_a_library_bug_is_not_an_input_error(monkeypatch):
+    import arclink.cli as cli_mod
+
+    def broken(name):
+        raise ValueError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli_mod, "builtin_generators", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["quotient", "--builtin", "2T"])
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes("graph caf\xe9\n".encode("latin-1"))
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+def test_quotient_of_a_noncatalog_group_says_why(graph_file, capsys):
+    klein = graph_file("matrix 2\n-1 0\n0 1\nmatrix 2\n1 0\n0 -1\n", "klein.grp")
+    code, out = run(capsys, "quotient", "--group", klein, "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["order"], report["classes"]) == (4, 4)
+    assert report["mckay"] == {"error": "abelian but not cyclic: no free SL(2) action exists"}
 
 
 def test_help_exits_zero(capsys):

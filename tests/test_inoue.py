@@ -149,6 +149,24 @@ def test_cross_check_u_squared():
     assert report.matrix == Mat2(1, 1, 1, 2) * Mat2(1, 1, 1, 2)
 
 
+@pytest.mark.parametrize("d, basis, u", [(5, (ONE, OMEGA), U5), (2, (SQRT2, ONE), U2)])
+def test_principal_cone_check_catches_a_negated_conjugator(monkeypatch, d, basis, u):
+    import arclink.inoue as inoue_mod
+
+    frame = inoue_mod._oriented_frame
+
+    def negated(m_u, basis):
+        seq, p, transform, flipped = frame(m_u, basis)
+        return seq, -p, transform, flipped
+
+    monkeypatch.setattr(inoue_mod, "_oriented_frame", negated)
+    checks = {c.name: c for c in inoue_cross_check(d, basis, u, 3).checks}
+    principal = checks["totally positive class is the principal cone"]
+    assert not principal.passed and principal.detail.startswith("(")
+    # conjugation alone cannot see the sign of the conjugator
+    assert checks["recovered sequence conjugate to M_u"].passed
+
+
 def test_cross_check_orbit_scaling():
     # Per window of mass <= N, the u^2-fundamental domain holds twice the
     # lattice points of the u-fundamental domain (the sequence doubles).

@@ -1,12 +1,16 @@
-"""The library is stdlib-only and exact, checked on its source.
+"""The library is stdlib-only and exact, and refuses input with one type,
+checked on its source.
 
 Every module under src/arclink is parsed with ast; an absolute import
 outside the standard library, a cmath import, a float or complex literal,
-or any use of the names float or complex fails the module.
+or any use of the names float or complex fails the module.  Every
+exception class the library defines derives from InputError, except
+cli.Falsified, the exit-2 outcome.
 """
 from __future__ import annotations
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -73,3 +77,46 @@ def test_exact_code_passes():
         "x = Fraction(1, 2)\n"
     )
     assert violations(source) == []
+
+
+EXEMPT = {("inputs", "InputError"), ("cli", "Falsified")}
+
+
+def exception_violations(sources: dict[str, str]) -> list[str]:
+    """Exception classes, as module.name, that do not derive from inputs.InputError."""
+    classes = [
+        (module, node.name, [b.id for b in node.bases if isinstance(b, ast.Name)])
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    bases = {name: names for _, name, names in classes}
+
+    def derives(name: str, ancestor) -> bool:
+        return ancestor(name) or any(derives(b, ancestor) for b in bases.get(name, ()))
+
+    def is_builtin_exception(name: str) -> bool:
+        obj = getattr(builtins, name, None)
+        return isinstance(obj, type) and issubclass(obj, BaseException)
+
+    return [
+        f"{module}.{name}"
+        for module, name, names in classes
+        if (module, name) not in EXEMPT
+        and any(derives(b, is_builtin_exception) for b in names)
+        and (name == "InputError" or not any(derives(b, "InputError".__eq__) for b in names))
+    ]
+
+
+def test_every_library_exception_is_an_input_error():
+    assert exception_violations({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == []
+
+
+def test_exception_rule_fires():
+    sources = {
+        "inputs": "class InputError(ValueError): ...",
+        "graph": "from .inputs import InputError\nclass GraphError(InputError): ...\nclass ChainError(GraphError): ...",
+        "cusp": "class CuspError(ValueError): ...\nclass Cone(Enum): ...",
+        "cli": "class Falsified(Exception): ...\nclass InputError(Exception): ...",
+    }
+    assert exception_violations(sources) == ["cusp.CuspError", "cli.InputError"]
