@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .calculus import DltKind, DltModel, SingKind, _check_definite, _dlt_model, _resolve
 from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
-from .cusp import CuspSequence, check_duality, enumerate_cusp_components, monodromy
+from .cusp import CuspSequence, DualityReport, check_duality, enumerate_cusp_components, monodromy
 from .graph_core import PlumbingGraph, parse_plumbing
 from .hjcf import Mat2
 from .inoue import inoue_cross_check, parse_field_file
@@ -114,8 +114,11 @@ def write_dot(g: PlumbingGraph, path: str) -> None:
         lines.append(f'  "__arrow{i}" [shape=diamond, label=""];')
         lines.append(f'  {json.dumps(a)} -- "__arrow{i}";')
     lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 # -- analysis report ------------------------------------------------------------
@@ -148,15 +151,23 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     report["components"] = _model_components_json(model, cls, bound)
     if cls.kind is SingKind.CUSP:
         dual = check_duality(CuspSequence(cls.b_sequence))
+        dual_sequence, auto_dual = _canonical_dual(dual)
         report["duality"] = {
-            "dual_sequence": list(CuspSequence(dual.dual).canonical().b),
-            "auto_dual": dual.is_auto_dual(),
+            "dual_sequence": dual_sequence,
+            "auto_dual": auto_dual,
             "mt_equals_tm_star": dual.t_identity_holds,
             "traces_equal": dual.traces_equal,
         }
         if not dual.ok:
             raise Falsified(f"MT = TM* failed for {cls.b_sequence}")
     return report
+
+
+def _canonical_dual(report: DualityReport) -> tuple[list[int], bool]:
+    """The dual's canonical rotation, and whether it is the sequence's own:
+    each side is canonicalised once."""
+    dual = CuspSequence(report.dual).canonical()
+    return list(dual.b), dual == CuspSequence(report.sequence).canonical()
 
 
 def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
@@ -278,13 +289,14 @@ def cmd_cusp(args) -> int:
     m = monodromy(c)
     dual = check_duality(c)
     comps = enumerate_cusp_components(c, args.bound)
+    dual_sequence, auto_dual = _canonical_dual(dual)
     report = {
         "schema": SCHEMA,
         "sequence": list(c.b),
         "monodromy": _mat_json(m),
         "trace": m.trace(),
-        "dual_sequence": list(CuspSequence(dual.dual).canonical().b),
-        "auto_dual": dual.is_auto_dual(),
+        "dual_sequence": dual_sequence,
+        "auto_dual": auto_dual,
         "bound": args.bound,
         "components": [
             {
@@ -314,17 +326,18 @@ def cmd_cusp(args) -> int:
 def cmd_dual(args) -> int:
     c = _parse_seq(args.seq)
     report = check_duality(c)
+    dual_sequence, auto_dual = _canonical_dual(report)
     out = {
         "schema": SCHEMA,
         "sequence": list(c.b),
         "rotated": list(report.sequence),
-        "dual_sequence": list(CuspSequence(report.dual).canonical().b),
+        "dual_sequence": dual_sequence,
         "dual_construction_order": list(report.dual),
         "m": _mat_json(report.m),
         "m_star": _mat_json(report.m_star),
         "mt_equals_tm_star": report.t_identity_holds,
         "traces_equal": report.traces_equal,
-        "auto_dual": report.is_auto_dual(),
+        "auto_dual": auto_dual,
     }
     if args.json:
         print(json.dumps(out, indent=2))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 from .calculus import DltKind, DltModel, SelfDltError, SingKind, _dlt_model, cycle_order, minimal_log_resolution
-from .cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy, v_sequence
+from .cusp import CuspSequence, reduce_mod_monodromy, v_sequence
 from .graph_core import GraphError, PlumbingGraph, graph_nodes, walk
 from .hjcf import chain_exponent, hj_numerator
 
@@ -239,21 +239,22 @@ def jsj_split(g: PlumbingGraph) -> JsjSplit:
     return JsjSplit(tuple(pieces), tuple(chains))
 
 
-# -- cusp structure of a cycle model ---------------------------------------
+# -- cusp frame of a cycle model ---------------------------------------------
 
 
 @dataclass(frozen=True, slots=True)
 class CuspStructure:
+    """The cusp frame of a cycle model.
+
+    ``fan`` holds v_0..v_k.  Curve order[t] carries the ray v_{t+1}
+    (indices mod k), and the edge instance of step t spans the sector
+    v_{t+1}, v_{t+2} with order[t] as the curve on its first ray.
+    """
+
     sequence: CuspSequence
-    order: tuple[str, ...]               # curve ids, traversal order
-    step_instances: tuple[EdgeInstance, ...]  # edge instance used by step t
-
-    def ray_curve(self, i: int) -> str:
-        return self.order[(i - 1) % len(self.order)]
-
-    def sector_edge(self, i: int) -> EdgeInstance:
-        # Sector i sits between rays v_i and v_{i+1}; step t = (i-1) mod k.
-        return self.step_instances[(i - 1) % len(self.order)]
+    fan: tuple[Vec, ...]
+    ray: dict[str, int]                              # curve id -> fan index
+    sector: dict[EdgeInstance, tuple[int, str]]      # -> (fan index, first curve)
 
 
 def cusp_structure(model: DltModel) -> CuspStructure:
@@ -261,41 +262,57 @@ def cusp_structure(model: DltModel) -> CuspStructure:
     order = cycle_order(g)
     k = len(order)
     seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
+    ray: dict[str, int] = {}
+    sector: dict[EdgeInstance, tuple[int, str]] = {}
     counts: dict[tuple[str, str], int] = {}
-    steps = []
-    for t in range(k):
-        u, v = order[t], order[(t + 1) % k]
+    for t, u in enumerate(order):
+        i = (t + 1) % k
+        v = order[i]
         key = (u, v) if u <= v else (v, u)
         idx = counts.get(key, 0)
         counts[key] = idx + 1
-        steps.append((key[0], key[1], idx))
-    return CuspStructure(seq, tuple(order), tuple(steps))
+        ray[u] = i
+        sector[(key[0], key[1], idx)] = (i, u)
+    return CuspStructure(seq, tuple(v_sequence(seq, 0, k)), ray, sector)
 
 
-def _cusp_vector(st: CuspStructure, location: tuple, multiplicities: tuple[int, ...]) -> Vec:
+def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[int, ...]) -> Vec:
     """Lattice vector of gamma_v^m (location (v,)) or of an edge class
-    (location an edge instance, multiplicities in its (u, v) order).
-
-    The curve order[p] carries the ray v_{p+1} (indices mod k), and the
-    edge of step t spans the rays v_{t+1} and v_{t+2}.
-    """
-    k = st.sequence.k
-    vs = v_sequence(st.sequence, 0, k)
+    (location an edge instance, multiplicities in its (u, v) order)."""
     if len(location) == 1:
         (vid,) = location
-        if vid not in st.order:
+        if vid not in frame.ray:
             raise GraphError(f"curve {vid!r} is not part of the model")
         (m,) = multiplicities
-        i = (st.order.index(vid) + 1) % k
-        return (m * vs[i][0], m * vs[i][1])
-    if location not in st.step_instances:
+        x, y = frame.fan[frame.ray[vid]]
+        return (m * x, m * y)
+    if location not in frame.sector:
         raise GraphError(f"edge instance {location} is not part of the model")
-    i = (st.step_instances.index(location) + 1) % k
+    i, first = frame.sector[location]
     mu, mv = multiplicities
-    if location[0] != location[1] and location[0] != st.ray_curve(i):
+    if location[0] != first:
         mu, mv = mv, mu
-    vi, vi1 = vs[i], vs[i + 1]
+    vi, vi1 = frame.fan[i], frame.fan[i + 1]
     return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
+
+
+def _cusp_frame(model: DltModel) -> CuspStructure | None:
+    return cusp_structure(model) if model.sing_class.kind is SingKind.CUSP else None
+
+
+def _winding(
+    frame: CuspStructure | None, kind: ComponentKind, location: tuple, multiplicities: tuple[int, ...]
+) -> WindingClass:
+    """A lattice vector in a cusp frame; otherwise the fiber power, the
+    edge class or the leg power of the component."""
+    if frame is not None:
+        return CuspLattice(_cusp_vector(frame, location, multiplicities))
+    if kind is ComponentKind.CURVE_INTERIOR:
+        return gamma_power(location[0], multiplicities[0])
+    if kind is ComponentKind.NODE_POINT:
+        return EdgeTorus(location, multiplicities)
+    host, leg = location
+    return SeifertWord(piece=host, terms=((f"g[{host}/{leg}]", multiplicities[0]),))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -318,115 +335,59 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
 
     Curve interiors carry m <= bound, node points m_u + m_v <= bound and
     orbifold points numerators <= bound (numerators divisible by the
-    orbifold order coincide with central classes and are skipped).  Cusp
-    models delegate to the lattice enumeration and translate its labels.
+    orbifold order coincide with central classes and are skipped).  On
+    cusp models the windings are lattice vectors read in the cusp frame.
     """
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
     if bound < 1:
         raise ValueError("bound must be positive")
+    frame = _cusp_frame(model)
     out: list[ArcComponent] = []
-    if model.sing_class.kind is SingKind.CUSP:
-        st = cusp_structure(model)
-        for comp in enumerate_cusp_components(st.sequence, bound):
-            if comp.kind == "ray":
-                vid = st.ray_curve(comp.index)
-                out.append(
-                    ArcComponent(
-                        ComponentKind.CURVE_INTERIOR,
-                        (vid,),
-                        comp.multiplicities,
-                        None,
-                        CuspLattice(comp.vector),
-                        _curve_homotopy(model, vid, comp.multiplicities[0]),
-                    )
-                )
-            else:
-                inst = st.sector_edge(comp.index)
-                mi, mj = comp.multiplicities
-                # mi multiplies v_i, whose curve is ray_curve(comp.index).
-                first_curve = st.ray_curve(comp.index)
-                if inst[0] == inst[1]:
-                    mults = (mi, mj)
-                else:
-                    mults = (mi, mj) if inst[0] == first_curve else (mj, mi)
-                out.append(
-                    ArcComponent(
-                        ComponentKind.NODE_POINT,
-                        inst,
-                        mults,
-                        None,
-                        CuspLattice(comp.vector),
-                        HomotopyType(HomotopyKind.TWO_TORUS),
-                    )
-                )
-        out.sort(key=ArcComponent.sort_key)
-        return out
+
+    def add(kind, location, multiplicities, denominator, homotopy) -> None:
+        winding = _winding(frame, kind, location, multiplicities)
+        out.append(ArcComponent(kind, location, multiplicities, denominator, winding, homotopy))
+
     g = model.residual
     for vid in sorted(g.vertex_ids()):
         for m in range(1, bound + 1):
-            out.append(
-                ArcComponent(
-                    ComponentKind.CURVE_INTERIOR,
-                    (vid,),
-                    (m,),
-                    None,
-                    gamma_power(vid, m),
-                    _curve_homotopy(model, vid, m),
-                )
-            )
+            add(ComponentKind.CURVE_INTERIOR, (vid,), (m,), None, _curve_homotopy(model, vid, m))
+    torus = HomotopyType(HomotopyKind.TWO_TORUS)
     for inst in g.edge_instances():
-        u, v, _ = inst
         for mu in range(1, bound):
             for mv in range(1, bound - mu + 1):
-                out.append(
-                    ArcComponent(
-                        ComponentKind.NODE_POINT,
-                        inst,
-                        (mu, mv),
-                        None,
-                        EdgeTorus(inst, (mu, mv)),
-                        HomotopyType(HomotopyKind.TWO_TORUS),
-                    )
-                )
+                add(ComponentKind.NODE_POINT, inst, (mu, mv), None, torus)
+    circle = HomotopyType(HomotopyKind.CIRCLE)
     for pt in model.orbifold_points:
         for a in range(1, bound + 1):
-            if a % pt.m == 0:
-                continue
-            out.append(
-                ArcComponent(
-                    ComponentKind.ORBIFOLD_POINT,
-                    (pt.host, pt.leg),
-                    (a,),
-                    pt.m,
-                    SeifertWord(piece=pt.host, terms=((f"g[{pt.host}/{pt.leg}]", a),)),
-                    HomotopyType(HomotopyKind.CIRCLE),
-                )
-            )
+            if a % pt.m:
+                add(ComponentKind.ORBIFOLD_POINT, (pt.host, pt.leg), (a,), pt.m, circle)
     out.sort(key=ArcComponent.sort_key)
     return out
 
 
 def winding_class(comp: ArcComponent, model: DltModel) -> WindingClass:
-    """Recompute the winding class of a component of ``model``."""
+    """The winding class of a component of ``model``, once its location is
+    checked to be part of the model."""
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity has no dlt winding labels")
-    if model.sing_class.kind is SingKind.CUSP:
+    frame = _cusp_frame(model)
+    if frame is not None:
+        # The frame's lookups check curves and edge instances.
         if comp.kind is ComponentKind.ORBIFOLD_POINT:
             raise ValueError("cusp models have no orbifold points")
-        return CuspLattice(_cusp_vector(cusp_structure(model), comp.location, comp.multiplicities))
-    if comp.kind is ComponentKind.CURVE_INTERIOR:
+    elif comp.kind is ComponentKind.CURVE_INTERIOR:
         (vid,) = comp.location
         model.residual.vertex(vid)
-        return gamma_power(vid, comp.multiplicities[0])
-    if comp.kind is ComponentKind.NODE_POINT:
+    elif comp.kind is ComponentKind.NODE_POINT:
         if comp.location not in model.residual.edge_instances():
             raise GraphError(f"edge instance {comp.location} is not part of the model")
-        return EdgeTorus(comp.location, comp.multiplicities)
-    host, leg = comp.location
-    if not any(pt.host == host and pt.leg == leg for pt in model.orbifold_points):
-        raise GraphError(f"orbifold point {host}/{leg} is not part of the model")
-    return SeifertWord(piece=host, terms=((f"g[{host}/{leg}]", comp.multiplicities[0]),))
+    else:
+        host, leg = comp.location
+        if not any(pt.host == host and pt.leg == leg for pt in model.orbifold_points):
+            raise GraphError(f"orbifold point {host}/{leg} is not part of the model")
+    return _winding(frame, comp.kind, comp.location, comp.multiplicities)
 
 
 # -- conjugacy ---------------------------------------------------------------
@@ -505,17 +466,17 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
 
 
 def _cusp_label(model: DltModel, w: WindingClass):
-    st = cusp_structure(model)
+    frame = cusp_structure(model)
     if isinstance(w, CuspLattice):
         vec = w.vector
     elif isinstance(w, SeifertWord):
         if len(w.terms) != 1:
             raise ValueError("expected a single fiber power for a cusp graph")
         gen, m = w.terms[0]
-        vec = _cusp_vector(st, (_parse_gamma(gen),), (m,))
+        vec = _cusp_vector(frame, (_parse_gamma(gen),), (m,))
     else:
-        vec = _cusp_vector(st, w.chain, w.vector)
-    rep, _ = reduce_mod_monodromy(vec, st.sequence)
+        vec = _cusp_vector(frame, w.chain, w.vector)
+    rep, _ = reduce_mod_monodromy(vec, frame.sequence)
     return ("cusp_lattice", rep)
 
 

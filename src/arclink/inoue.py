@@ -168,9 +168,9 @@ class InoueReport:
         return "\n".join(lines)
 
 
-def _grid_elements(basis, span: int = 4):
-    for c1 in range(-span, span + 1):
-        for c2 in range(-span, span + 1):
+def _grid_elements(basis):
+    for c1 in range(-4, 5):
+        for c2 in range(-4, 5):
             if c1 or c2:
                 yield (c1, c2), from_coordinates((c1, c2), basis)
 
@@ -178,13 +178,14 @@ def _grid_elements(basis, span: int = 4):
 _S_FLIP = Mat2(0, 1, 1, 0)
 
 
-def _oriented_frame(m_u: Mat2, basis) -> tuple[CuspSequence, Mat2, Mat2, bool]:
+def _oriented_frame(m_u: Mat2, grid) -> tuple[CuspSequence, Mat2, Mat2, bool]:
     """A cusp frame in which totally positive elements hit the principal cone.
 
     The lattice identification underlying the cusp picture is canonical
     only up to the unit action and the orientation of the basis; an
     orientation-reversed basis shows the complementary cone instead, and
     is repaired by reading coordinates through S = ((0,1),(1,0)).
+    ``grid`` holds the (coordinates, element) pairs of the lattice grid.
     Returns (sequence, conjugator P, coordinate transform C, flipped);
     coordinates enter the cusp frame as P^-1 * C * coords.
     """
@@ -194,7 +195,7 @@ def _oriented_frame(m_u: Mat2, basis) -> tuple[CuspSequence, Mat2, Mat2, bool]:
         transform = _S_FLIP if flip else Mat2.identity()
         p_inv = p.inverse()
         principal: Cone | None = None
-        for coords, elt in _grid_elements(basis):
+        for coords, elt in grid:
             if sign_cone(elt) is SignCone.PLUS_PLUS:
                 principal = cone_position(p_inv.apply(transform.apply(coords)), seq).cone
                 break
@@ -251,7 +252,7 @@ def inoue_cross_check(
     checks.append(CheckResult("sign cones biject with eigen-cones", consistent, witness))
 
     # Orient the identification and verify the conjugation exactly.
-    seq, p, transform, flipped = _oriented_frame(m_u, basis)
+    seq, p, transform, flipped = _oriented_frame(m_u, grid)
     framed = transform * m_u * transform.inverse()
     checks.append(
         CheckResult(
@@ -318,12 +319,13 @@ def inoue_cross_check(
         )
     )
 
-    # Window completeness: any totally positive lattice element whose
-    # reduced vector has mass <= bound must hit an enumerated component.
+    # Window completeness: any totally positive lattice element with
+    # coordinates in [-3, 3] whose reduced vector has mass <= bound must
+    # hit an enumerated component.
     vectors = {comp.vector for comp in comps}
     missing = ""
-    for coords, elt in _grid_elements(basis, span=3):
-        if sign_cone(elt) is not SignCone.PLUS_PLUS:
+    for coords, elt in grid:
+        if max(abs(coords[0]), abs(coords[1])) > 3 or sign_cone(elt) is not SignCone.PLUS_PLUS:
             continue
         y = to_cusp_frame(coords)
         pos = cone_position(y, seq)

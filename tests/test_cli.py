@@ -319,6 +319,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         (["quotient", "--builtin", ""], {}),
         (["quotient", "--builtin", "cyclic:x"], {}),
         (["quotient", "--builtin", "bd:1"], {}),
+        # --dot into a missing directory, then onto a directory ("{.}")
+        (["analyze", "{g}", "--dot", "{missing/x.dot}"], {"g": CUSP_TEXT}),
+        (["analyze", "{g}", "--dot", "{.}"], {"g": CUSP_TEXT}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink.calculus import DltKind, SelfDltError, minimal_dlt_model, minimal_log_resolution
+from arclink.calculus import DltKind, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
 from arclink.checks import seifert_labels
 from arclink.components import (
     ArcComponent,
@@ -225,6 +225,38 @@ def test_cusp_delegation_matches_lattice(cusp333):
         else:
             assert c.homotopy.kind is HomotopyKind.CIRCLE_TIMES_WEDGE
             assert c.homotopy.wedge_count == 1  # genus 0, two branches
+    # Rays are curve interiors and sectors node points, with the node
+    # multiplicities read in traversal order: the curve the step leaves
+    # carries v_i.  The lattice enumeration is the independent side.
+    for bs in ([3], [2, 3], [3, 3, 3], [2, 2, 3, 4]):
+        model = minimal_dlt_model(cycle_graph(bs))
+        order = cycle_order(model.residual)
+        seq = CuspSequence(tuple(-model.residual.vertex(v).euler for v in order))
+        for bound in (1, 2, 3, 4):
+            ours = sorted(
+                ("ray", c.multiplicities, c.winding.vector)
+                if c.kind is ComponentKind.CURVE_INTERIOR
+                else ("sector", _traversal_multiplicities(order, c), c.winding.vector)
+                for c in enumerate_components(model, bound)
+            )
+            theirs = sorted(
+                (x.kind, x.multiplicities, x.vector) for x in enumerate_cusp_components(seq, bound)
+            )
+            assert ours == theirs, (bs, bound)
+
+
+def _traversal_multiplicities(order, comp):
+    """A node point's multiplicities, the curve the step leaves first.
+    Copy j of a parallel pair is the step out of order[j]; a loop keeps
+    its own order."""
+    u, v, j = comp.location
+    k = len(order)
+    if k == 2:
+        first = order[j]
+    else:
+        first = u if order[(order.index(u) + 1) % k] == v else v
+    mu, mv = comp.multiplicities
+    return (mu, mv) if u == first else (mv, mu)
 
 
 def test_cusp_counts_match_direct_census():
@@ -259,7 +291,7 @@ def test_components_sorted_and_positive(sigma237):
 
 
 def test_winding_class_recomputation(sigma237, cusp333):
-    for g in (sigma237, cusp333):
+    for g in (sigma237, cusp333, cycle_graph([3]), cycle_graph([2, 3])):
         model = minimal_dlt_model(g)
         for c in enumerate_components(model, 3):
             assert winding_class(c, model) == c.winding

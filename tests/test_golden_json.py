@@ -64,6 +64,21 @@ edge t w
 edge w u
 """
 
+# A one-curve cusp (a loop) and a two-curve cusp (a parallel edge).
+CUSP_LOOP_TEXT = """
+graph cuspLoop
+vertex v0 euler=-5 genus=0
+edge v0 v0
+"""
+
+CUSP_PAIR_TEXT = """
+graph cuspPair
+vertex v0 euler=-2 genus=0
+vertex v1 euler=-3 genus=0
+edge v0 v1
+edge v1 v0
+"""
+
 GOLDEN = {
     "e8": (
         E8_TEXT,
@@ -88,6 +103,14 @@ GOLDEN = {
     "chain": (
         CHAIN_TEXT,
         "d7f255e0ea9aa4350c4ef4d902205dd43cd682a19ca673ed800d0e15d7658391",
+    ),
+    "cusp_loop": (
+        CUSP_LOOP_TEXT,
+        "a29ef13986c2a51529b6b412ed869018beb9b75746f115137e5e46527b64574b",
+    ),
+    "cusp_pair": (
+        CUSP_PAIR_TEXT,
+        "4795371457678f585208e0faa304ed5852b2d338ae4ba2afa5c65ab67b50e68c",
     ),
 }
 

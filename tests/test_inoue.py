@@ -155,8 +155,8 @@ def test_principal_cone_check_catches_a_negated_conjugator(monkeypatch, d, basis
 
     frame = inoue_mod._oriented_frame
 
-    def negated(m_u, basis):
-        seq, p, transform, flipped = frame(m_u, basis)
+    def negated(m_u, grid):
+        seq, p, transform, flipped = frame(m_u, grid)
         return seq, -p, transform, flipped
 
     monkeypatch.setattr(inoue_mod, "_oriented_frame", negated)
