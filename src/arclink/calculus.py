@@ -10,13 +10,13 @@ chain via minus continued fractions.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd
 
-from .cusp import CuspSequence
+from .cusp import CuspSequence, Vec, v_sequence
 from .graph_core import (
     GraphError,
     PlumbingGraph,
@@ -95,13 +95,35 @@ class OrbifoldPoint:
             raise ValueError(f"invalid orbifold data ({self.m}, {self.omega})")
 
 
+EdgeInstance = tuple[str, str, int]
+
+
+@dataclass(frozen=True, slots=True)
+class CuspStructure:
+    """The cusp frame of a cycle model.
+
+    ``fan`` holds v_0..v_k.  Curve order[t] carries the ray v_{t+1}
+    (indices mod k), and the edge instance of step t spans the sector
+    v_{t+1}, v_{t+2} with order[t] as the curve on its first ray.
+    """
+
+    sequence: CuspSequence
+    fan: tuple[Vec, ...]
+    ray: dict[str, int]                              # curve id -> fan index
+    sector: dict[EdgeInstance, tuple[int, str]]      # -> (fan index, first curve)
+
+
 @dataclass(frozen=True, slots=True)
 class DltModel:
+    """``source`` is the minimal log resolution the model was built from;
+    a cusp model carries its cusp frame in ``frame``, every other model None."""
+
     kind: DltKind
     residual: PlumbingGraph
     orbifold_points: tuple[OrbifoldPoint, ...]
     sing_class: SingClass
     source: PlumbingGraph
+    frame: CuspStructure | None = field(default=None, repr=False, compare=False)
 
     def orbifold_points_at(self, vid: str) -> tuple[OrbifoldPoint, ...]:
         return tuple(p for p in self.orbifold_points if p.host == vid)
@@ -224,18 +246,19 @@ def cycle_order(g: PlumbingGraph) -> list[str]:
 
 
 def singularity_class(g: PlumbingGraph) -> SingClass:
-    """Classify a minimal log resolution graph.
+    """Classify a connected negative-definite graph by its minimal log
+    resolution.
 
     Chains give cyclic quotients, genus-0 cycles give cusps, three-legged
     genus-0 stars with 1/a1 + 1/a2 + 1/a3 > 1 give the finite noncyclic
     quotients; everything else has infinite, non-cusp fundamental group.
     """
     _check_definite(g)
-    return _classify(g)
+    return _classify(_resolve(g))
 
 
 def _classify(g: PlumbingGraph) -> SingClass:
-    """singularity_class without re-checking definiteness."""
+    """The class of a minimal log resolution, already checked definite."""
     if not g.vertices:
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=1, q=0)
     shape = classify_shape(g)
@@ -274,24 +297,26 @@ def _classify(g: PlumbingGraph) -> SingClass:
 
 
 def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
-    """Contract maximal rational chain tails of a minimal log resolution.
+    """The minimal dlt model of a connected negative-definite graph: check
+    it once, resolve it once, then contract the maximal rational chain
+    tails of the resolution.
 
     Quotient singularities are their own minimal dlt modification and come
     back as SelfDlt with an empty residual graph.
     """
     _check_definite(g)
-    return _dlt_model(g)
+    return _dlt_model(_resolve(g))
 
 
 def _dlt_model(g: PlumbingGraph) -> DltModel:
-    """minimal_dlt_model without re-checking definiteness; the class it
-    computes is ``model.sing_class``."""
+    """The model of a minimal log resolution, already checked definite; the
+    class it computes is ``model.sing_class``."""
     cls = _classify(g)
     if cls.is_quotient():
         empty = PlumbingGraph((), (), (), g.name)
         return DltModel(DltKind.SELF_DLT, empty, (), cls, g)
     if cls.kind is SingKind.CUSP:
-        return DltModel(DltKind.MODEL, g, (), cls, g)
+        return DltModel(DltKind.MODEL, g, (), cls, g, cusp_structure(g))
     tails = rational_chain_tails(g)
     points = []
     removed: set[str] = set()
@@ -308,3 +333,22 @@ def _dlt_model(g: PlumbingGraph) -> DltModel:
     residual = g.restricted_to(set(g.vertex_ids()) - removed)
     points.sort(key=lambda p: (p.host, p.leg))
     return DltModel(DltKind.MODEL, residual, tuple(points), cls, g)
+
+
+def cusp_structure(g: PlumbingGraph) -> CuspStructure:
+    """The cusp frame of a cycle graph, built in one pass over its cycle order."""
+    order = cycle_order(g)
+    k = len(order)
+    seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
+    ray: dict[str, int] = {}
+    sector: dict[EdgeInstance, tuple[int, str]] = {}
+    counts: dict[tuple[str, str], int] = {}
+    for t, u in enumerate(order):
+        i = (t + 1) % k
+        v = order[i]
+        key = (u, v) if u <= v else (v, u)
+        idx = counts.get(key, 0)
+        counts[key] = idx + 1
+        ray[u] = i
+        sector[(key[0], key[1], idx)] = (i, u)
+    return CuspStructure(seq, tuple(v_sequence(seq, 0, k)), ray, sector)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .calculus import DltKind, minimal_dlt_model, minimal_log_resolution, singularity_class
+from .calculus import DltKind, minimal_dlt_model, singularity_class
 from .components import chain_system_solvable, enumerate_components
 from .cusp import CuspSequence, check_duality, dual_sequence, monodromy, recover_sequence
 from .graph_core import (
@@ -294,7 +294,7 @@ def seifert_labels(sd: SeifertData, bound: int) -> list[tuple]:
 def sweep_seifert_vs_components(bound: int = 6) -> SweepResult:
     """Sigma(2,3,7): both routes give the same 19 labels at bound 6."""
     g = sigma_2_3_7()
-    model = minimal_dlt_model(minimal_log_resolution(g))
+    model = minimal_dlt_model(g)
     comp_labels = sorted(c.label() for c in enumerate_components(model, bound))
     seif_labels = seifert_labels(seifert_data(g), bound)
     ok = comp_labels == seif_labels and len(comp_labels) == 19

@@ -11,19 +11,19 @@ import json
 import sys
 from fractions import Fraction
 
-from .calculus import DltKind, DltModel, SingKind, _check_definite, _dlt_model, _resolve
+from .calculus import DltKind, DltModel, SingKind, minimal_dlt_model
 from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
-from .cusp import CuspSequence, DualityReport, check_duality, enumerate_cusp_components, monodromy
+from .cusp import CuspSequence, check_duality, enumerate_cusp_components, monodromy
 from .graph_core import PlumbingGraph, parse_plumbing
 from .hjcf import Mat2
 from .inoue import inoue_cross_check, parse_field_file
 from .inputs import InputError
 from .quotient import (
-    _mckay_match,
     builtin_generators,
     conjugacy_classes,
     cyclic_quotient_components,
     group_closure,
+    mckay_match,
     parse_group_file,
 )
 from .checks import run_all_sweeps
@@ -125,13 +125,9 @@ def write_dot(g: PlumbingGraph, path: str) -> None:
 
 
 def analysis_report(g: PlumbingGraph, bound: int) -> dict:
-    """The ``analyze`` report.  Connectivity and definiteness are checked
-    once, here; the resolution, class and model stages then run unchecked,
-    as blowing down keeps the graph negative definite."""
-    _check_definite(g)
-    mlr = _resolve(g)
-    model = _dlt_model(mlr)
-    cls = model.sing_class
+    """The ``analyze`` report, read off the one minimal dlt model of ``g``."""
+    model = minimal_dlt_model(g)
+    mlr, cls = model.source, model.sing_class
     report = {
         "schema": SCHEMA,
         "input": g.name,
@@ -151,7 +147,7 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     report["components"] = _model_components_json(model, cls, bound)
     if cls.kind is SingKind.CUSP:
         dual = check_duality(CuspSequence(cls.b_sequence))
-        dual_sequence, auto_dual = _canonical_dual(dual)
+        dual_sequence, auto_dual = dual.canonical_dual()
         report["duality"] = {
             "dual_sequence": dual_sequence,
             "auto_dual": auto_dual,
@@ -161,13 +157,6 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
         if not dual.ok:
             raise Falsified(f"MT = TM* failed for {cls.b_sequence}")
     return report
-
-
-def _canonical_dual(report: DualityReport) -> tuple[list[int], bool]:
-    """The dual's canonical rotation, and whether it is the sequence's own:
-    each side is canonicalised once."""
-    dual = CuspSequence(report.dual).canonical()
-    return list(dual.b), dual == CuspSequence(report.sequence).canonical()
 
 
 def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
@@ -289,7 +278,7 @@ def cmd_cusp(args) -> int:
     m = monodromy(c)
     dual = check_duality(c)
     comps = enumerate_cusp_components(c, args.bound)
-    dual_sequence, auto_dual = _canonical_dual(dual)
+    dual_sequence, auto_dual = dual.canonical_dual()
     report = {
         "schema": SCHEMA,
         "sequence": list(c.b),
@@ -326,7 +315,7 @@ def cmd_cusp(args) -> int:
 def cmd_dual(args) -> int:
     c = _parse_seq(args.seq)
     report = check_duality(c)
-    dual_sequence, auto_dual = _canonical_dual(report)
+    dual_sequence, auto_dual = report.canonical_dual()
     out = {
         "schema": SCHEMA,
         "sequence": list(c.b),
@@ -363,7 +352,7 @@ def cmd_quotient(args) -> int:
         "classes": classes.count,
         "class_sizes": [len(cl) for cl in classes.classes],
     }
-    report = _mckay_match(group, classes)
+    report = mckay_match(group, classes)
     if isinstance(report, str):
         out["mckay"] = {"error": report}
         report = None

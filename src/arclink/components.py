@@ -14,13 +14,18 @@ from enum import Enum
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .calculus import DltKind, DltModel, SelfDltError, SingKind, _dlt_model, cycle_order, minimal_log_resolution
-from .cusp import CuspSequence, reduce_mod_monodromy, v_sequence
+from .calculus import (
+    CuspStructure,
+    DltKind,
+    DltModel,
+    EdgeInstance,
+    SelfDltError,
+    minimal_dlt_model,
+    minimal_log_resolution,
+)
+from .cusp import Vec, reduce_mod_monodromy
 from .graph_core import GraphError, PlumbingGraph, graph_nodes, walk
 from .hjcf import chain_exponent, hj_numerator
-
-Vec = tuple[int, int]
-EdgeInstance = tuple[str, str, int]
 
 
 # -- winding classes -------------------------------------------------------
@@ -239,41 +244,7 @@ def jsj_split(g: PlumbingGraph) -> JsjSplit:
     return JsjSplit(tuple(pieces), tuple(chains))
 
 
-# -- cusp frame of a cycle model ---------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CuspStructure:
-    """The cusp frame of a cycle model.
-
-    ``fan`` holds v_0..v_k.  Curve order[t] carries the ray v_{t+1}
-    (indices mod k), and the edge instance of step t spans the sector
-    v_{t+1}, v_{t+2} with order[t] as the curve on its first ray.
-    """
-
-    sequence: CuspSequence
-    fan: tuple[Vec, ...]
-    ray: dict[str, int]                              # curve id -> fan index
-    sector: dict[EdgeInstance, tuple[int, str]]      # -> (fan index, first curve)
-
-
-def cusp_structure(model: DltModel) -> CuspStructure:
-    g = model.residual
-    order = cycle_order(g)
-    k = len(order)
-    seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
-    ray: dict[str, int] = {}
-    sector: dict[EdgeInstance, tuple[int, str]] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for t, u in enumerate(order):
-        i = (t + 1) % k
-        v = order[i]
-        key = (u, v) if u <= v else (v, u)
-        idx = counts.get(key, 0)
-        counts[key] = idx + 1
-        ray[u] = i
-        sector[(key[0], key[1], idx)] = (i, u)
-    return CuspStructure(seq, tuple(v_sequence(seq, 0, k)), ray, sector)
+# -- windings ---------------------------------------------------------------
 
 
 def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[int, ...]) -> Vec:
@@ -296,10 +267,6 @@ def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[in
     return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
 
 
-def _cusp_frame(model: DltModel) -> CuspStructure | None:
-    return cusp_structure(model) if model.sing_class.kind is SingKind.CUSP else None
-
-
 def _winding(
     frame: CuspStructure | None, kind: ComponentKind, location: tuple, multiplicities: tuple[int, ...]
 ) -> WindingClass:
@@ -312,7 +279,12 @@ def _winding(
     if kind is ComponentKind.NODE_POINT:
         return EdgeTorus(location, multiplicities)
     host, leg = location
-    return SeifertWord(piece=host, terms=((f"g[{host}/{leg}]", multiplicities[0]),))
+    return SeifertWord(piece=host, terms=((_leg_generator(host, leg), multiplicities[0]),))
+
+
+def _leg_generator(host: str, leg: str) -> str:
+    """The name of the leg generator of the orbifold point (host, leg)."""
+    return f"g[{host}/{leg}]"
 
 
 # -- enumeration -------------------------------------------------------------
@@ -342,7 +314,7 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
     if bound < 1:
         raise ValueError("bound must be positive")
-    frame = _cusp_frame(model)
+    frame = model.frame
     out: list[ArcComponent] = []
 
     def add(kind, location, multiplicities, denominator, homotopy) -> None:
@@ -372,7 +344,7 @@ def winding_class(comp: ArcComponent, model: DltModel) -> WindingClass:
     checked to be part of the model."""
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity has no dlt winding labels")
-    frame = _cusp_frame(model)
+    frame = model.frame
     if frame is not None:
         # The frame's lookups check curves and edge instances.
         if comp.kind is ComponentKind.ORBIFOLD_POINT:
@@ -465,8 +437,7 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
     return _reduce_leg_power(pt, exp)
 
 
-def _cusp_label(model: DltModel, w: WindingClass):
-    frame = cusp_structure(model)
+def _cusp_label(frame: CuspStructure, w: WindingClass):
     if isinstance(w, CuspLattice):
         vec = w.vector
     elif isinstance(w, SeifertWord):
@@ -487,8 +458,8 @@ def canonical_label(w: WindingClass, model: DltModel) -> tuple:
         raise SelfDltError(
             "finite fundamental group: conjugacy goes through the quotient machinery"
         )
-    if model.sing_class.kind is SingKind.CUSP:
-        return _cusp_label(model, w)
+    if model.frame is not None:
+        return _cusp_label(model.frame, w)
     if isinstance(w, CuspLattice):
         raise ValueError("lattice classes only make sense on cusp graphs")
     if isinstance(w, SeifertWord):
@@ -496,9 +467,8 @@ def canonical_label(w: WindingClass, model: DltModel) -> tuple:
             raise ValueError("arc-generators are single fiber powers")
         gen, m = w.terms[0]
         if gen.startswith("g[") and gen.endswith("]"):
-            host, _, leg = gen[2:-1].partition("/")
             for pt in model.orbifold_points:
-                if pt.host == host and pt.leg == leg:
+                if gen == _leg_generator(pt.host, pt.leg):
                     return _reduce_leg_power(pt, m)
             raise GraphError(f"no orbifold point for generator {gen!r}")
         return _vertex_label(model, _parse_gamma(gen), m)
@@ -511,10 +481,9 @@ def are_conjugate(w1: WindingClass, w2: WindingClass, g: PlumbingGraph) -> bool:
     g must be a minimal log resolution with infinite fundamental group;
     conjugacy reduces to equality of canonical component labels.
     """
-    mlr = minimal_log_resolution(g)
-    if mlr.vertex_ids() != g.vertex_ids():
+    model = minimal_dlt_model(g)
+    if model.source.vertex_ids() != g.vertex_ids():
         raise GraphError("are_conjugate expects a minimal log resolution")
-    model = _dlt_model(mlr)
     return canonical_label(w1, model) == canonical_label(w2, model)
 
 

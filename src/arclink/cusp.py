@@ -45,10 +45,6 @@ class CuspSequence:
         """b_i with a 1-based index read cyclically."""
         return self.b[(i - 1) % self.k]
 
-    def rotated(self, shift: int) -> "CuspSequence":
-        s = shift % self.k
-        return CuspSequence(self.b[s:] + self.b[:s])
-
     def canonical(self) -> "CuspSequence":
         return CuspSequence(min(self.b[i:] + self.b[:i] for i in range(self.k)))
 
@@ -300,8 +296,11 @@ class DualityReport:
     def ok(self) -> bool:
         return self.t_identity_holds and self.traces_equal
 
-    def is_auto_dual(self) -> bool:
-        return CuspSequence(self.sequence).is_rotation_of(CuspSequence(self.dual))
+    def canonical_dual(self) -> tuple[tuple[int, ...], bool]:
+        """The dual's canonical rotation, and whether it is the sequence's
+        own: each side is canonicalised once."""
+        dual = CuspSequence(self.dual).canonical()
+        return dual.b, dual == CuspSequence(self.sequence).canonical()
 
 
 def check_duality(c: CuspSequence) -> DualityReport:

@@ -64,9 +64,6 @@ class Mat2:
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         return (self.p * v[0] + self.q * v[1], self.r * v[0] + self.s * v[1])
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.p, self.q), (self.r, self.s))
-
     def __str__(self) -> str:
         return f"(({self.p},{self.q}),({self.r},{self.s}))"
 

@@ -92,9 +92,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inverse_index(self, i: int) -> int:
         row = self.table[i]
         return row.index(self.identity_index)
@@ -364,13 +361,13 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
     already holds the group's classes passes them in.  A group outside
     the catalog raises InputError.
     """
-    report = _mckay_match(group, conjugacy_classes(group) if classes is None else classes)
+    report = mckay_match(group, conjugacy_classes(group) if classes is None else classes)
     if isinstance(report, str):
         raise InputError(report)
     return report
 
 
-def _mckay_match(group: FiniteGroup, classes: ConjClasses) -> McKayReport | str:
+def mckay_match(group: FiniteGroup, classes: ConjClasses) -> McKayReport | str:
     """mckay_report, or the reason the group is outside the catalog."""
     order, count = group.order, classes.count
     if group.is_abelian():

@@ -300,6 +300,15 @@ def test_model_is_fixpoint_of_tail_contraction(cusp333):
     assert minimal_dlt_model(model2.residual).residual.edges == model2.residual.edges
 
 
+def test_public_stages_resolve_a_blown_up_graph():
+    # The 3,2,3 cusp cycle with two of its node points blown up.
+    g = cycle_graph([4, 1, 4, 1, 4])
+    assert minimal_dlt_model(g) == minimal_dlt_model(minimal_log_resolution(g))
+    cls = singularity_class(g)
+    assert cls.kind is SingKind.CUSP and cls.b_sequence == (2, 3, 3)
+    assert singularity_class(chain_graph([2, 1, 3])).describe() == "smooth"
+
+
 def test_single_vertex_chain_class():
     g = parse_plumbing("vertex a euler=-2 genus=0")
     cls = singularity_class(g)

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arclink import calculus
 from arclink.calculus import DltKind, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
 from arclink.checks import seifert_labels
 from arclink.components import (
@@ -26,7 +27,7 @@ from arclink.components import (
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
 from arclink.seifert import seifert_data
-from conftest import chain_graph, cycle_graph, star_graph
+from conftest import SIGMA_237_TEXT, chain_graph, cycle_graph, star_graph
 
 
 # -- jsj ----------------------------------------------------------------------
@@ -496,6 +497,27 @@ def test_winding_class_rejects_foreign_orbifold_point(sigma237):
     one_vertex = minimal_dlt_model(parse_plumbing("vertex x euler=-1 genus=1"))
     with pytest.raises(GraphError, match=f"{host}/{leg}"):
         winding_class(orb, one_vertex)
+
+
+def test_canonical_label_matches_leg_generators_whole():
+    # A "/" in the host id must not split the generator g[host/leg].
+    model = minimal_dlt_model(parse_plumbing(SIGMA_237_TEXT.replace(" c ", " c/1 ")))
+    comps = enumerate_components(model, 6)
+    assert {c.location[0] for c in comps if c.kind is ComponentKind.ORBIFOLD_POINT} == {"c/1"}
+    for c in comps:
+        assert canonical_label(c.winding, model) == c.label()
+
+
+def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
+    calls = []
+    real = calculus.cusp_structure
+    monkeypatch.setattr(calculus, "cusp_structure", lambda g: calls.append(g) or real(g))
+    model = minimal_dlt_model(cusp333)
+    for c in enumerate_components(model, 3):
+        canonical_label(winding_class(c, model), model)
+    assert len(calls) == 1
+    assert "frame" not in repr(model)
+    assert minimal_dlt_model(sigma237).frame is None
 
 
 def test_canonical_label_rejects_foreign_curve_and_edge(cusp333):

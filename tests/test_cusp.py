@@ -250,7 +250,7 @@ def test_check_duality_examples():
     assert r.ok
     r = check_duality(CuspSequence((3, 3, 3)))
     assert r.m * T_MATRIX == Mat2(-13, -5, 5, 2)
-    assert r.ok and r.is_auto_dual()
+    assert r.ok and r.canonical_dual()[1]
 
 
 def test_duality_exhaustive_small():

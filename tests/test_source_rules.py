@@ -2,10 +2,11 @@
 checked on its source.
 
 Every module under src/arclink is parsed with ast; an absolute import
-outside the standard library, a cmath import, a float or complex literal,
-or any use of the names float or complex fails the module.  Every
-exception class the library defines derives from InputError, except
-cli.Falsified, the exit-2 outcome.
+outside the standard library, a cmath import, a relative import of a
+_-prefixed (module-private) name, a float or complex literal, or any use
+of the names float or complex fails the module.  Every exception class
+the library defines derives from InputError, except cli.Falsified, the
+exit-2 outcome.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ def violations(source: str) -> list[str]:
             modules = [node.module]
         else:
             modules = []
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            out += [f"line {node.lineno}: private import {a.name}" for a in node.names if a.name.startswith("_")]
         for module in modules:
             top = module.partition(".")[0]
             if top == "cmath":
@@ -57,6 +60,7 @@ def test_module_is_stdlib_only_and_exact(path):
         "from sympy.core import Rational",
         "import cmath",
         "from cmath import exp",
+        "from .calculus import _resolve",
         "x = 0.5",
         "x = 1e-9",
         "x = 2j",
