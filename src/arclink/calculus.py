@@ -115,15 +115,20 @@ class CuspStructure:
 
 @dataclass(frozen=True, slots=True)
 class DltModel:
-    """``source`` is the minimal log resolution the model was built from;
-    a cusp model carries its cusp frame in ``frame``, every other model None."""
+    """``source`` is the minimal log resolution the model was built from.
+    ``frame`` follows from the class: the cusp frame of the residual cycle
+    for a cusp model, None for every other model."""
 
     kind: DltKind
     residual: PlumbingGraph
     orbifold_points: tuple[OrbifoldPoint, ...]
     sing_class: SingClass
     source: PlumbingGraph
-    frame: CuspStructure | None = field(default=None, repr=False, compare=False)
+    frame: CuspStructure | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        is_cusp = self.sing_class.kind is SingKind.CUSP
+        object.__setattr__(self, "frame", cusp_structure(self.residual) if is_cusp else None)
 
     def orbifold_points_at(self, vid: str) -> tuple[OrbifoldPoint, ...]:
         return tuple(p for p in self.orbifold_points if p.host == vid)
@@ -265,8 +270,6 @@ def _classify(g: PlumbingGraph) -> SingClass:
     if shape.kind is Shape.CHAIN:
         order = _chain_order(g)
         bs = [-g.vertex(v).euler for v in order]
-        if any(b < 2 for b in bs):
-            raise GraphError("chain is not a minimal log resolution (some b < 2)")
         m_f, q_f = hj_pair(bs)
         m_b, q_b = hj_pair(bs[::-1])
         assert m_f == m_b
@@ -274,8 +277,6 @@ def _classify(g: PlumbingGraph) -> SingClass:
     if shape.kind is Shape.CYCLE:
         order = cycle_order(g)
         bs = [-g.vertex(v).euler for v in order]
-        if any(b < 2 for b in bs):
-            raise GraphError("cycle is not a minimal log resolution (some b < 2)")
         # least rotation of either direction; the definiteness gate makes bs a cusp sequence
         b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
         return SingClass(SingKind.CUSP, b_sequence=b_sequence)
@@ -305,18 +306,13 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     back as SelfDlt with an empty residual graph.
     """
     _check_definite(g)
-    return _dlt_model(_resolve(g))
-
-
-def _dlt_model(g: PlumbingGraph) -> DltModel:
-    """The model of a minimal log resolution, already checked definite; the
-    class it computes is ``model.sing_class``."""
+    g = _resolve(g)
     cls = _classify(g)
     if cls.is_quotient():
         empty = PlumbingGraph((), (), (), g.name)
         return DltModel(DltKind.SELF_DLT, empty, (), cls, g)
     if cls.kind is SingKind.CUSP:
-        return DltModel(DltKind.MODEL, g, (), cls, g, cusp_structure(g))
+        return DltModel(DltKind.MODEL, g, (), cls, g)
     tails = rational_chain_tails(g)
     points = []
     removed: set[str] = set()

@@ -283,8 +283,14 @@ def _winding(
 
 
 def _leg_generator(host: str, leg: str) -> str:
-    """The name of the leg generator of the orbifold point (host, leg)."""
-    return f"g[{host}/{leg}]"
+    """The name of the leg generator of the orbifold point (host, leg).
+    A backslash or "/" inside an id is escaped with a backslash, so the
+    name tells the point even when the ids contain "/"."""
+
+    def esc(vid: str) -> str:
+        return vid.replace("\\", "\\\\").replace("/", "\\/")
+
+    return f"g[{esc(host)}/{esc(leg)}]"
 
 
 # -- enumeration -------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arclink import calculus
-from arclink.calculus import DltKind, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
+from arclink.calculus import DltKind, DltModel, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
 from arclink.checks import seifert_labels
 from arclink.components import (
     ArcComponent,
@@ -499,11 +499,33 @@ def test_winding_class_rejects_foreign_orbifold_point(sigma237):
         winding_class(orb, one_vertex)
 
 
+TWO_SLASHED_NODES_TEXT = """
+vertex a euler=-3 genus=0
+vertex a/b euler=-3 genus=0
+vertex b/c euler=-2 genus=0
+vertex x euler=-3 genus=0
+vertex c euler=-2 genus=0
+vertex y euler=-5 genus=0
+edge a a/b
+edge a b/c
+edge a x
+edge a/b c
+edge a/b y
+"""
+
+
 def test_canonical_label_matches_leg_generators_whole():
     # A "/" in the host id must not split the generator g[host/leg].
     model = minimal_dlt_model(parse_plumbing(SIGMA_237_TEXT.replace(" c ", " c/1 ")))
     comps = enumerate_components(model, 6)
     assert {c.location[0] for c in comps if c.kind is ComponentKind.ORBIFOLD_POINT} == {"c/1"}
+    for c in comps:
+        assert canonical_label(c.winding, model) == c.label()
+    # (host a, leg b/c) and (host a/b, leg c) read alike when joined with "/".
+    model = minimal_dlt_model(parse_plumbing(TWO_SLASHED_NODES_TEXT))
+    comps = [c for c in enumerate_components(model, 6) if c.kind is ComponentKind.ORBIFOLD_POINT]
+    assert {c.location for c in comps} == {("a", "b/c"), ("a", "x"), ("a/b", "c"), ("a/b", "y")}
+    assert len({c.winding.terms[0][0] for c in comps}) == 4
     for c in comps:
         assert canonical_label(c.winding, model) == c.label()
 
@@ -518,6 +540,15 @@ def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
     assert len(calls) == 1
     assert "frame" not in repr(model)
     assert minimal_dlt_model(sigma237).frame is None
+
+
+def test_dlt_model_frame_follows_its_class(cusp333):
+    model = minimal_dlt_model(cusp333)
+    by_hand = DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source)
+    assert by_hand == model and by_hand.frame == model.frame
+    assert enumerate_components(by_hand, 3) == enumerate_components(model, 3)
+    with pytest.raises(TypeError):
+        DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source, None)
 
 
 def test_canonical_label_rejects_foreign_curve_and_edge(cusp333):
