@@ -6,80 +6,70 @@ singularity (cyclic/noncyclic quotient, cusp, general) and enumerates
 the connected components of its space of short holomorphic arcs with
 winding classes and homotopy types, including the full SL(2,Z) cusp
 machinery and finite-group conjugacy for quotient singularities.
+
+Public names load on first use (PEP 562): ``import arclink`` imports no
+submodule, and the first use of a name such as ``arclink.monodromy`` imports
+only the module that defines it and what that module needs.
 """
 
-from .calculus import (
-    DltKind,
-    DltModel,
-    OrbifoldPoint,
-    SingClass,
-    SingKind,
-    WholeChainError,
-    minimal_dlt_model,
-    minimal_log_resolution,
-    rational_chain_tails,
-    singularity_class,
-)
-from .components import (
-    ArcComponent,
-    ComponentKind,
-    CuspLattice,
-    EdgeTorus,
-    HomotopyKind,
-    HomotopyType,
-    SeifertWord,
-    are_conjugate,
-    canonical_label,
-    chain_system_solvable,
-    edge_class,
-    enumerate_components,
-    gamma_power,
-    jsj_split,
-    winding_class,
-)
-from .cusp import (
-    Cone,
-    ConePosition,
-    CuspComponent,
-    CuspError,
-    CuspSequence,
-    check_duality,
-    cone_position,
-    dual_sequence,
-    enumerate_cusp_components,
-    monodromy,
-    recover_sequence,
-    reduce_mod_monodromy,
-    v_sequence,
-)
-from .graph_core import (
-    GraphError,
-    PlumbingGraph,
-    Shape,
-    ShapeClass,
-    Vertex,
-    classify_shape,
-    intersection_matrix,
-    is_negative_definite,
-    parse_plumbing,
-    serialize_plumbing,
-)
-from .hjcf import Mat2, chain_exponent, hj_expand, hj_numerator, mono_product
-from .inoue import InoueError, inoue_cross_check, quad_mult_matrix, sign_cone
-from .inputs import InputError
-from .quadratic import QuadNum
-from .quotient import (
-    ConjClasses,
-    FiniteGroup,
-    Quaternion,
-    RealForm,
-    builtin_generators,
-    conjugacy_classes,
-    cyclic_quotient_components,
-    group_closure,
-    mckay_report,
-    real_A_component_count,
-)
-from .seifert import Presentation, SeifertData, has_finite_pi1, pi1_presentation, seifert_data
+import importlib
+
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "calculus": (
+            "DltKind", "DltModel", "OrbifoldPoint", "SingClass", "SingKind", "WholeChainError",
+            "minimal_dlt_model", "minimal_log_resolution", "rational_chain_tails",
+            "singularity_class",
+        ),
+        "components": (
+            "ArcComponent", "ComponentKind", "CuspLattice", "EdgeTorus", "HomotopyKind",
+            "HomotopyType", "SeifertWord", "are_conjugate", "canonical_label",
+            "chain_system_solvable", "edge_class", "enumerate_components", "gamma_power",
+            "jsj_split", "winding_class",
+        ),
+        "cusp": (
+            "Cone", "ConePosition", "CuspComponent", "CuspError", "CuspSequence", "check_duality",
+            "cone_position", "dual_sequence", "enumerate_cusp_components", "monodromy",
+            "recover_sequence", "reduce_mod_monodromy", "v_sequence",
+        ),
+        "graph_core": (
+            "GraphError", "PlumbingGraph", "Shape", "ShapeClass", "Vertex", "classify_shape",
+            "intersection_matrix", "is_negative_definite", "parse_plumbing",
+            "serialize_plumbing",
+        ),
+        "hjcf": ("Mat2", "chain_exponent", "hj_expand", "hj_numerator", "mono_product"),
+        "inoue": ("InoueError", "inoue_cross_check", "quad_mult_matrix", "sign_cone"),
+        "inputs": ("InputError",),
+        "quadratic": ("QuadNum",),
+        "quotient": (
+            "ConjClasses", "FiniteGroup", "Quaternion", "RealForm", "builtin_generators",
+            "conjugacy_classes", "cyclic_quotient_components", "group_closure", "mckay_report",
+            "real_A_component_count",
+        ),
+        "seifert": (
+            "Presentation", "SeifertData", "has_finite_pi1", "pi1_presentation", "seifert_data",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Only a public name reaches this hook; a submodule name falls through to
+    # the import system, so ``from arclink import calculus`` still works.
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 input error, 2 falsified mathematical identity
 (the witness is printed).  JSON output is deterministic: same input,
 byte-identical report.
+
+Each subcommand imports the library modules it uses when it runs, so a call
+loads only those; at module level this file imports the standard library and
+``inputs`` alone.
 """
 from __future__ import annotations
 
@@ -11,22 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .calculus import DltKind, DltModel, SingKind, minimal_dlt_model
-from .components import ArcComponent, CuspLattice, EdgeTorus, SeifertWord, enumerate_components
-from .cusp import CuspSequence, check_duality, enumerate_cusp_components, monodromy
-from .graph_core import PlumbingGraph, parse_plumbing
-from .hjcf import Mat2
-from .inoue import inoue_cross_check, parse_field_file
 from .inputs import InputError
-from .quotient import (
-    builtin_generators,
-    conjugacy_classes,
-    cyclic_quotient_components,
-    group_closure,
-    mckay_match,
-    parse_group_file,
-)
-from .checks import run_all_sweeps
 
 SCHEMA = 1
 
@@ -71,11 +60,13 @@ def _graph_json(g: PlumbingGraph) -> dict:
 
 
 def _winding_json(w) -> dict:
-    if isinstance(w, SeifertWord):
+    # Dispatch on the class name: an import here would run once per component.
+    kind = type(w).__name__
+    if kind == "SeifertWord":
         return {"type": "seifert_word", "piece": w.piece, "word": w.render()}
-    if isinstance(w, EdgeTorus):
+    if kind == "EdgeTorus":
         return {"type": "edge_torus", "chain": list(w.chain), "vector": list(w.vector)}
-    assert isinstance(w, CuspLattice)
+    assert kind == "CuspLattice", kind
     return {"type": "cusp_lattice", "vector": list(w.vector)}
 
 
@@ -94,6 +85,8 @@ def _component_json(c: ArcComponent) -> dict:
 
 
 def _sing_json(cls) -> dict:
+    from .calculus import SingKind
+
     out = {"kind": cls.kind.value, "description": cls.describe()}
     if cls.kind is SingKind.CYCLIC_QUOTIENT:
         out["m"], out["q"] = cls.m, cls.q
@@ -126,6 +119,9 @@ def write_dot(g: PlumbingGraph, path: str) -> None:
 
 def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     """The ``analyze`` report, read off the one minimal dlt model of ``g``."""
+    from .calculus import SingKind, minimal_dlt_model
+    from .cusp import CuspSequence, check_duality
+
     model = minimal_dlt_model(g)
     mlr, cls = model.source, model.sing_class
     report = {
@@ -160,9 +156,14 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
 
 
 def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
+    from .calculus import DltKind, SingKind
+    from .components import enumerate_components
+
     if model.kind is DltKind.MODEL:
         return [_component_json(c) for c in enumerate_components(model, bound)]
     if cls.kind is SingKind.CYCLIC_QUOTIENT:
+        from .quotient import cyclic_quotient_components
+
         rows = cyclic_quotient_components(cls.m, cls.q, bound)
         return [
             {
@@ -241,6 +242,8 @@ def _pretty_report(report: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .graph_core import parse_plumbing
+
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
     if args.dot:
@@ -250,6 +253,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_components(args) -> int:
+    from .graph_core import parse_plumbing
+
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
     out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound,
@@ -267,6 +272,8 @@ def cmd_components(args) -> int:
 
 
 def _parse_seq(text: str) -> CuspSequence:
+    from .cusp import CuspSequence
+
     try:
         return CuspSequence(tuple(int(tok) for tok in text.split(",")))
     except ValueError as exc:  # a bad integer, or a CuspError
@@ -274,6 +281,8 @@ def _parse_seq(text: str) -> CuspSequence:
 
 
 def cmd_cusp(args) -> int:
+    from .cusp import check_duality, enumerate_cusp_components, monodromy
+
     c = _parse_seq(args.seq)
     m = monodromy(c)
     dual = check_duality(c)
@@ -313,6 +322,8 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .cusp import check_duality
+
     c = _parse_seq(args.seq)
     report = check_duality(c)
     dual_sequence, auto_dual = report.canonical_dual()
@@ -340,6 +351,14 @@ def cmd_dual(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .quotient import (
+        builtin_generators,
+        conjugacy_classes,
+        group_closure,
+        mckay_match,
+        parse_group_file,
+    )
+
     if args.builtin is not None:
         gens = builtin_generators(args.builtin)
     else:
@@ -376,6 +395,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_inoue(args) -> int:
+    from .inoue import inoue_cross_check, parse_field_file
+
     data = parse_field_file(_read(args.field))
     report = inoue_cross_check(data.d, data.basis, data.u, args.bound)
     if args.json:
@@ -399,6 +420,8 @@ def cmd_inoue(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_all_sweeps
+
     results = run_all_sweeps()
     if args.json:
         print(

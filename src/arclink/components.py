@@ -422,7 +422,7 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
     if res.has_vertex(u) and res.has_vertex(v):
         if chain not in res.edge_instances():
             raise GraphError(f"edge instance {chain} is not part of the model")
-        return ("node_point", chain, mu, mv)
+        return ("node_point", *chain, mu, mv)
     pt_u, pos_u = _tail_position(model, u)
     pt_v, pos_v = _tail_position(model, v)
     if pt_u is not None and pt_v is not None:

@@ -231,14 +231,12 @@ def test_one_dual_construction_per_report(graph_file, capsys, monkeypatch, argv)
 
 
 def test_quotient_computes_the_classes_once(capsys, monkeypatch):
-    import arclink.cli as cli_mod
     import arclink.quotient as quotient_mod
 
     calls = []
     real = quotient_mod.conjugacy_classes
     counted = lambda g: calls.append(g) or real(g)
     monkeypatch.setattr(quotient_mod, "conjugacy_classes", counted)
-    monkeypatch.setattr(cli_mod, "conjugacy_classes", counted)
     code, out = run(capsys, "quotient", "--builtin", "2T", "--json")
     assert code == 0 and json.loads(out)["mckay"]["family"] == "E6"
     assert len(calls) == 1
@@ -347,12 +345,12 @@ def test_quotient_refuses_two_sources(graph_file, capsys):
 
 
 def test_a_library_bug_is_not_an_input_error(monkeypatch):
-    import arclink.cli as cli_mod
+    import arclink.quotient as quotient_mod
 
     def broken(name):
         raise ValueError("a bug, not a refusal")
 
-    monkeypatch.setattr(cli_mod, "builtin_generators", broken)
+    monkeypatch.setattr(quotient_mod, "builtin_generators", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["quotient", "--builtin", "2T"])
 

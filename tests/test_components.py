@@ -530,6 +530,15 @@ def test_canonical_label_matches_leg_generators_whole():
         assert canonical_label(c.winding, model) == c.label()
 
 
+def test_canonical_label_is_the_label_of_every_component():
+    # Node points included: their label is flat, ("node_point", u, v, idx, mu, mv).
+    model = minimal_dlt_model(parse_plumbing(TWO_SLASHED_NODES_TEXT))
+    comps = enumerate_components(model, 6)
+    assert {c.kind for c in comps} == set(ComponentKind)
+    for c in comps:
+        assert canonical_label(c.winding, model) == c.label()
+
+
 def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
     calls = []
     real = calculus.cusp_structure
