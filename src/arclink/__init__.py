@@ -19,14 +19,12 @@ _MODULE_OF = {
     for module, names in {
         "calculus": (
             "DltKind", "DltModel", "OrbifoldPoint", "SingClass", "SingKind", "WholeChainError",
-            "minimal_dlt_model", "minimal_log_resolution", "rational_chain_tails",
-            "singularity_class",
+            "minimal_dlt_model", "minimal_log_resolution", "singularity_class",
         ),
         "components": (
             "ArcComponent", "ComponentKind", "CuspLattice", "EdgeTorus", "HomotopyKind",
-            "HomotopyType", "SeifertWord", "are_conjugate", "canonical_label",
-            "chain_system_solvable", "edge_class", "enumerate_components", "gamma_power",
-            "jsj_split", "winding_class",
+            "HomotopyType", "SeifertWord", "canonical_label", "enumerate_components",
+            "winding_class",
         ),
         "cusp": (
             "Cone", "ConePosition", "CuspComponent", "CuspError", "CuspSequence", "check_duality",
@@ -39,7 +37,7 @@ _MODULE_OF = {
             "serialize_plumbing",
         ),
         "hjcf": ("Mat2", "chain_exponent", "hj_expand", "hj_numerator", "mono_product"),
-        "inoue": ("InoueError", "inoue_cross_check", "quad_mult_matrix", "sign_cone"),
+        "inoue": ("InoueError", "inoue_cross_check"),
         "inputs": ("InputError",),
         "quadratic": ("QuadNum",),
         "quotient": (
@@ -47,9 +45,7 @@ _MODULE_OF = {
             "conjugacy_classes", "cyclic_quotient_components", "group_closure", "mckay_report",
             "real_A_component_count",
         ),
-        "seifert": (
-            "Presentation", "SeifertData", "has_finite_pi1", "pi1_presentation", "seifert_data",
-        ),
+        "seifert": ("SeifertData", "has_finite_pi1", "seifert_data"),
     }.items()
     for name in names
 }

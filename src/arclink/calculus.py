@@ -143,7 +143,6 @@ def _contractible(g: PlumbingGraph, vid: str) -> bool:
         v.euler == -1
         and v.genus == 0
         and g.loops_at(vid) == 0
-        and g.arrow_count(vid) == 0
         and g.degree(vid) <= 2
     )
 
@@ -161,7 +160,7 @@ def blow_down(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     es = [e for e in g.edges if vid not in e]
     if len(ends) == 2:
         es.append((ends[0], ends[1]))
-    return PlumbingGraph(vs, tuple(es), g.arrows, g.name)
+    return PlumbingGraph(vs, tuple(es), g.name)
 
 
 def _check_definite(g: PlumbingGraph) -> None:
@@ -207,7 +206,6 @@ def _chain_member(g: PlumbingGraph, vid: str) -> bool:
     return (
         v.genus == 0
         and g.loops_at(vid) == 0
-        and g.arrow_count(vid) == 0
         and g.degree(vid) <= 2
         and all(g.edge_multiplicity(vid, w) == 1 for w in g.neighbors(vid))
     )
@@ -309,7 +307,7 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     g = _resolve(g)
     cls = _classify(g)
     if cls.is_quotient():
-        empty = PlumbingGraph((), (), (), g.name)
+        empty = PlumbingGraph((), (), g.name)
         return DltModel(DltKind.SELF_DLT, empty, (), cls, g)
     if cls.kind is SingKind.CUSP:
         return DltModel(DltKind.MODEL, g, (), cls, g)

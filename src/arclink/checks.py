@@ -2,7 +2,9 @@
 
 Each sweep returns a SweepResult; a falsification carries a concrete
 witness.  The CLI ``check`` subcommand runs all of them and exits
-nonzero if any fails, and the acceptance tests reuse them directly.
+nonzero if any fails, and the acceptance tests reuse them directly.  The
+oracles the sweeps test against live here too: the dense definiteness
+routes and the exact solver of the chain conjugacy system.
 """
 from __future__ import annotations
 
@@ -10,9 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor, gcd
 
 from .calculus import DltKind, minimal_dlt_model, singularity_class
-from .components import chain_system_solvable, enumerate_components
+from .components import enumerate_components
 from .cusp import CuspSequence, check_duality, dual_sequence, monodromy, recover_sequence
 from .graph_core import (
     PlumbingGraph,
@@ -21,7 +24,7 @@ from .graph_core import (
     is_negative_definite,
     is_negative_definite_graph,
 )
-from .hjcf import hj_expand, hj_pair
+from .hjcf import hj_expand, hj_numerator, hj_pair
 from .inoue import inoue_cross_check
 from .quadratic import QuadNum
 from .quotient import (
@@ -103,6 +106,103 @@ def sweep_recover_roundtrip(samples: int = 500, max_k: int = 8, max_b: int = 9, 
     return SweepResult("recover roundtrip", True, cases)
 
 
+# -- the chain conjugacy system ---------------------------------------------------
+
+
+def _continuant(bs, lo: int, hi: int) -> int:
+    """det[b_lo,...,b_hi] with det[] = 1 and the one-short value 0."""
+    if hi == lo - 1:
+        return 1
+    if hi == lo - 2:
+        return 0
+    return hj_numerator(list(bs[lo - 1 : hi]))
+
+
+def chain_system_solvable(
+    bs, i: int, j: int, n_i: int, n_i1: int
+) -> bool:
+    """Exactly decide the two-by-two chain system of bracket determinants.
+
+    The system sends (m_{j+1}, m_j) to (n_{i+1}, n_i); a solution needs
+    m_j >= 0 and m_{j+1} > 0.  On negative definite chains with n_i >= 0,
+    n_{i+1} > 0 no solution exists; True would falsify the injectivity
+    argument this system supports.
+    """
+    bs = list(bs)
+    s = len(bs)
+    if not (0 <= i < j <= s):
+        raise IndexError(f"need 0 <= i < j <= {s}, got i={i}, j={j}")
+    if n_i < 0 or n_i1 <= 0:
+        raise ValueError("targets need n_i >= 0 and n_{i+1} > 0")
+    a11 = _continuant(bs, i + 1, j)
+    a12 = _continuant(bs, i + 1, j - 1)
+    a21 = -_continuant(bs, i + 2, j)
+    a22 = -_continuant(bs, i + 2, j - 1)
+    det = a11 * a22 - a12 * a21
+    if det != 0:
+        num1 = n_i1 * a22 - a12 * n_i
+        num2 = a11 * n_i - n_i1 * a21
+        if num1 % det or num2 % det:
+            return False
+        m_j1, m_j = num1 // det, num2 // det
+        return m_j >= 0 and m_j1 > 0
+    # Rank <= 1: the augmented minors must vanish, then one row decides.
+    if a11 * n_i - a21 * n_i1 or a12 * n_i - a22 * n_i1:
+        return False
+    if (a11, a12) != (0, 0):
+        return _line_feasible(a11, a12, n_i1)
+    if (a21, a22) != (0, 0):
+        return _line_feasible(a21, a22, n_i)
+    return n_i1 == 0 and n_i == 0
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with a*x + b*y = g = gcd(|a|, |b|)."""
+    g = gcd(a, b)
+    old_r, r = abs(a), abs(b)
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+        old_t, t = t, old_t - quot * t
+    x = old_s if a >= 0 else -old_s
+    y = old_t if b >= 0 else -old_t
+    assert a * x + b * y == g
+    return x, y, g
+
+
+def _line_feasible(a: int, b: int, c: int) -> bool:
+    """Does a*x + b*y = c admit integers with x > 0 and y >= 0?"""
+    if a == 0 and b == 0:
+        return c == 0
+    if b == 0:
+        return c % a == 0 and c // a > 0
+    if a == 0:
+        return c % b == 0 and c // b >= 0
+    x0, y0, g = _bezout(a, b)
+    if c % g:
+        return False
+    x0 *= c // g
+    y0 *= c // g
+    dx, dy = b // g, -(a // g)
+    lo: int | None = None
+    hi: int | None = None
+    for coeff, base, minval in ((dx, x0, 1), (dy, y0, 0)):
+        # need base + coeff * t >= minval over integer t
+        bound = Fraction(minval - base, coeff)
+        if coeff > 0:
+            t = ceil(bound)
+            lo = t if lo is None else max(lo, t)
+        else:
+            t = floor(bound)
+            hi = t if hi is None else min(hi, t)
+    if lo is None or hi is None:
+        return True
+    return lo <= hi
+
+
 def sweep_chain_system(samples: int = 200, seed: int = 11) -> SweepResult:
     """The conjugacy chain system has no admissible solution (Thm-level)."""
     rng = random.Random(seed)
@@ -151,7 +251,7 @@ def sweep_mckay() -> SweepResult:
 def _chain_graph(bs) -> PlumbingGraph:
     vs = tuple(Vertex(f"v{i}", -b, 0) for i, b in enumerate(bs))
     es = tuple((f"v{i}", f"v{i+1}") for i in range(len(bs) - 1))
-    return PlumbingGraph(vs, es, (), "chain")
+    return PlumbingGraph(vs, es, "chain")
 
 
 def _cycle_graph(bs) -> PlumbingGraph:
@@ -161,20 +261,20 @@ def _cycle_graph(bs) -> PlumbingGraph:
         es = (("v0", "v0"),)
     else:
         es = tuple((f"v{i}", f"v{(i+1) % k}") for i in range(k))
-    return PlumbingGraph(vs, es, (), "cycle")
+    return PlumbingGraph(vs, es, "cycle")
 
 
 def e8_graph() -> PlumbingGraph:
     names = ["c", "a1", "b1", "b2", "d1", "d2", "d3", "d4"]
     vs = tuple(Vertex(n, -2, 0) for n in names)
     es = (("c", "a1"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2"), ("d2", "d3"), ("d3", "d4"))
-    return PlumbingGraph(vs, es, (), "e8")
+    return PlumbingGraph(vs, es, "e8")
 
 
 def sigma_2_3_7() -> PlumbingGraph:
     vs = (Vertex("c", -1, 0), Vertex("p", -2, 0), Vertex("q", -3, 0), Vertex("r", -7, 0))
     es = (("c", "p"), ("c", "q"), ("c", "r"))
-    return PlumbingGraph(vs, es, (), "sigma237")
+    return PlumbingGraph(vs, es, "sigma237")
 
 
 # -- definiteness oracles ---------------------------------------------------------
@@ -238,7 +338,7 @@ def _random_multigraph(rng: random.Random, max_n: int = 7) -> PlumbingGraph:
     n = rng.randint(1, max_n)
     vs = tuple(Vertex(f"v{i}", rng.randint(-7, 1)) for i in range(n))
     es = tuple((f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(rng.randint(0, n + 3)))
-    return PlumbingGraph(vs, es, (), "random")
+    return PlumbingGraph(vs, es, "random")
 
 
 def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5) -> SweepResult:
@@ -356,7 +456,7 @@ def sweep_quotient_detection(max_alpha: int = 8) -> SweepResult:
         # Single-vertex legs with euler -a carry Seifert pair (a, 1).
         vs = [Vertex("c", -len(alphas), 0)] + [Vertex(f"l{i}", -a, 0) for i, a in enumerate(alphas)]
         es = tuple(("c", f"l{i}") for i in range(3))
-        g = PlumbingGraph(tuple(vs), es, (), "star")
+        g = PlumbingGraph(tuple(vs), es, "star")
         if not is_negative_definite(intersection_matrix(g)):
             continue
         cls = singularity_class(g)

@@ -55,7 +55,7 @@ def _graph_json(g: PlumbingGraph) -> dict:
             for v in sorted(g.vertices, key=lambda v: v.id)
         ],
         "edges": [list(e) for e in g.edges],
-        "arrows": list(g.arrows),
+        "arrows": [],  # a schema-1 key, always empty
     }
 
 
@@ -97,15 +97,19 @@ def _sing_json(cls) -> dict:
     return out
 
 
+def _dot_escape(text: str) -> str:
+    """``text`` for the inside of a DOT quoted string: each backslash and
+    double quote gets a backslash."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def write_dot(g: PlumbingGraph, path: str) -> None:
-    lines = [f"graph {json.dumps(g.name)} {{"]
+    lines = [f'graph "{_dot_escape(g.name)}" {{']
     for v in sorted(g.vertices, key=lambda v: v.id):
-        lines.append(f'  {json.dumps(v.id)} [label="{v.id}\\ne={v.euler}, g={v.genus}"];')
+        vid = _dot_escape(v.id)
+        lines.append(f'  "{vid}" [label="{vid}\\ne={v.euler}, g={v.genus}"];')
     for u, v in g.edges:
-        lines.append(f"  {json.dumps(u)} -- {json.dumps(v)};")
-    for i, a in enumerate(g.arrows):
-        lines.append(f'  "__arrow{i}" [shape=diamond, label=""];')
-        lines.append(f'  {json.dumps(a)} -- "__arrow{i}";')
+        lines.append(f'  "{_dot_escape(u)}" -- "{_dot_escape(v)}";')
     lines.append("}")
     try:
         with open(path, "w", encoding="utf-8") as fh:

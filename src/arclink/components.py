@@ -3,16 +3,17 @@
 Components of the short-arc space correspond to: interior multiplicities
 on each surviving curve, pairs of branch multiplicities at each node of
 the divisor (including both branches of a loop), and fractional
-intersection numbers at orbifold points.  Conjugacy of arc-generators is
-decided through these canonical labels; the only identification is
-g_i^{m} = h^{m/alpha_i} when alpha_i divides m.
+intersection numbers at orbifold points.  Two arc-generators are
+conjugate exactly when ``canonical_label`` gives them the same label on the
+model; the only identification is g_i^{m} = h^{m/alpha_i} when alpha_i
+divides m.  Exponents outside the label calculus are the business of the
+chain-system oracle in ``checks``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, floor, gcd
 
 from .calculus import (
     CuspStructure,
@@ -20,12 +21,10 @@ from .calculus import (
     DltModel,
     EdgeInstance,
     SelfDltError,
-    minimal_dlt_model,
-    minimal_log_resolution,
 )
 from .cusp import Vec, reduce_mod_monodromy
-from .graph_core import GraphError, PlumbingGraph, graph_nodes, walk
-from .hjcf import chain_exponent, hj_numerator
+from .graph_core import GraphError, PlumbingGraph
+from .hjcf import chain_exponent
 
 
 # -- winding classes -------------------------------------------------------
@@ -70,13 +69,6 @@ WindingClass = SeifertWord | EdgeTorus | CuspLattice
 def gamma_power(vertex: str, m: int) -> SeifertWord:
     """The arc-generator gamma_v^m."""
     return SeifertWord(piece=vertex, terms=((f"gamma[{vertex}]", m),))
-
-
-def edge_class(u: str, v: str, m_u: int, m_v: int, instance: int = 0) -> EdgeTorus:
-    """The arc-generator gamma_u^{m_u} gamma_v^{m_v} on one edge."""
-    if (v, u) < (u, v):
-        u, v, m_u, m_v = v, u, m_v, m_u
-    return EdgeTorus(chain=(u, v, instance), vector=(m_u, m_v))
 
 
 # -- homotopy types ----------------------------------------------------------
@@ -143,105 +135,6 @@ class ArcComponent:
 
     def sort_key(self) -> tuple:
         return (self.kind.value, tuple(str(x) for x in self.location), self.multiplicities)
-
-
-# -- JSJ splitting --------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class JsjChain:
-    """One maximal node-to-node chain, cut at ``cut_edge``."""
-
-    node_a: str
-    node_b: str
-    interior: tuple[str, ...]
-    terms: tuple[int, ...]
-    cut_edge: EdgeInstance
-
-
-@dataclass(frozen=True, slots=True)
-class JsjSplit:
-    pieces: tuple[PlumbingGraph, ...]
-    chains: tuple[JsjChain, ...]
-
-
-def _maximal_chains(g: PlumbingGraph, nodes: set[str]):
-    """Traverse maximal chains of non-node vertices between terminals.
-
-    Yields (end_a, end_b, interior, instance_path); terminals are nodes or
-    chain ends (leaves), and each edge instance is consumed exactly once.
-    Chains leave each node in the order of their first edge instance, and
-    the copies of a parallel edge are consumed in index order, so a count
-    of used copies per vertex pair names each instance.
-    """
-    used: dict[tuple[str, str], int] = {}
-
-    def instance(u: str, v: str) -> EdgeInstance:
-        key = (u, v) if u <= v else (v, u)
-        k = used.get(key, 0)
-        used[key] = k + 1
-        return (key[0], key[1], k)
-
-    for node in sorted(nodes):
-        for first in sorted(g.neighbors(node) + [node]):  # node itself: its loops
-            key = (node, first) if node <= first else (first, node)
-            while used.get(key, 0) < g.edge_multiplicity(node, first):
-                prev, interior, path = node, [], []
-                for cur in walk(g, node, first):
-                    path.append(instance(prev, cur))
-                    if cur in nodes:
-                        break
-                    interior.append(cur)
-                    prev = cur
-                else:
-                    interior.pop()  # the walk ended at a leaf
-                yield node, cur, interior, path
-
-
-def jsj_split(g: PlumbingGraph) -> JsjSplit:
-    """One Seifert piece per node; node-to-node chains cut into arrows.
-
-    The cut edge of every chain is the first edge out of its smaller-id
-    end; both sides receive a matching arrowhead.  Tails stay attached to
-    their node's piece.
-    """
-    if g.arrows:
-        raise GraphError("jsj_split expects an uncut graph")
-    mlr = minimal_log_resolution(g)
-    if mlr.edges != g.edges or mlr.vertex_ids() != g.vertex_ids():
-        raise GraphError("jsj_split expects a minimal log resolution")
-    nodes = set(graph_nodes(g))
-    if not nodes:
-        raise GraphError("no nodes: route to the seifert, cusp or quotient paths")
-    keep_vertices: dict[str, set[str]] = {n: {n} for n in nodes}
-    keep_edges: dict[str, list[tuple[str, str]]] = {n: [] for n in nodes}
-    arrows: dict[str, list[str]] = {n: [] for n in nodes}
-    chains: list[JsjChain] = []
-    for end_a, end_b, interior, path in _maximal_chains(g, nodes):
-        if end_b not in nodes:
-            # A tail: attach it all to end_a's piece.
-            keep_vertices[end_a].update(interior)
-            keep_vertices[end_a].add(end_b)
-            for inst in path:
-                keep_edges[end_a].append((inst[0], inst[1]))
-            continue
-        cut = path[0]
-        terms = tuple(-g.vertex(v).euler for v in interior)
-        chains.append(JsjChain(end_a, end_b, tuple(interior), terms, cut))
-        # Side of end_a: nothing beyond the node; arrow on end_a.
-        arrows[end_a].append(end_a)
-        # Side of end_b: the whole interior plus an arrow at the cut point.
-        keep_vertices[end_b].update(interior)
-        for inst in path[1:]:
-            keep_edges[end_b].append((inst[0], inst[1]))
-        arrows[end_b].append(interior[0] if interior else end_b)
-    pieces = []
-    for n in sorted(nodes):
-        vs = tuple(v for v in g.vertices if v.id in keep_vertices[n])
-        pieces.append(
-            PlumbingGraph(vs, tuple(keep_edges[n]), tuple(arrows[n]), name=f"{g.name}/{n}")
-        )
-    return JsjSplit(tuple(pieces), tuple(chains))
 
 
 # -- windings ---------------------------------------------------------------
@@ -383,7 +276,8 @@ def _require_positive(w: WindingClass) -> None:
     if any(e <= 0 for e in exps):
         raise ValueError(
             "m-arc-generators with nonpositive exponents are outside the label "
-            "calculus; use chain_system_solvable as the falsification oracle"
+            "calculus; use arclink.checks.chain_system_solvable as the "
+            "falsification oracle"
         )
 
 
@@ -479,112 +373,3 @@ def canonical_label(w: WindingClass, model: DltModel) -> tuple:
             raise GraphError(f"no orbifold point for generator {gen!r}")
         return _vertex_label(model, _parse_gamma(gen), m)
     return _edge_label(model, w.chain, *w.vector)
-
-
-def are_conjugate(w1: WindingClass, w2: WindingClass, g: PlumbingGraph) -> bool:
-    """Whether two arc-generators on g label the same arc component.
-
-    g must be a minimal log resolution with infinite fundamental group;
-    conjugacy reduces to equality of canonical component labels.
-    """
-    model = minimal_dlt_model(g)
-    if model.source.vertex_ids() != g.vertex_ids():
-        raise GraphError("are_conjugate expects a minimal log resolution")
-    return canonical_label(w1, model) == canonical_label(w2, model)
-
-
-# -- the chain conjugacy system ---------------------------------------------
-
-
-def _continuant(bs, lo: int, hi: int) -> int:
-    """det[b_lo,...,b_hi] with det[] = 1 and the one-short value 0."""
-    if hi == lo - 1:
-        return 1
-    if hi == lo - 2:
-        return 0
-    return hj_numerator(list(bs[lo - 1 : hi]))
-
-
-def chain_system_solvable(
-    bs, i: int, j: int, n_i: int, n_i1: int
-) -> bool:
-    """Exactly decide the two-by-two chain system of bracket determinants.
-
-    The system sends (m_{j+1}, m_j) to (n_{i+1}, n_i); a solution needs
-    m_j >= 0 and m_{j+1} > 0.  On negative definite chains with n_i >= 0,
-    n_{i+1} > 0 no solution exists; True would falsify the injectivity
-    argument this system supports.
-    """
-    bs = list(bs)
-    s = len(bs)
-    if not (0 <= i < j <= s):
-        raise IndexError(f"need 0 <= i < j <= {s}, got i={i}, j={j}")
-    if n_i < 0 or n_i1 <= 0:
-        raise ValueError("targets need n_i >= 0 and n_{i+1} > 0")
-    a11 = _continuant(bs, i + 1, j)
-    a12 = _continuant(bs, i + 1, j - 1)
-    a21 = -_continuant(bs, i + 2, j)
-    a22 = -_continuant(bs, i + 2, j - 1)
-    det = a11 * a22 - a12 * a21
-    if det != 0:
-        num1 = n_i1 * a22 - a12 * n_i
-        num2 = a11 * n_i - n_i1 * a21
-        if num1 % det or num2 % det:
-            return False
-        m_j1, m_j = num1 // det, num2 // det
-        return m_j >= 0 and m_j1 > 0
-    # Rank <= 1: the augmented minors must vanish, then one row decides.
-    if a11 * n_i - a21 * n_i1 or a12 * n_i - a22 * n_i1:
-        return False
-    if (a11, a12) != (0, 0):
-        return _line_feasible(a11, a12, n_i1)
-    if (a21, a22) != (0, 0):
-        return _line_feasible(a21, a22, n_i)
-    return n_i1 == 0 and n_i == 0
-
-
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, g) with a*x + b*y = g = gcd(|a|, |b|)."""
-    g = gcd(a, b)
-    old_r, r = abs(a), abs(b)
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    x = old_s if a >= 0 else -old_s
-    y = old_t if b >= 0 else -old_t
-    assert a * x + b * y == g
-    return x, y, g
-
-
-def _line_feasible(a: int, b: int, c: int) -> bool:
-    """Does a*x + b*y = c admit integers with x > 0 and y >= 0?"""
-    if a == 0 and b == 0:
-        return c == 0
-    if b == 0:
-        return c % a == 0 and c // a > 0
-    if a == 0:
-        return c % b == 0 and c // b >= 0
-    x0, y0, g = _bezout(a, b)
-    if c % g:
-        return False
-    x0 *= c // g
-    y0 *= c // g
-    dx, dy = b // g, -(a // g)
-    lo: int | None = None
-    hi: int | None = None
-    for coeff, base, minval in ((dx, x0, 1), (dy, y0, 0)):
-        # need base + coeff * t >= minval over integer t
-        bound = Fraction(minval - base, coeff)
-        if coeff > 0:
-            t = ceil(bound)
-            lo = t if lo is None else max(lo, t)
-        else:
-            t = floor(bound)
-            hi = t if hi is None else min(hi, t)
-    if lo is None or hi is None:
-        return True
-    return lo <= hi

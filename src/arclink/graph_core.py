@@ -1,8 +1,9 @@
 """Plumbing graphs: data model, text format, intersection matrix, shapes.
 
 A plumbing graph is a weighted multigraph: each vertex carries an Euler
-number e_v and a genus g_v; loops and parallel edges are allowed, and
-arrowhead attachments mark boundary components of cut-open pieces.
+number e_v and a genus g_v; loops and parallel edges are allowed.  Every
+graph is closed: the plumbing describes the whole link, never a cut-open
+piece of it.
 
 Vertex ids are free-form tokens so that calculus steps can delete
 vertices without renumbering.
@@ -43,7 +44,6 @@ class _Incidence:
 
     mult: dict[str, int] = field(default_factory=dict)  # neighbor -> edge count, loops excluded
     loops: int = 0
-    arrows: int = 0
 
 
 _NO_INCIDENCE = _Incidence()
@@ -51,16 +51,15 @@ _NO_INCIDENCE = _Incidence()
 
 @dataclass(frozen=True)
 class PlumbingGraph:
-    """Immutable weighted multigraph with optional arrowheads.
+    """Immutable weighted multigraph.
 
     Next to the id lookup it keeps an adjacency index, so the local
-    queries (degree, neighbors, loops, multiplicities, arrows) cost
-    O(degree) rather than a scan of every edge.
+    queries (degree, neighbors, loops, multiplicities) cost O(degree)
+    rather than a scan of every edge.
     """
 
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...] = ()
-    arrows: tuple[str, ...] = ()
     name: str = "graph"
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
@@ -81,12 +80,7 @@ class PlumbingGraph:
             else:
                 adj[u].mult[v] = adj[u].mult.get(v, 0) + 1
                 adj[v].mult[u] = adj[v].mult.get(u, 0) + 1
-        for a in self.arrows:
-            if a not in by_id:
-                raise GraphError(f"arrow references unknown vertex {a!r}")
-            adj[a].arrows += 1
         object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in self.edges)))
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)
 
@@ -111,9 +105,6 @@ class PlumbingGraph:
         """Number of incident edge-ends; a loop counts twice."""
         inc = self._adj.get(vid, _NO_INCIDENCE)
         return sum(inc.mult.values()) + 2 * inc.loops
-
-    def arrow_count(self, vid: str) -> int:
-        return self._adj.get(vid, _NO_INCIDENCE).arrows
 
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
@@ -150,8 +141,7 @@ class PlumbingGraph:
     def restricted_to(self, keep: set[str]) -> "PlumbingGraph":
         vs = tuple(v for v in self.vertices if v.id in keep)
         es = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-        arrows = tuple(a for a in self.arrows if a in keep)
-        return PlumbingGraph(vs, es, arrows, self.name)
+        return PlumbingGraph(vs, es, self.name)
 
 
 # -- text format -------------------------------------------------------
@@ -161,14 +151,14 @@ def parse_plumbing(text: str) -> PlumbingGraph:
     """Parse the line-oriented graph format.
 
     Directives: ``graph <name>``, ``vertex <id> euler=<int> genus=<uint>``,
-    ``edge <id> <id>``, ``arrow <id>``.  '#' starts a comment; repeated
-    edge lines create parallel edges and ``edge a a`` creates a loop.
+    ``edge <id> <id>``.  '#' starts a comment; repeated edge lines create
+    parallel edges and ``edge a a`` creates a loop.  Any other directive is
+    an error that names its line.
     """
     name = "graph"
     vertices: list[Vertex] = []
     ids = set()
     edges: list[tuple[str, str]] = []
-    arrows: list[str] = []
     for lineno, line in numbered_lines(text):
         tokens = line.split()
         kind = tokens[0]
@@ -208,26 +198,18 @@ def parse_plumbing(text: str) -> PlumbingGraph:
                 if end not in ids:
                     raise fail(f"edge endpoint {end!r} is not a declared vertex")
             edges.append((tokens[1], tokens[2]))
-        elif kind == "arrow":
-            if len(tokens) != 2:
-                raise fail("expected 'arrow <id>'")
-            if tokens[1] not in ids:
-                raise fail(f"arrow target {tokens[1]!r} is not a declared vertex")
-            arrows.append(tokens[1])
         else:
             raise fail(f"unknown directive {kind!r}")
-    return PlumbingGraph(tuple(vertices), tuple(edges), tuple(arrows), name)
+    return PlumbingGraph(tuple(vertices), tuple(edges), name)
 
 
 def serialize_plumbing(g: PlumbingGraph) -> str:
-    """Canonical text form: sorted vertices, edges and arrows."""
+    """Canonical text form: sorted vertices, then sorted edges."""
     lines = [f"graph {g.name}"]
     for v in sorted(g.vertices, key=lambda v: v.id):
         lines.append(f"vertex {v.id} euler={v.euler} genus={v.genus}")
     for u, v in g.edges:
         lines.append(f"edge {u} {v}")
-    for a in g.arrows:
-        lines.append(f"arrow {a}")
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +219,7 @@ def serialize_plumbing(g: PlumbingGraph) -> str:
 def intersection_matrix(g: PlumbingGraph) -> list[list[int]]:
     """A_vv = e_v + 2*(#loops at v); A_uv = #edges between u and v.
 
-    Rows follow the graph's vertex order; arrows do not contribute.
+    Rows follow the graph's vertex order.
     """
     ids = g.vertex_ids()
     index = {vid: i for i, vid in enumerate(ids)}
@@ -356,9 +338,7 @@ def graph_nodes(g: PlumbingGraph) -> list[str]:
 
 
 def classify_shape(g: PlumbingGraph) -> ShapeClass:
-    """Chain / Cycle / Star / General for a connected arrowless graph."""
-    if g.arrows:
-        raise GraphError("classify_shape expects a graph without arrows")
+    """Chain / Cycle / Star / General for a connected graph."""
     if not g.vertices:
         return ShapeClass(Shape.CHAIN)
     if not g.is_connected():

@@ -8,7 +8,7 @@ from arclink.graph_core import PlumbingGraph, Vertex, parse_plumbing
 def chain_graph(bs, prefix: str = "v") -> PlumbingGraph:
     vs = tuple(Vertex(f"{prefix}{i}", -b, 0) for i, b in enumerate(bs))
     es = tuple((f"{prefix}{i}", f"{prefix}{i+1}") for i in range(len(bs) - 1))
-    return PlumbingGraph(vs, es, (), "chain")
+    return PlumbingGraph(vs, es, "chain")
 
 
 def cycle_graph(bs, prefix: str = "v") -> PlumbingGraph:
@@ -20,7 +20,7 @@ def cycle_graph(bs, prefix: str = "v") -> PlumbingGraph:
         es = ((f"{prefix}0", f"{prefix}1"), (f"{prefix}0", f"{prefix}1"))
     else:
         es = tuple((f"{prefix}{i}", f"{prefix}{(i+1) % k}") for i in range(k))
-    return PlumbingGraph(vs, es, (), "cycle")
+    return PlumbingGraph(vs, es, "cycle")
 
 
 def star_graph(center_euler: int, legs, genus: int = 0) -> PlumbingGraph:
@@ -34,7 +34,7 @@ def star_graph(center_euler: int, legs, genus: int = 0) -> PlumbingGraph:
             vs.append(Vertex(vid, -b, 0))
             es.append((prev, vid))
             prev = vid
-    return PlumbingGraph(tuple(vs), tuple(es), (), "star")
+    return PlumbingGraph(tuple(vs), tuple(es), "star")
 
 
 E8_TEXT = """

@@ -72,14 +72,14 @@ def _blow_up_edge(g: PlumbingGraph, u: str, w: str, new_id: str) -> PlumbingGrap
     vs = tuple(
         Vertex(v.id, v.euler - (1 if v.id in (u, w) else 0), v.genus) for v in g.vertices
     ) + (Vertex(new_id, -1, 0),)
-    return PlumbingGraph(vs, tuple(edges), g.arrows, g.name)
+    return PlumbingGraph(vs, tuple(edges), g.name)
 
 
 def _blow_up_free_point(g: PlumbingGraph, u: str, new_id: str) -> PlumbingGraph:
     vs = tuple(
         Vertex(v.id, v.euler - (1 if v.id == u else 0), v.genus) for v in g.vertices
     ) + (Vertex(new_id, -1, 0),)
-    return PlumbingGraph(vs, g.edges + ((u, new_id),), g.arrows, g.name)
+    return PlumbingGraph(vs, g.edges + ((u, new_id),), g.name)
 
 
 def test_blowups_contract_back(e8):
@@ -324,7 +324,7 @@ def test_classification_stable_under_blow_up():
         n = rng.randint(1, 7)
         vs = [Vertex(f"v{i}", -rng.randint(2, 5), rng.choice([0, 0, 0, 1])) for i in range(n)]
         es = tuple((f"v{rng.randint(0, i - 1)}", f"v{i}") for i in range(1, n))
-        g = PlumbingGraph(tuple(vs), es, (), "fuzz")
+        g = PlumbingGraph(tuple(vs), es, "fuzz")
         if not is_negative_definite(intersection_matrix(g)) or not g.edges:
             continue
         cls0 = singularity_class(g)
@@ -357,7 +357,7 @@ def test_resolution_order_matches_rescan():
         vs = [Vertex(f"v{i}", rng.choice([-1, -1, -2, -3, -4]), 0) for i in range(n)]
         es = [(f"v{rng.randint(0, i - 1)}", f"v{i}") for i in range(1, n)]
         es += [(f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(rng.randint(0, 2))]
-        g = PlumbingGraph(tuple(vs), tuple(es), (), "fuzz")
+        g = PlumbingGraph(tuple(vs), tuple(es), "fuzz")
         if not is_negative_definite(intersection_matrix(g)):
             continue
         assert minimal_log_resolution(g) == _resolve_by_rescan(g)

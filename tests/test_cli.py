@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,6 +139,35 @@ def test_dot_export(graph_file, capsys, tmp_path):
     assert "e=-2, g=0" in text and "--" in text
 
 
+DOT_STRING = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+
+
+def test_dot_export_escapes_quotes_and_backslashes(graph_file, capsys, tmp_path):
+    ids = ['a"b', "c\\d", "e\\"]
+    text = 'graph g"\\\n' + "".join(f"vertex {v} euler=-2 genus=0\n" for v in ids)
+    text += f"edge {ids[0]} {ids[1]}\nedge {ids[1]} {ids[2]}\n"
+    dot = tmp_path / "out.dot"
+    code, _ = run(capsys, "analyze", graph_file(text), "--dot", str(dot), "--quiet")
+    assert code == 0
+    lines = dot.read_text(encoding="utf-8").splitlines()
+    assert lines == [
+        r'graph "g\"\\" {',
+        r'  "a\"b" [label="a\"b\ne=-2, g=0"];',
+        r'  "c\\d" [label="c\\d\ne=-2, g=0"];',
+        r'  "e\\" [label="e\\\ne=-2, g=0"];',
+        r'  "a\"b" -- "c\\d";',
+        r'  "c\\d" -- "e\\";',
+        "}",
+    ]
+    # Outside its quoted strings no line has a quote or a backslash, and the
+    # node strings read back as the ids.
+    for line in lines:
+        rest = DOT_STRING.sub("", line)
+        assert '"' not in rest and "\\" not in rest, line
+    unescaped = [re.sub(r"\\(.)", r"\1", s) for s in DOT_STRING.findall("\n".join(lines[1:4]))]
+    assert unescaped[0::2] == ids
+
+
 def test_input_errors_exit_1(graph_file, capsys):
     assert main(["analyze", "/nonexistent/file.graph"]) == 1
     bad = graph_file("vertex a euler=-2 genus=0\nedge a b\n")
@@ -153,10 +183,11 @@ def test_quotient_requires_source(capsys):
 
 
 def test_arrow_graph_roundtrip(graph_file, capsys):
+    # The graph format has no arrowheads: an arrow line is an unknown directive.
     text = "graph g\nvertex a euler=-2 genus=1\narrow a\n"
-    code, out = run(capsys, "analyze", graph_file(text), "--json")
-    # arrows mark cut-open pieces; analyze works on closed graphs only
-    assert code == 1 or json.loads(out)["schema"] == 1
+    assert main(["analyze", graph_file(text), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 3: unknown directive 'arrow'\n")
 
 
 # Every sweep and its case count: ranges never shrink to buy speed.

@@ -8,166 +8,35 @@ from hypothesis import given, settings, strategies as st
 
 from arclink import calculus
 from arclink.calculus import DltKind, DltModel, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
-from arclink.checks import seifert_labels
+from arclink.checks import chain_system_solvable, seifert_labels
 from arclink.components import (
     ArcComponent,
     ComponentKind,
     CuspLattice,
+    EdgeTorus,
     HomotopyKind,
-    JsjChain,
     canonical_label,
-    chain_system_solvable,
-    are_conjugate,
-    edge_class,
     enumerate_components,
     gamma_power,
-    jsj_split,
     winding_class,
 )
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
 from arclink.seifert import seifert_data
-from conftest import SIGMA_237_TEXT, chain_graph, cycle_graph, star_graph
+from conftest import SIGMA_237_TEXT, cycle_graph, star_graph
 
 
-# -- jsj ----------------------------------------------------------------------
+def edge_class(u: str, v: str, m_u: int, m_v: int, instance: int = 0) -> EdgeTorus:
+    """The arc-generator gamma_u^{m_u} gamma_v^{m_v} on one edge."""
+    if (v, u) < (u, v):
+        u, v, m_u, m_v = v, u, m_v, m_u
+    return EdgeTorus(chain=(u, v, instance), vector=(m_u, m_v))
 
 
-def test_jsj_two_nodes():
-    g = parse_plumbing(
-        "\n".join(
-            [
-                "vertex n1 euler=-2 genus=1",
-                "vertex m euler=-2 genus=0",
-                "vertex n2 euler=-2 genus=1",
-                "edge n1 m",
-                "edge m n2",
-            ]
-        )
-    )
-    split = jsj_split(g)
-    assert len(split.pieces) == 2
-    assert len(split.chains) == 1
-    chain = split.chains[0]
-    assert {chain.node_a, chain.node_b} == {"n1", "n2"}
-    assert chain.interior == ("m",) and chain.terms == (2,)
-    # one arrowhead on each side of the cut
-    assert sum(len(p.arrows) for p in split.pieces) == 2
-
-
-def test_jsj_loop_chain():
-    g = parse_plumbing(
-        "\n".join(
-            [
-                "vertex n euler=-3 genus=1",
-                "vertex x euler=-2 genus=0",
-                "edge n x",
-                "edge x n",
-            ]
-        )
-    )
-    split = jsj_split(g)
-    assert len(split.pieces) == 1
-    piece = split.pieces[0]
-    assert len(piece.arrows) == 2
-    assert split.chains[0].node_a == split.chains[0].node_b == "n"
-
-
-def test_jsj_piece_count_matches_nodes():
-    g = parse_plumbing(
-        "\n".join(
-            [
-                "vertex n1 euler=-2 genus=1",
-                "vertex n2 euler=-3 genus=2",
-                "vertex n3 euler=-2 genus=1",
-                "vertex c1 euler=-2 genus=0",
-                "vertex t1 euler=-4 genus=0",
-                "edge n1 c1",
-                "edge c1 n2",
-                "edge n2 n3",
-                "edge n3 t1",
-            ]
-        )
-    )
-    split = jsj_split(g)
-    assert len(split.pieces) == 3
-    assert len(split.chains) == 2
-    # the tail t1 stays inside n3's piece
-    piece_n3 = [p for p in split.pieces if p.has_vertex("n3")][0]
-    assert piece_n3.has_vertex("t1")
-
-
-def test_jsj_rejects_nodeless():
-    with pytest.raises(GraphError):
-        jsj_split(chain_graph([2, 2]))
-    with pytest.raises(GraphError):
-        jsj_split(cycle_graph([3, 3, 3]))
-
-
-def test_jsj_cycle_through_a_valency_two_node():
-    # n is a node by its genus alone; the chain leaves and re-enters it.
-    g = parse_plumbing(
-        "vertex n euler=-3 genus=1\nvertex a euler=-2 genus=0\nvertex b euler=-2 genus=0\n"
-        "edge n a\nedge a b\nedge b n"
-    )
-    split = jsj_split(g)
-    assert split.chains == (JsjChain("n", "n", ("a", "b"), (2, 2), ("a", "n", 0)),)
-    (piece,) = split.pieces
-    assert piece.edges == (("a", "b"), ("b", "n"))
-    assert piece.arrows == ("a", "n")
-    assert sorted(piece.vertex_ids()) == ["a", "b", "n"]
-
-
-def test_jsj_double_edge_chain_instances():
-    g = parse_plumbing(
-        "vertex n euler=-3 genus=1\nvertex x euler=-2 genus=0\nedge n x\nedge x n"
-    )
-    split = jsj_split(g)
-    assert split.chains == (JsjChain("n", "n", ("x",), (2,), ("n", "x", 0)),)
-    assert split.pieces[0].edges == (("n", "x"),)
-
-
-def _node_ring(k: int, chain: int, tail: int) -> PlumbingGraph:
-    """k nodes on a ring joined by chains of ``chain`` -2 curves, a tail of
-    ``tail`` -2 curves on every node and a loop on every even node.  -A is
-    diagonally dominant, strictly at the nodes, so the graph is definite."""
-    vs, es = [], []
-    for i in range(k):
-        node = f"n{i:03d}"
-        vs.append(Vertex(node, -6 if i % 2 == 0 else -4, 0))
-        if i % 2 == 0:
-            es.append((node, node))
-        for prefix, length, end in (("c", chain, f"n{(i + 1) % k:03d}"), ("t", tail, None)):
-            prev = node
-            for j in range(length):
-                vid = f"{prefix}{i:03d}_{j:03d}"
-                vs.append(Vertex(vid, -2, 0))
-                es.append((prev, vid))
-                prev = vid
-            if end is not None:
-                es.append((prev, end))
-    return PlumbingGraph(tuple(vs), tuple(es), (), "ring")
-
-
-def test_jsj_large_node_ring_closed_forms():
-    k, chain, tail = 20, 40, 9
-    g = _node_ring(k, chain, tail)
-    n_vertices = k * (1 + chain + tail)
-    n_edges = k * (chain + 1) + k * tail + k // 2
-    assert (len(g.vertices), len(g.edges)) == (n_vertices, n_edges) == (1000, 1010)
-    split = jsj_split(g)
-    n_chains = k + k // 2  # one per ring segment, one per loop
-    assert len(split.pieces) == k
-    assert len(split.chains) == n_chains
-    ring_chains = [c for c in split.chains if c.interior]
-    assert len(ring_chains) == k
-    assert all(c.terms == (2,) * chain for c in ring_chains)
-    assert sorted(c.cut_edge[:2] for c in split.chains if not c.interior) == [
-        (f"n{i:03d}", f"n{i:03d}") for i in range(0, k, 2)
-    ]
-    assert sum(len(p.vertices) for p in split.pieces) == n_vertices
-    assert sum(len(p.edges) for p in split.pieces) == n_edges - n_chains
-    assert sum(len(p.arrows) for p in split.pieces) == 2 * n_chains
+def same_label(w1, w2, g: PlumbingGraph) -> bool:
+    """Whether two arc-generators on g label the same arc component."""
+    model = minimal_dlt_model(g)
+    return canonical_label(w1, model) == canonical_label(w2, model)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -318,42 +187,42 @@ def test_winding_cusp_ray_is_lattice_vector(cusp333):
 
 def test_leg_power_equals_center(sigma237):
     # g_i^{alpha_i} = h: the full-order leg power is the central fiber.
-    assert are_conjugate(gamma_power("p", 2), gamma_power("c", 1), sigma237)
-    assert are_conjugate(gamma_power("q", 3), gamma_power("c", 1), sigma237)
-    assert are_conjugate(gamma_power("r", 14), gamma_power("c", 2), sigma237)
+    assert same_label(gamma_power("p", 2), gamma_power("c", 1), sigma237)
+    assert same_label(gamma_power("q", 3), gamma_power("c", 1), sigma237)
+    assert same_label(gamma_power("r", 14), gamma_power("c", 2), sigma237)
 
 
 def test_distinct_center_powers(sigma237):
-    assert not are_conjugate(gamma_power("c", 2), gamma_power("c", 3), sigma237)
+    assert not same_label(gamma_power("c", 2), gamma_power("c", 3), sigma237)
 
 
 def test_distinct_legs_not_conjugate(sigma237):
-    assert not are_conjugate(gamma_power("p", 1), gamma_power("q", 1), sigma237)
+    assert not same_label(gamma_power("p", 1), gamma_power("q", 1), sigma237)
 
 
 def test_conjugacy_reflexive_symmetric(sigma237):
     a, b = gamma_power("p", 2), gamma_power("c", 1)
-    assert are_conjugate(a, a, sigma237)
-    assert are_conjugate(b, a, sigma237) == are_conjugate(a, b, sigma237) == True
+    assert same_label(a, a, sigma237)
+    assert same_label(b, a, sigma237) == same_label(a, b, sigma237) == True
 
 
 def test_conjugacy_on_cusp_graph(cusp333):
     # gamma_{v0} and its monodromy translate represent the same component.
     m = gamma_power("v0", 1)
-    assert are_conjugate(m, m, cusp333)
-    assert not are_conjugate(gamma_power("v0", 1), gamma_power("v0", 2), cusp333)
+    assert same_label(m, m, cusp333)
+    assert not same_label(gamma_power("v0", 1), gamma_power("v0", 2), cusp333)
     # distinct curves are distinct components
-    assert not are_conjugate(gamma_power("v0", 1), gamma_power("v1", 1), cusp333)
+    assert not same_label(gamma_power("v0", 1), gamma_power("v1", 1), cusp333)
 
 
 def test_conjugacy_rejects_negative_exponents(sigma237):
-    with pytest.raises(ValueError, match="chain_system_solvable"):
-        are_conjugate(gamma_power("c", -1), gamma_power("c", 1), sigma237)
+    with pytest.raises(ValueError, match="arclink.checks.chain_system_solvable"):
+        same_label(gamma_power("c", -1), gamma_power("c", 1), sigma237)
 
 
 def test_conjugacy_rejects_quotients(e8):
     with pytest.raises(SelfDltError):
-        are_conjugate(gamma_power("c", 1), gamma_power("c", 1), e8)
+        same_label(gamma_power("c", 1), gamma_power("c", 1), e8)
 
 
 def test_labels_separate_components(sigma237):
@@ -575,7 +444,7 @@ def _random_negative_definite_tree(rng):
         n = rng.randint(1, 7)
         vs = [Vertex(f"t{i}", -rng.randint(2, 5), rng.choice([0, 0, 0, 1])) for i in range(n)]
         es = tuple((f"t{rng.randint(0, i - 1)}", f"t{i}") for i in range(1, n))
-        g = PlumbingGraph(tuple(vs), es, (), "fuzz")
+        g = PlumbingGraph(tuple(vs), es, "fuzz")
         if is_negative_definite(intersection_matrix(g)):
             return g
 
@@ -608,7 +477,7 @@ def test_pipeline_on_random_trees():
 def test_chain_bracket_matrix_is_monodromy_product():
     # The bracketed-determinant matrix of the conjugacy system is exactly
     # M(b_{i+1},...,b_j), so its determinant is always 1.
-    from arclink.components import _continuant
+    from arclink.checks import _continuant
     from arclink.hjcf import mono_product
 
     rng = random.Random(1)
@@ -642,35 +511,6 @@ def test_chain_system_finds_constructed_solutions():
             continue
         found += 1
         assert chain_system_solvable(bs, i, j, n_i, n_i1) is True
-
-
-def test_jsj_pieces_carry_valid_seifert_data():
-    g = parse_plumbing(
-        "\n".join(
-            [
-                "vertex n1 euler=-2 genus=1",
-                "vertex n2 euler=-3 genus=0",
-                "vertex a euler=-2 genus=0",  # leg of n2 (makes it a node)
-                "vertex b euler=-3 genus=0",
-                "vertex m1 euler=-2 genus=0",  # interior chain n1 - m1 - n2
-                "vertex t euler=-4 genus=0",  # tail on n1
-                "edge n2 a",
-                "edge n2 b",
-                "edge n1 m1",
-                "edge m1 n2",
-                "edge n1 t",
-            ]
-        )
-    )
-    split = jsj_split(g)
-    assert len(split.pieces) == 2 and len(split.chains) == 1
-    data = {p.name.split("/")[-1]: seifert_data(p) for p in split.pieces}
-    # n1's piece keeps the tail t as a Seifert pair (4, 1), plus one arrow.
-    assert data["n1"].arrows == 1
-    assert (4, 1) in data["n1"].pairs()
-    # n2's piece keeps legs a and b and gets the chain stub as an arrow.
-    assert data["n2"].arrows == 1
-    assert sorted(data["n2"].pairs()) == [(2, 1), (3, 1)]
 
 
 # -- relabelling invariance of the whole pipeline ----------------------------------
@@ -709,7 +549,7 @@ def _definite_graphs(draw):
         ids.append(new)
         euler[new], genus[new] = -1, 0
     vs = tuple(Vertex(v, euler[v], genus[v]) for v in ids)
-    return PlumbingGraph(vs, tuple(edges), (), "definite")
+    return PlumbingGraph(vs, tuple(edges), "definite")
 
 
 def _pipeline_summary(g: PlumbingGraph):

@@ -3,20 +3,21 @@
 Each test checks one module's output against a quantity computed by a
 different route: tridiagonal determinants against continuants, cycle
 determinants against monodromy traces, the -I product identity behind
-the duality bridge, abelianized group presentations against graph
-determinants, and the orbifold Euler number against definiteness.
+the duality bridge, Seifert invariants against graph determinants, and
+the orbifold Euler number against definiteness.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from arclink.cusp import CuspSequence, dual_construction, monodromy
 from arclink.checks import determinant
 from arclink.graph_core import intersection_matrix, is_negative_definite
 from arclink.hjcf import Mat2, hj_numerator, mono_product
-from arclink.seifert import pi1_presentation, seifert_data
+from arclink.seifert import seifert_data
 from conftest import chain_graph, cycle_graph, star_graph
 
 
@@ -55,23 +56,9 @@ def test_duality_product_identity():
             assert m12 * m * m12 * m_star_rev == -Mat2.identity(), bs
 
 
-def _abelianization_determinant(pres) -> int:
-    """|coker| determinant of the exponent-sum matrix (square case)."""
-    gens = list(pres.generators)
-    rows = []
-    for rel in pres.relations:
-        row = [0] * len(gens)
-        for gen, exp in rel:
-            row[gens.index(gen)] += exp
-        if any(row):
-            rows.append(row)
-    assert len(rows) == len(gens)
-    return determinant(rows)
-
-
-def test_presentation_abelianization_matches_graph_determinant(e8, sigma237):
-    # For genus-0 star links (rational homology spheres), the order of
-    # H_1 equals |det(intersection matrix)|; the presentation must agree.
+def test_seifert_invariants_match_graph_determinant(e8, sigma237):
+    # For star graphs |det A| = prod(alpha_i) * |e + sum(omega_i / alpha_i)|:
+    # the Seifert pairs read off the legs against a dense determinant.
     rng = random.Random(41)
     graphs = [e8, sigma237, star_graph(-2, [[2, 2], [3], [4]]), star_graph(-3, [[2], [2], [2], [2]])]
     for _ in range(20):
@@ -80,10 +67,9 @@ def test_presentation_abelianization_matches_graph_determinant(e8, sigma237):
         if is_negative_definite(intersection_matrix(g)):
             graphs.append(g)
     for g in graphs:
-        pres = pi1_presentation(seifert_data(g))
-        assert abs(_abelianization_determinant(pres)) == abs(
-            determinant(intersection_matrix(g))
-        )
+        sd = seifert_data(g)
+        e_orb = -sd.b + sum(Fraction(omega, alpha) for alpha, omega in sd.pairs())
+        assert abs(determinant(intersection_matrix(g))) == prod(a for a, _ in sd.pairs()) * abs(e_orb)
 
 
 def test_star_definiteness_matches_orbifold_euler_number():

@@ -92,23 +92,21 @@ EXPORTS = [
     "ArcComponent", "ComponentKind", "Cone", "ConePosition", "ConjClasses", "CuspComponent",
     "CuspError", "CuspLattice", "CuspSequence", "DltKind", "DltModel", "EdgeTorus",
     "FiniteGroup", "GraphError", "HomotopyKind", "HomotopyType", "InoueError", "InputError",
-    "Mat2", "OrbifoldPoint", "PlumbingGraph", "Presentation", "QuadNum", "Quaternion",
-    "RealForm", "SeifertData", "SeifertWord", "Shape", "ShapeClass", "SingClass", "SingKind",
-    "Vertex", "WholeChainError", "are_conjugate", "builtin_generators", "canonical_label",
-    "chain_exponent", "chain_system_solvable", "check_duality", "classify_shape",
-    "cone_position", "conjugacy_classes", "cyclic_quotient_components", "dual_sequence",
-    "edge_class", "enumerate_components", "enumerate_cusp_components", "gamma_power",
-    "group_closure", "has_finite_pi1", "hj_expand", "hj_numerator", "inoue_cross_check",
-    "intersection_matrix", "is_negative_definite", "jsj_split", "mckay_report",
-    "minimal_dlt_model", "minimal_log_resolution", "mono_product", "monodromy",
-    "parse_plumbing", "pi1_presentation", "quad_mult_matrix", "rational_chain_tails",
-    "real_A_component_count", "recover_sequence", "reduce_mod_monodromy", "seifert_data",
-    "serialize_plumbing", "sign_cone", "singularity_class", "v_sequence", "winding_class",
+    "Mat2", "OrbifoldPoint", "PlumbingGraph", "QuadNum", "Quaternion", "RealForm",
+    "SeifertData", "SeifertWord", "Shape", "ShapeClass", "SingClass", "SingKind", "Vertex",
+    "WholeChainError", "builtin_generators", "canonical_label", "chain_exponent",
+    "check_duality", "classify_shape", "cone_position", "conjugacy_classes",
+    "cyclic_quotient_components", "dual_sequence", "enumerate_components",
+    "enumerate_cusp_components", "group_closure", "has_finite_pi1", "hj_expand",
+    "hj_numerator", "inoue_cross_check", "intersection_matrix", "is_negative_definite",
+    "mckay_report", "minimal_dlt_model", "minimal_log_resolution", "mono_product", "monodromy",
+    "parse_plumbing", "real_A_component_count", "recover_sequence", "reduce_mod_monodromy",
+    "seifert_data", "serialize_plumbing", "singularity_class", "v_sequence", "winding_class",
 ]
 
 
 def test_the_namespace_exports_the_same_names():
-    assert len(EXPORTS) == 74
+    assert len(EXPORTS) == 64
     assert sorted(arclink.__all__) == EXPORTS
 
 
