@@ -18,13 +18,12 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "calculus": (
-            "DltKind", "DltModel", "OrbifoldPoint", "SingClass", "SingKind", "WholeChainError",
-            "minimal_dlt_model", "minimal_log_resolution", "singularity_class",
+            "DltKind", "DltModel", "OrbifoldPoint", "SingClass", "SingKind", "minimal_dlt_model",
+            "minimal_log_resolution", "singularity_class",
         ),
         "components": (
             "ArcComponent", "ComponentKind", "CuspLattice", "EdgeTorus", "HomotopyKind",
             "HomotopyType", "SeifertWord", "canonical_label", "enumerate_components",
-            "winding_class",
         ),
         "cusp": (
             "Cone", "ConePosition", "CuspComponent", "CuspError", "CuspSequence", "check_duality",
@@ -34,7 +33,6 @@ _MODULE_OF = {
         "graph_core": (
             "GraphError", "PlumbingGraph", "Shape", "ShapeClass", "Vertex", "classify_shape",
             "intersection_matrix", "is_negative_definite", "parse_plumbing",
-            "serialize_plumbing",
         ),
         "hjcf": ("Mat2", "chain_exponent", "hj_expand", "hj_numerator", "mono_product"),
         "inoue": ("InoueError", "inoue_cross_check"),
@@ -43,9 +41,8 @@ _MODULE_OF = {
         "quotient": (
             "ConjClasses", "FiniteGroup", "Quaternion", "RealForm", "builtin_generators",
             "conjugacy_classes", "cyclic_quotient_components", "group_closure", "mckay_report",
-            "real_A_component_count",
+            "real_A_catalog_entry",
         ),
-        "seifert": ("SeifertData", "has_finite_pi1", "seifert_data"),
     }.items()
     for name in names
 }

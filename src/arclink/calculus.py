@@ -31,10 +31,6 @@ from .hjcf import hj_pair
 from .inputs import InputError
 
 
-class WholeChainError(GraphError):
-    """The whole graph is a chain: callers must branch to CyclicQuotient."""
-
-
 class SelfDltError(InputError):
     """Operation needs a genuine dlt model, not a quotient singularity."""
 
@@ -211,25 +207,6 @@ def _chain_member(g: PlumbingGraph, vid: str) -> bool:
     )
 
 
-def rational_chain_tails(g: PlumbingGraph) -> list[list[str]]:
-    """Maximal rational chains meeting the rest of the graph at one point.
-
-    Each tail is returned free end first, attachment end last.  A graph
-    that is entirely a chain raises WholeChainError so the caller can
-    branch to the cyclic quotient case.
-    """
-    shape = classify_shape(g)
-    if shape.kind is Shape.CHAIN:
-        raise WholeChainError("the whole graph is a rational chain")
-    if shape.kind is Shape.CYCLE:
-        return []
-    return [
-        list(takewhile(lambda w: _chain_member(g, w), walk(g, None, v)))
-        for v in sorted(g.vertex_ids())
-        if g.degree(v) == 1 and _chain_member(g, v)
-    ]
-
-
 # -- singularity class ----------------------------------------------------
 
 
@@ -311,7 +288,15 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
         return DltModel(DltKind.SELF_DLT, empty, (), cls, g)
     if cls.kind is SingKind.CUSP:
         return DltModel(DltKind.MODEL, g, (), cls, g)
-    tails = rational_chain_tails(g)
+    # Each maximal rational chain meeting the rest at one point is read
+    # from its free end, so the attachment end comes last.  The class has
+    # already routed whole chains and cycles away, so every walk from a
+    # free end stops at a node.
+    tails = [
+        list(takewhile(lambda w: _chain_member(g, w), walk(g, None, v)))
+        for v in sorted(g.vertex_ids())
+        if g.degree(v) == 1 and _chain_member(g, v)
+    ]
     points = []
     removed: set[str] = set()
     for tail in tails:

@@ -4,7 +4,9 @@ Each sweep returns a SweepResult; a falsification carries a concrete
 witness.  The CLI ``check`` subcommand runs all of them and exits
 nonzero if any fails, and the acceptance tests reuse them directly.  The
 oracles the sweeps test against live here too: the dense definiteness
-routes and the exact solver of the chain conjugacy system.
+routes, the exact solver of the chain conjugacy system, and the Seifert
+invariants of a star with the finiteness test of its fundamental group.
+Only the CLI imports this module.
 """
 from __future__ import annotations
 
@@ -18,11 +20,15 @@ from .calculus import DltKind, minimal_dlt_model, singularity_class
 from .components import enumerate_components
 from .cusp import CuspSequence, check_duality, dual_sequence, monodromy, recover_sequence
 from .graph_core import (
+    GraphError,
     PlumbingGraph,
+    Shape,
     Vertex,
+    classify_shape,
     intersection_matrix,
     is_negative_definite,
     is_negative_definite_graph,
+    star_legs,
 )
 from .hjcf import hj_expand, hj_numerator, hj_pair
 from .inoue import inoue_cross_check
@@ -35,7 +41,6 @@ from .quotient import (
     group_closure,
     mckay_report,
 )
-from .seifert import SeifertData, has_finite_pi1, seifert_data
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,20 +324,6 @@ def sylvester_negative_definite(mat) -> bool:
     return True
 
 
-def negative_definite_cholesky(mat) -> bool:
-    """Dense rational LDL^T on -A in the given order, all pivots positive."""
-    n = len(mat)
-    a = [[Fraction(-mat[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
-
-
 def _random_multigraph(rng: random.Random, max_n: int = 7) -> PlumbingGraph:
     """A small graph with random weights, loops and parallel edges."""
     n = rng.randint(1, max_n)
@@ -370,6 +361,72 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
             witness = f"{g.vertices} {g.edges}: Sylvester says {want}"
             return SweepResult("negative definiteness gate", False, cases, witness)
     return SweepResult("negative definiteness gate", True, cases)
+
+
+# -- Seifert invariants of a star ---------------------------------------------------
+
+# The central vertex contributes the fiber generator h; each leg with
+# continued fraction [b_1,...,b_s] (b_1 next to the node) contributes a
+# Seifert pair (alpha_i, omega_i) and an end generator g_i with
+# g_i^{alpha_i} = h (Neumann, A calculus for plumbing, 1981).
+
+
+@dataclass(frozen=True, slots=True)
+class SeifertLeg:
+    alpha: int
+    omega: int
+    leg_id: str          # vertex of the leg adjacent to the node
+    terms: tuple[int, ...]  # b_1..b_s read node-outward
+
+    def __post_init__(self) -> None:
+        if self.alpha < 2 or not (0 < self.omega < self.alpha) or gcd(self.alpha, self.omega) != 1:
+            raise ValueError(f"invalid Seifert pair ({self.alpha}, {self.omega})")
+
+
+@dataclass(frozen=True, slots=True)
+class SeifertData:
+    b: int                       # negated central Euler number
+    genus: int
+    legs: tuple[SeifertLeg, ...]
+    center: str = "center"
+
+    @property
+    def n(self) -> int:
+        return len(self.legs)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((leg.alpha, leg.omega) for leg in self.legs)
+
+
+def seifert_data(g: PlumbingGraph) -> SeifertData:
+    """Read (b; g; (alpha_i, omega_i)) off a star-shaped graph."""
+    shape = classify_shape(g)
+    if shape.kind is Shape.STAR:
+        center = shape.center
+    elif len(g.vertices) == 1:
+        center = g.vertices[0].id
+    else:
+        raise GraphError(f"graph is {shape.kind.value}, not star-shaped")
+    cv = g.vertex(center)
+    legs = []
+    for chain in star_legs(g, center):
+        terms = tuple(-g.vertex(v).euler for v in chain)
+        if any(t < 2 for t in terms):
+            raise GraphError(f"leg through {chain[0]!r} is not minimal (some b < 2)")
+        alpha, omega = hj_pair(terms)
+        legs.append(SeifertLeg(alpha, omega, leg_id=chain[0], terms=terms))
+    return SeifertData(b=-cv.euler, genus=cv.genus, legs=tuple(legs), center=center)
+
+
+def has_finite_pi1(sd: SeifertData) -> bool:
+    """Finite iff the base orbifold group is spherical."""
+    if sd.genus > 0:
+        return False
+    if sd.n <= 2:
+        return True
+    if sd.n == 3:
+        return sum(Fraction(1, leg.alpha) for leg in sd.legs) > 1
+    return False
 
 
 def seifert_labels(sd: SeifertData, bound: int) -> list[tuple]:

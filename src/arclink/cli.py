@@ -359,7 +359,7 @@ def cmd_quotient(args) -> int:
         builtin_generators,
         conjugacy_classes,
         group_closure,
-        mckay_match,
+        mckay_report,
         parse_group_file,
     )
 
@@ -375,9 +375,10 @@ def cmd_quotient(args) -> int:
         "classes": classes.count,
         "class_sizes": [len(cl) for cl in classes.classes],
     }
-    report = mckay_match(group, classes)
-    if isinstance(report, str):
-        out["mckay"] = {"error": report}
+    try:
+        report = mckay_report(group, classes)
+    except InputError as exc:
+        out["mckay"] = {"error": str(exc)}
         report = None
     else:
         out["mckay"] = {

@@ -238,29 +238,6 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     return out
 
 
-def winding_class(comp: ArcComponent, model: DltModel) -> WindingClass:
-    """The winding class of a component of ``model``, once its location is
-    checked to be part of the model."""
-    if model.kind is not DltKind.MODEL:
-        raise SelfDltError("quotient singularity has no dlt winding labels")
-    frame = model.frame
-    if frame is not None:
-        # The frame's lookups check curves and edge instances.
-        if comp.kind is ComponentKind.ORBIFOLD_POINT:
-            raise ValueError("cusp models have no orbifold points")
-    elif comp.kind is ComponentKind.CURVE_INTERIOR:
-        (vid,) = comp.location
-        model.residual.vertex(vid)
-    elif comp.kind is ComponentKind.NODE_POINT:
-        if comp.location not in model.residual.edge_instances():
-            raise GraphError(f"edge instance {comp.location} is not part of the model")
-    else:
-        host, leg = comp.location
-        if not any(pt.host == host and pt.leg == leg for pt in model.orbifold_points):
-            raise GraphError(f"orbifold point {host}/{leg} is not part of the model")
-    return _winding(frame, comp.kind, comp.location, comp.multiplicities)
-
-
 # -- conjugacy ---------------------------------------------------------------
 
 

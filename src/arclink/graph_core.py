@@ -203,16 +203,6 @@ def parse_plumbing(text: str) -> PlumbingGraph:
     return PlumbingGraph(tuple(vertices), tuple(edges), name)
 
 
-def serialize_plumbing(g: PlumbingGraph) -> str:
-    """Canonical text form: sorted vertices, then sorted edges."""
-    lines = [f"graph {g.name}"]
-    for v in sorted(g.vertices, key=lambda v: v.id):
-        lines.append(f"vertex {v.id} euler={v.euler} genus={v.genus}")
-    for u, v in g.edges:
-        lines.append(f"edge {u} {v}")
-    return "\n".join(lines) + "\n"
-
-
 # -- intersection matrix and definiteness ------------------------------
 
 

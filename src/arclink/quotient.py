@@ -71,7 +71,7 @@ def rational_matrix(rows) -> Matrix:
 
 # -- closure and conjugacy ----------------------------------------------------
 
-# Default bound on the group order.  The Cayley table has order^2 cells, so
+# Bound on the group order.  The Cayley table has order^2 cells, so
 # 1024 elements mean about 10^6 table entries (some 8 MB), and a cyclic:1024
 # decodes to 1024 matrices that share 1024 distinct rows.
 _CEILING = 1024
@@ -252,13 +252,13 @@ def _matrix_kernel(generators):
     return _matrix_product, identity, keys, decode
 
 
-def group_closure(generators, ceiling: int = _CEILING) -> FiniteGroup:
+def group_closure(generators) -> FiniteGroup:
     """Breadth-first closure under multiplication plus the Cayley table.
 
     Unit quaternions over one field Q(sqrt(d)), or invertible square
     rational matrices of one size.  Products run on integer keys; elements
     are decoded to Quaternion or Matrix once.  A group with more than
-    ``ceiling`` elements raises ClosureError before its table is built.
+    _CEILING (1024) elements raises ClosureError before its table is built.
     """
     if not generators:
         raise ClosureError("need at least one generator")
@@ -277,9 +277,9 @@ def group_closure(generators, ceiling: int = _CEILING) -> FiniteGroup:
                 if xi == 0:
                     gen_cols.append(index.get(y, len(elements)))
                 if y not in index:
-                    if len(elements) >= ceiling:
+                    if len(elements) >= _CEILING:
                         raise ClosureError(
-                            f"closure exceeded {ceiling} elements; the group is likely infinite, "
+                            f"closure exceeded {_CEILING} elements; the group is likely infinite, "
                             "or too large for its Cayley table"
                         )
                     index[y] = len(elements)
@@ -359,24 +359,18 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
     cyclic m -> A_{m-1} (m-1 curves); binary dihedral of order 4n ->
     D_{n+2} (n+2 curves); 2T -> E6; 2O -> E7; 2I -> E8.  A caller that
     already holds the group's classes passes them in.  A group outside
-    the catalog raises InputError.
+    the catalog raises InputError naming the reason.
     """
-    report = mckay_match(group, conjugacy_classes(group) if classes is None else classes)
-    if isinstance(report, str):
-        raise InputError(report)
-    return report
-
-
-def mckay_match(group: FiniteGroup, classes: ConjClasses) -> McKayReport | str:
-    """mckay_report, or the reason the group is outside the catalog."""
+    if classes is None:
+        classes = conjugacy_classes(group)
     order, count = group.order, classes.count
     if group.is_abelian():
         if not group.is_cyclic():
-            return "abelian but not cyclic: no free SL(2) action exists"
+            raise InputError("abelian but not cyclic: no free SL(2) action exists")
         family, expected = f"A{order - 1}", order - 1
     else:
         if group.involution_count() != 1:
-            return "a finite SL(2) subgroup has a unique involution"
+            raise InputError("a finite SL(2) subgroup has a unique involution")
         if order == 24 and count == 7:
             family, expected = "E6", 6
         elif order == 48 and count == 8:
@@ -387,7 +381,7 @@ def mckay_match(group: FiniteGroup, classes: ConjClasses) -> McKayReport | str:
             n = order // 4
             family, expected = f"D{n + 2}", n + 2
         else:
-            return f"order {order} with {count} classes is not an SL(2)-type group"
+            raise InputError(f"order {order} with {count} classes is not an SL(2)-type group")
     return McKayReport(
         group_order=order,
         class_count=count,
@@ -550,12 +544,9 @@ class RealCatalogEntry:
     status: str  # "shown" or "suggested"
 
 
-def real_A_component_count(form: RealForm, m: int) -> int:
-    """Connected components of the space of short real arcs, A-type forms."""
-    return real_A_catalog_entry(form, m).count
-
-
 def real_A_catalog_entry(form: RealForm, m: int) -> RealCatalogEntry:
+    """Connected components of the space of short real arcs, A-type forms,
+    with whether the count is shown or only suggested."""
     if form is RealForm.SUM_OF_SQUARES:
         if m < 1:
             raise ValueError("exponent must be positive")

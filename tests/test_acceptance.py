@@ -13,6 +13,7 @@ from fractions import Fraction
 from arclink import checks
 from arclink.calculus import minimal_dlt_model
 from arclink.checks import (
+    seifert_data,
     seifert_labels,
     sweep_chain_quotient_agreement,
     sweep_chain_system,
@@ -35,7 +36,6 @@ from arclink.quotient import (
     mckay_report,
     real_A_catalog_entry,
 )
-from arclink.seifert import seifert_data
 
 
 def _report(n: int, text: str) -> None:

@@ -8,11 +8,9 @@ import pytest
 from arclink.calculus import (
     DltKind,
     SingKind,
-    WholeChainError,
     blow_down,
     minimal_dlt_model,
     minimal_log_resolution,
-    rational_chain_tails,
     singularity_class,
 )
 from arclink.graph_core import (
@@ -126,31 +124,29 @@ def test_idempotent(e8):
 # -- rational chain tails ------------------------------------------------------
 
 
-def test_tails_of_e8(e8):
-    tails = rational_chain_tails(e8)
-    assert sorted(len(t) for t in tails) == [1, 2, 4]
-    # free end first, attachment end last: each tail's last vertex borders c
-    for tail in tails:
-        assert "c" in e8.neighbors(tail[-1])
+def test_tails_of_e8():
+    # E8's star with its one-vertex leg at -3: 1/3 + 1/3 + 1/5 < 1, so the
+    # class is general and the legs of lengths 1, 2 and 4 become tails.
+    g = star_graph(-2, [[3], [2, 2], [2, 2, 2, 2]])
+    points = minimal_dlt_model(g).orbifold_points
+    assert sorted(len(p.tail_ids) for p in points) == [1, 2, 4]
+    # read from the surviving curve outward: each tail's first vertex borders c
+    for p in points:
+        assert p.host == "c" and p.leg == p.tail_ids[0] and "c" in g.neighbors(p.leg)
     # pairwise disjoint
-    seen = [v for t in tails for v in t]
+    seen = [v for p in points for v in p.tail_ids]
     assert len(seen) == len(set(seen))
 
 
 def test_tails_of_cycle_empty(cusp333):
-    assert rational_chain_tails(cusp333) == []
-
-
-def test_tails_flag_whole_chain():
-    with pytest.raises(WholeChainError):
-        rational_chain_tails(chain_graph([2, 2, 2]))
+    assert minimal_dlt_model(cusp333).orbifold_points == ()
 
 
 def test_genus_blocks_tail():
     g = parse_plumbing(
         "vertex n euler=-2 genus=1\nvertex t euler=-2 genus=1\nedge n t"
     )
-    assert rational_chain_tails(g) == []
+    assert minimal_dlt_model(g).orbifold_points == ()
 
 
 # -- singularity classes ---------------------------------------------------------

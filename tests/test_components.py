@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from arclink import calculus
 from arclink.calculus import DltKind, DltModel, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
-from arclink.checks import chain_system_solvable, seifert_labels
+from arclink.checks import chain_system_solvable, seifert_data, seifert_labels
 from arclink.components import (
     ArcComponent,
     ComponentKind,
@@ -18,11 +18,9 @@ from arclink.components import (
     canonical_label,
     enumerate_components,
     gamma_power,
-    winding_class,
 )
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
-from arclink.seifert import seifert_data
 from conftest import SIGMA_237_TEXT, cycle_graph, star_graph
 
 
@@ -160,13 +158,6 @@ def test_components_sorted_and_positive(sigma237):
 # -- winding classes -----------------------------------------------------------------
 
 
-def test_winding_class_recomputation(sigma237, cusp333):
-    for g in (sigma237, cusp333, cycle_graph([3]), cycle_graph([2, 3])):
-        model = minimal_dlt_model(g)
-        for c in enumerate_components(model, 3):
-            assert winding_class(c, model) == c.winding
-
-
 def test_winding_central_power(sigma237):
     model = minimal_dlt_model(sigma237)
     comps = enumerate_components(model, 2)
@@ -229,8 +220,7 @@ def test_labels_separate_components(sigma237):
     # Distinct component labels are never conjugate (injectivity).
     model = minimal_dlt_model(sigma237)
     comps = enumerate_components(model, 3)
-    words = [winding_class(c, model) for c in comps]
-    labels = [canonical_label(w, model) for w in words]
+    labels = [canonical_label(c.winding, model) for c in comps]
     assert len(set(labels)) == len(labels)
 
 
@@ -339,35 +329,6 @@ def test_orbifold_winding_from_two_two_tail():
     assert w.terms == ((f"g[c/l0_0]", 1),)
 
 
-def test_winding_class_rejects_foreign_component(sigma237, cusp333):
-    model_a = minimal_dlt_model(sigma237)
-    model_b = minimal_dlt_model(cusp333)
-    comp = enumerate_components(model_a, 1)[0]
-    with pytest.raises(GraphError):
-        winding_class(comp, model_b)
-
-
-def test_winding_class_rejects_foreign_node_point():
-    two_node = parse_plumbing("vertex n1 euler=-3 genus=1\nvertex m euler=-2 genus=1\nedge n1 m")
-    model = minimal_dlt_model(two_node)
-    (node,) = [c for c in enumerate_components(model, 2) if c.kind is ComponentKind.NODE_POINT]
-    assert node.location == ("m", "n1", 0)
-    assert winding_class(node, model).chain == ("m", "n1", 0)
-    one_vertex = minimal_dlt_model(parse_plumbing("vertex x euler=-1 genus=1"))
-    with pytest.raises(GraphError, match="'m', 'n1', 0"):
-        winding_class(node, one_vertex)
-
-
-def test_winding_class_rejects_foreign_orbifold_point(sigma237):
-    model = minimal_dlt_model(sigma237)
-    orb = next(c for c in enumerate_components(model, 1) if c.kind is ComponentKind.ORBIFOLD_POINT)
-    host, leg = orb.location
-    assert winding_class(orb, model) == orb.winding
-    one_vertex = minimal_dlt_model(parse_plumbing("vertex x euler=-1 genus=1"))
-    with pytest.raises(GraphError, match=f"{host}/{leg}"):
-        winding_class(orb, one_vertex)
-
-
 TWO_SLASHED_NODES_TEXT = """
 vertex a euler=-3 genus=0
 vertex a/b euler=-3 genus=0
@@ -414,7 +375,7 @@ def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
     monkeypatch.setattr(calculus, "cusp_structure", lambda g: calls.append(g) or real(g))
     model = minimal_dlt_model(cusp333)
     for c in enumerate_components(model, 3):
-        canonical_label(winding_class(c, model), model)
+        canonical_label(c.winding, model)
     assert len(calls) == 1
     assert "frame" not in repr(model)
     assert minimal_dlt_model(sigma237).frame is None

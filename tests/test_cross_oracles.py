@@ -14,10 +14,9 @@ from itertools import product
 from math import prod
 
 from arclink.cusp import CuspSequence, dual_construction, monodromy
-from arclink.checks import determinant
+from arclink.checks import determinant, seifert_data
 from arclink.graph_core import intersection_matrix, is_negative_definite
 from arclink.hjcf import Mat2, hj_numerator, mono_product
-from arclink.seifert import seifert_data
 from conftest import chain_graph, cycle_graph, star_graph
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink.checks import determinant, negative_definite_cholesky, sylvester_negative_definite
+from arclink.checks import determinant, sylvester_negative_definite
 from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
@@ -16,7 +17,6 @@ from arclink.graph_core import (
     is_negative_definite,
     is_negative_definite_graph,
     parse_plumbing,
-    serialize_plumbing,
     star_legs,
     walk,
 )
@@ -63,6 +63,16 @@ def test_parse_multi_edges_and_loops():
 def test_comments_and_blank_lines():
     g = parse_plumbing("# nothing\n\nvertex a euler=-2 genus=1  # inline\n")
     assert g.vertex("a").genus == 1
+
+
+def serialize_plumbing(g: PlumbingGraph) -> str:
+    """Canonical text form: sorted vertices, then the edges in graph order."""
+    lines = [f"graph {g.name}"]
+    for v in sorted(g.vertices, key=lambda v: v.id):
+        lines.append(f"vertex {v.id} euler={v.euler} genus={v.genus}")
+    for u, v in g.edges:
+        lines.append(f"edge {u} {v}")
+    return "\n".join(lines) + "\n"
 
 
 def test_serialize_parse_identity(e8):
@@ -134,6 +144,20 @@ def test_definiteness_input_validation():
         is_negative_definite([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         is_negative_definite([[1, 2, 3], [2, 1, 3]])
+
+
+def negative_definite_cholesky(mat) -> bool:
+    """Dense rational LDL^T on -A in the given order, all pivots positive."""
+    n = len(mat)
+    a = [[Fraction(-mat[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
 
 
 @given(_random_graph)

@@ -75,7 +75,7 @@ def test_a_subcommand_loads_only_its_modules(tmp_path, argv, files, code, loaded
     assert int(exit_code) == code
     assert set(modules) == loaded
     if argv[0] == "analyze":
-        assert not {"arclink.checks", "arclink.inoue", "arclink.seifert"} & set(modules)
+        assert not {"arclink.checks", "arclink.inoue"} & set(modules)
 
 
 def test_importing_the_cli_loads_only_the_cli_and_inputs():
@@ -93,20 +93,19 @@ EXPORTS = [
     "CuspError", "CuspLattice", "CuspSequence", "DltKind", "DltModel", "EdgeTorus",
     "FiniteGroup", "GraphError", "HomotopyKind", "HomotopyType", "InoueError", "InputError",
     "Mat2", "OrbifoldPoint", "PlumbingGraph", "QuadNum", "Quaternion", "RealForm",
-    "SeifertData", "SeifertWord", "Shape", "ShapeClass", "SingClass", "SingKind", "Vertex",
-    "WholeChainError", "builtin_generators", "canonical_label", "chain_exponent",
-    "check_duality", "classify_shape", "cone_position", "conjugacy_classes",
-    "cyclic_quotient_components", "dual_sequence", "enumerate_components",
-    "enumerate_cusp_components", "group_closure", "has_finite_pi1", "hj_expand",
-    "hj_numerator", "inoue_cross_check", "intersection_matrix", "is_negative_definite",
-    "mckay_report", "minimal_dlt_model", "minimal_log_resolution", "mono_product", "monodromy",
-    "parse_plumbing", "real_A_component_count", "recover_sequence", "reduce_mod_monodromy",
-    "seifert_data", "serialize_plumbing", "singularity_class", "v_sequence", "winding_class",
+    "SeifertWord", "Shape", "ShapeClass", "SingClass", "SingKind", "Vertex",
+    "builtin_generators", "canonical_label", "chain_exponent", "check_duality",
+    "classify_shape", "cone_position", "conjugacy_classes", "cyclic_quotient_components",
+    "dual_sequence", "enumerate_components", "enumerate_cusp_components", "group_closure",
+    "hj_expand", "hj_numerator", "inoue_cross_check", "intersection_matrix",
+    "is_negative_definite", "mckay_report", "minimal_dlt_model", "minimal_log_resolution",
+    "mono_product", "monodromy", "parse_plumbing", "real_A_catalog_entry", "recover_sequence",
+    "reduce_mod_monodromy", "singularity_class", "v_sequence",
 ]
 
 
 def test_the_namespace_exports_the_same_names():
-    assert len(EXPORTS) == 64
+    assert len(EXPORTS) == 58
     assert sorted(arclink.__all__) == EXPORTS
 
 

@@ -24,7 +24,6 @@ from arclink.quotient import (
     parse_group_file,
     rational_matrix,
     real_A_catalog_entry,
-    real_A_component_count,
 )
 
 
@@ -162,7 +161,7 @@ def test_closure_ignores_repeated_and_identity_generators():
 def test_infinite_group_hits_ceiling():
     shear = rational_matrix([[1, 1], [0, 1]])
     with pytest.raises(ClosureError, match="likely infinite"):
-        group_closure([shear], ceiling=500)
+        group_closure([shear])
 
 
 def test_default_ceiling_bounds_the_table():
@@ -334,17 +333,17 @@ def test_label_validation():
 
 
 def test_real_catalog_values():
-    assert real_A_component_count(RealForm.SUM_OF_SQUARES, 5) == 1
-    assert real_A_component_count(RealForm.SUM_OF_SQUARES, 4) == 2
-    assert real_A_component_count(RealForm.HYPERBOLIC, 3) == 6
-    assert real_A_component_count(RealForm.HYPERBOLIC, 2) == 2
+    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 5).count == 1
+    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 4).count == 2
+    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 3).count == 6
+    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 2).count == 2
 
 
 def test_real_catalog_status_labels():
     assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 3).status == "shown"
     assert real_A_catalog_entry(RealForm.HYPERBOLIC, 4).status == "suggested"
     with pytest.raises(ValueError):
-        real_A_component_count(RealForm.HYPERBOLIC, 1)
+        real_A_catalog_entry(RealForm.HYPERBOLIC, 1)
 
 
 # -- group files -----------------------------------------------------------------------

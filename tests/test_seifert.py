@@ -2,10 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from arclink.checks import seifert_labels
+from arclink.checks import has_finite_pi1, seifert_data, seifert_labels
 from arclink.graph_core import GraphError, parse_plumbing
 from arclink.quotient import builtin_generators, conjugacy_classes, group_closure
-from arclink.seifert import has_finite_pi1, seifert_data
 from conftest import chain_graph, star_graph
 
 

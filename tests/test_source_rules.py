@@ -6,7 +6,8 @@ outside the standard library, a cmath import, a relative import of a
 _-prefixed (module-private) name, a float or complex literal, or any use
 of the names float or complex fails the module.  Every exception class
 the library defines derives from InputError, except cli.Falsified, the
-exit-2 outcome.
+exit-2 outcome.  Only cli.py imports checks, so the sweeps and the oracles
+they test against stay out of the library path.
 """
 from __future__ import annotations
 
@@ -81,6 +82,49 @@ def test_exact_code_passes():
         "x = Fraction(1, 2)\n"
     )
     assert violations(source) == []
+
+
+def checks_imports(source: str) -> list[str]:
+    """Lines that import arclink.checks, by relative or absolute import."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "arclink." + base if base else "arclink"
+            targets = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(t == "arclink.checks" or t.startswith("arclink.checks.") for t in targets):
+            out.append(f"line {node.lineno}: imports checks")
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_the_cli_imports_checks(path):
+    assert checks_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .checks import seifert_data",
+        "from . import checks",
+        "import arclink.checks",
+        "from arclink.checks import run_all_sweeps",
+        "from arclink import checks",
+        "def f():\n    from .checks import run_all_sweeps",
+    ],
+)
+def test_checks_import_rule_fires(source):
+    assert len(checks_imports(source)) == 1
+
+
+def test_checks_import_rule_passes_other_modules():
+    source = "from .calculus import minimal_dlt_model\nfrom . import cusp\nimport arclink.quotient\n"
+    assert checks_imports(source) == []
 
 
 EXEMPT = {("inputs", "InputError"), ("cli", "Falsified")}
