@@ -43,6 +43,22 @@ def positive_int(text: str) -> int:
 # -- serialization helpers ----------------------------------------------------
 
 
+def _refuse_unprintable(numbers) -> None:
+    """Refuse, before anything is printed, an output integer longer than
+    the interpreter's limit on int-to-str conversion.  The limit stays: it
+    also guards the parsing of ``--seq`` tokens."""
+    limit = sys.get_int_max_str_digits()
+    largest = max(map(abs, numbers))
+    if not limit or largest < 10 ** limit:
+        return
+    # 1233 / 4096 < log10(2), so this starts at or below the digit count
+    digits = largest.bit_length() * 1233 >> 12
+    while largest >= 10 ** digits:
+        digits += 1
+    raise InputError(f"the output would print a {digits}-digit integer, "
+                     f"more than the limit of {limit} digits")
+
+
 def _mat_json(m: Mat2) -> list[list[int]]:
     return [[m.p, m.q], [m.r, m.s]]
 
@@ -291,6 +307,8 @@ def cmd_cusp(args) -> int:
     m = monodromy(c)
     dual = check_duality(c)
     comps = enumerate_cusp_components(c, args.bound)
+    _refuse_unprintable([m.p, m.q, m.r, m.s, m.trace(),
+                         *(x for comp in comps for x in comp.vector)])
     dual_sequence, auto_dual = dual.canonical_dual()
     report = {
         "schema": SCHEMA,
@@ -330,6 +348,8 @@ def cmd_dual(args) -> int:
 
     c = _parse_seq(args.seq)
     report = check_duality(c)
+    m, m_star = report.m, report.m_star
+    _refuse_unprintable([m.p, m.q, m.r, m.s, m_star.p, m_star.q, m_star.r, m_star.s])
     dual_sequence, auto_dual = report.canonical_dual()
     out = {
         "schema": SCHEMA,

@@ -46,7 +46,31 @@ class CuspSequence:
         return self.b[(i - 1) % self.k]
 
     def canonical(self) -> "CuspSequence":
-        return CuspSequence(min(self.b[i:] + self.b[:i] for i in range(self.k)))
+        """The lexicographically least rotation, found in O(k).
+
+        Two candidate starts i < j are compared from offset ``off``; at the
+        first difference the larger one and the ``off`` starts after it are
+        ruled out, so every step either grows ``off`` or rules out starts
+        (Booth 1980, Duval 1983).  Reading the doubled tuple keeps each
+        index below 2k without a modulus.
+        """
+        b, n = self.b, self.k
+        bb = b + b
+        i, j, off = 0, 1, 0
+        while i < n and j < n and off < n:
+            x, y = bb[i + off], bb[j + off]
+            if x == y:
+                off += 1
+                continue
+            if x > y:
+                i += off + 1
+            else:
+                j += off + 1
+            if i == j:
+                j += 1
+            off = 0
+        start = min(i, j)
+        return self if start == 0 else CuspSequence(bb[start:start + n])
 
     def is_rotation_of(self, other: "CuspSequence") -> bool:
         return self.canonical().b == other.canonical().b
@@ -143,6 +167,12 @@ def cone_position(w: Vec, c: CuspSequence) -> ConePosition:
     Inside the principal cone the position is located in the fan: either
     on the ray through some v_i (with multiplicity m) or strictly between
     v_i and v_{i+1} (with positive sector coordinates).
+
+    Since v_{i+jk} = M^j v_i and det M = 1, w = M^j w' has the coefficients
+    of w' at index i + jk.  So w is first moved into the fundamental period
+    [v_0, v_k) by whole powers of M, one matrix-vector product per period
+    crossed, and then located among at most k rays with small integers:
+    O(|l| + k) steps for w at fan depth l periods.
     """
     if w == (0, 0):
         raise CuspError("zero vector has no cone position")
@@ -150,30 +180,29 @@ def cone_position(w: Vec, c: CuspSequence) -> ConePosition:
     cone = four_cone(m, w)
     if cone is not Cone.CONE:
         return ConePosition(cone, w)
-    # Walk the fan to locate w between consecutive rays.
-    i = 0
-    vi: Vec = (0, 1)
-    vi1: Vec = (1, 0)
-    max_steps = 16 * c.k * (8 + max(abs(w[0]), abs(w[1])).bit_length())
-    for _ in range(max_steps):
-        a = _det2(vi1, w)   # coefficient on v_i
-        b = _det2(w, vi)    # coefficient on v_{i+1}
-        if b < 0:
-            # step left: v_{i-1} = b_i v_i - v_{i+1}
-            bterm = c.term(i)
-            vi, vi1 = (bterm * vi[0] - vi1[0], bterm * vi[1] - vi1[1]), vi
-            i -= 1
-        elif a <= 0:
-            # step right: v_{i+2} = b_{i+1} v_{i+1} - v_i
-            bterm = c.term(i + 1)
-            vi, vi1 = vi1, (bterm * vi1[0] - vi[0], bterm * vi1[1] - vi[1])
-            i += 1
-        elif b == 0:
-            return ConePosition(Cone.CONE, w, ray_index=i % c.k, coeffs=(a,), index_abs=i)
-        else:
-            return ConePosition(
-                Cone.CONE, w, sector_index=i % c.k, coeffs=(a, b), index_abs=i
-            )
+    v0: Vec = (0, 1)
+    vk: Vec = (m.q, m.s)  # v_k = M v_0
+    m_inv = m.inverse()
+    u, periods = w, 0
+    while _det2(vk, u) <= 0:  # u at or past v_k
+        u = m_inv.apply(u)
+        periods += 1
+    while _det2(u, v0) < 0:  # u before v_0
+        u = m.apply(u)
+        periods -= 1
+    # Walk right from [v_0, v_1): u lies in [v_i, v_{i+1}) for some i < k.
+    vi, vi1 = v0, (1, 0)
+    for i in range(c.k):
+        a = _det2(vi1, u)   # coefficient on v_i
+        if a > 0:
+            b = _det2(u, vi)  # coefficient on v_{i+1}, >= 0
+            index_abs = i + periods * c.k
+            if b == 0:
+                return ConePosition(Cone.CONE, w, ray_index=i, coeffs=(a,), index_abs=index_abs)
+            return ConePosition(Cone.CONE, w, sector_index=i, coeffs=(a, b), index_abs=index_abs)
+        # step right: v_{i+2} = b_{i+1} v_{i+1} - v_i
+        bterm = c.term(i + 1)
+        vi, vi1 = vi1, (bterm * vi1[0] - vi[0], bterm * vi1[1] - vi[1])
     raise RuntimeError(f"fan walk failed to locate {w}")  # pragma: no cover
 
 
@@ -215,16 +244,19 @@ def enumerate_cusp_components(c: CuspSequence, bound: int) -> list[CuspComponent
     if bound < 1:
         raise CuspError("bound must be positive")
     vs = v_sequence(c, 0, c.k)
+    # All rays, then all sectors, each by (index, multiplicities): the
+    # order of (kind, index, multiplicities), so no sort is needed.
     out = []
     for i in range(c.k):
-        vi, vi1 = vs[i], vs[i + 1]
+        vi = vs[i]
         for m in range(1, bound + 1):
             out.append(CuspComponent("ray", i, (m,), (m * vi[0], m * vi[1])))
+    for i in range(c.k):
+        vi, vi1 = vs[i], vs[i + 1]
         for mi in range(1, bound):
             for mj in range(1, bound - mi + 1):
                 vec = (mi * vi[0] + mj * vi1[0], mi * vi[1] + mj * vi1[1])
                 out.append(CuspComponent("sector", i, (mi, mj), vec))
-    out.sort(key=lambda comp: (comp.kind, comp.index, comp.multiplicities))
     return out
 
 
@@ -233,9 +265,9 @@ def enumerate_cusp_components(c: CuspSequence, bound: int) -> list[CuspComponent
 T_MATRIX = Mat2(-1, -1, 1, 2)
 
 # The dual has sum(b_i - 2) entries; a longer one is refused before any
-# list is built.  Canonical rotation is quadratic in the length, so at
-# this ceiling `dual` and `cusp` still finish in about 3 s.
-_DUAL_CEILING = 10_000
+# list is built.  Construction and canonical rotation are linear in the
+# length, so at this ceiling `dual` and `cusp` finish in well under 1 s.
+_DUAL_CEILING = 100_000
 
 
 def _construction_rotation(c: CuspSequence) -> CuspSequence:
@@ -321,9 +353,9 @@ def check_duality(c: CuspSequence) -> DualityReport:
 # -- recovering the sequence from a matrix --------------------------------
 
 
-def _floor_quad(a: int, c: int, d: int) -> int:
-    """floor((a + sqrt(d)) / c) for integer a, c != 0 and non-square d > 0."""
-    r = isqrt(d)
+def _floor_quad(a: int, c: int, d: int, r: int) -> int:
+    """floor((a + sqrt(d)) / c) for integer a, c != 0, non-square d > 0
+    and r = isqrt(d)."""
     est = (a + r) // c if c > 0 else (a + r + 1) // c
     # Adjust: find n with n <= x < n + 1 using exact comparisons.
     def le(n: int) -> bool:  # n <= (a + sqrt(d)) / c
@@ -357,13 +389,12 @@ def _recover_with_transition(m: Mat2) -> tuple[tuple[int, ...], Mat2]:
     # the image of the attracting fixed point under the standard
     # orientation flip, as a minus continued fraction b - 1/(b' - ...).
     a, cden = m.p - m.s, -2 * m.r
+    r = isqrt(d)
     seen: dict[tuple[int, int], int] = {}
     emitted: list[int] = []
-    states: list[tuple[int, int]] = []
     while (a, cden) not in seen:
         seen[(a, cden)] = len(emitted)
-        states.append((a, cden))
-        b = _floor_quad(a, cden, d) + 1  # ceil: x is irrational
+        b = _floor_quad(a, cden, d, r) + 1  # ceil: x is irrational
         emitted.append(b)
         a2 = b * cden - a
         cden2, rem = divmod(a2 * a2 - d, cden)

@@ -315,6 +315,9 @@ def test_analyze_general_graph_with_nodes(graph_file, capsys):
 # -- malformed input: exit 1, one 'error:' line, never a traceback ------------------
 
 
+_THREE_TWO_10K = ",".join(["3,2"] * 10_000)
+
+
 def _run_subprocess(*argv) -> subprocess.CompletedProcess:
     src = str(Path(arclink.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -351,6 +354,11 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         # --dot into a missing directory, then onto a directory ("{.}")
         (["analyze", "{g}", "--dot", "{missing/x.dot}"], {"g": CUSP_TEXT}),
         (["analyze", "{g}", "--dot", "{.}"], {"g": CUSP_TEXT}),
+        # sum(b_i - 2) = 10^4 passes the dual ceiling, but the monodromy has
+        # 5,720 digits, past the interpreter's int-to-str limit
+        (["cusp", "--seq", _THREE_TWO_10K, "--bound", "1", "--json"], {}),
+        (["dual", "--seq", _THREE_TWO_10K], {}),
+        (["dual", "--seq", _THREE_TWO_10K, "--json"], {}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
@@ -363,6 +371,19 @@ def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert proc.stdout == ""
+
+
+def test_unprintable_integer_names_its_exact_digit_count():
+    from arclink.cli import _refuse_unprintable
+    from arclink.inputs import InputError
+
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter has no int-to-str digit limit")
+    _refuse_unprintable([10 ** limit - 1, -5])  # exactly at the limit: printable
+    for n, digits in [(10 ** limit, limit + 1), (1 - 10 ** (limit + 7), limit + 7)]:
+        with pytest.raises(InputError, match=f"a {digits}-digit integer"):
+            _refuse_unprintable([3, n])
 
 
 def test_quotient_refuses_two_sources(graph_file, capsys):

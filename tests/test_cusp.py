@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import arclink.cusp as cusp_mod
 from arclink.cusp import (
     Cone,
+    ConePosition,
     CuspError,
     CuspSequence,
     T_MATRIX,
@@ -56,6 +57,58 @@ def test_trace_at_least_three_exhaustive():
             if all(b == 2 for b in bs):
                 continue
             assert monodromy(CuspSequence(bs)).trace() >= 3
+
+
+# -- least rotation ----------------------------------------------------------------
+
+
+def _least_rotation_oracle(b: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimum over all k rotations: quadratic, independent of the scan."""
+    return min(b[i:] + b[:i] for i in range(len(b)))
+
+
+def test_canonical_matches_oracle_exhaustive():
+    for k in range(1, 8):
+        for bs in product((2, 3, 4), repeat=k):
+            if max(bs) == 2:
+                continue
+            assert CuspSequence(bs).canonical().b == _least_rotation_oracle(bs), bs
+
+
+@pytest.mark.parametrize("word", [(2, 3), (3, 2, 2)])
+def test_canonical_of_periodic_words(word):
+    # Every start of a periodic word ties with the ones a period later.
+    for j in range(1, 13):
+        bs = word * j
+        for s in range(len(bs)):
+            rot = bs[s:] + bs[:s]
+            assert CuspSequence(rot).canonical().b == _least_rotation_oracle(bs), rot
+
+
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=40).filter(lambda bs: max(bs) > 2))
+@settings(max_examples=200)
+def test_canonical_matches_oracle(bs):
+    b = tuple(bs)
+    canon = CuspSequence(b).canonical()
+    assert canon.b == _least_rotation_oracle(b)
+    assert canon.canonical() == canon
+
+
+def test_canonical_closed_form_at_ten_thousand_terms():
+    # (3, 2^9999) in every 97th rotation and the last: the least rotation
+    # puts the 3 last.  All 10^4 rotations would be 3*10^8 scan steps.
+    b = (3,) + (2,) * 9_999
+    for s in [*range(0, len(b), 97), len(b) - 1]:
+        assert CuspSequence(b[s:] + b[:s]).canonical().b == (2,) * 9_999 + (3,), s
+
+
+def test_recover_a_ten_thousand_curve_cycle():
+    rng = random.Random(10)
+    b = [2] * 10_000
+    for pos in rng.sample(range(len(b)), 15):
+        b[pos] = rng.choice((3, 4))
+    c = CuspSequence(tuple(b))
+    assert recover_sequence(monodromy(c)) == c.canonical()
 
 
 # -- the v fan -------------------------------------------------------------------
@@ -152,6 +205,56 @@ def test_eigenray_sign_test_never_zero():
             continue
         s1, s2 = _eigen_sign_pair(m, w)
         assert s1 != 0 and s2 != 0
+
+
+def _stepwise_position(w, c: CuspSequence) -> ConePosition:
+    """The fan walk one ray at a time from [v_0, v_1), with no period jumps."""
+    cone = four_cone(monodromy(c), w)
+    if cone is not Cone.CONE:
+        return ConePosition(cone, w)
+    i, vi, vi1 = 0, (0, 1), (1, 0)
+    while True:
+        a = vi1[0] * w[1] - vi1[1] * w[0]  # coefficient on v_i
+        b = w[0] * vi[1] - w[1] * vi[0]    # coefficient on v_{i+1}
+        if b < 0:
+            # step left: v_{i-1} = b_i v_i - v_{i+1}
+            bterm = c.term(i)
+            vi, vi1 = (bterm * vi[0] - vi1[0], bterm * vi[1] - vi1[1]), vi
+            i -= 1
+        elif a <= 0:
+            # step right: v_{i+2} = b_{i+1} v_{i+1} - v_i
+            bterm = c.term(i + 1)
+            vi, vi1 = vi1, (bterm * vi1[0] - vi[0], bterm * vi1[1] - vi[1])
+            i += 1
+        elif b == 0:
+            return ConePosition(Cone.CONE, w, ray_index=i % c.k, coeffs=(a,), index_abs=i)
+        else:
+            return ConePosition(Cone.CONE, w, sector_index=i % c.k, coeffs=(a, b), index_abs=i)
+
+
+@given(_sequences, st.integers(-6, 6))
+@settings(max_examples=120, deadline=None)
+def test_cone_position_matches_stepwise_walk(bs, ell):
+    c = CuspSequence(tuple(bs))
+    m_ell = monodromy(c) ** ell
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            if (x, y) != (0, 0):
+                w = m_ell.apply((x, y))
+                assert cone_position(w, c) == _stepwise_position(w, c), (bs, ell, w)
+
+
+@pytest.mark.parametrize("ell", [40, -40])
+def test_cone_position_shifts_by_whole_periods(ell):
+    rng = random.Random(13)
+    c = CuspSequence((3,) + tuple(rng.choice((2, 3, 4)) for _ in range(511)))
+    m_ell = monodromy(c) ** ell
+    for w in [(2, 1), (0, 3), (5, 2)]:
+        base = cone_position(w, c)
+        moved = cone_position(m_ell.apply(w), c)
+        assert moved.index_abs == base.index_abs + ell * c.k
+        assert (moved.ray_index, moved.sector_index, moved.coeffs) == (
+            base.ray_index, base.sector_index, base.coeffs)
 
 
 # -- reduction and enumeration -------------------------------------------------------
