@@ -48,10 +48,10 @@ class CuspSequence:
     def canonical(self) -> "CuspSequence":
         """The lexicographically least rotation, found in O(k).
 
-        Two candidate starts i < j are compared from offset ``off``; at the
-        first difference the larger one and the ``off`` starts after it are
-        ruled out, so every step either grows ``off`` or rules out starts
-        (Booth 1980, Duval 1983).  Reading the doubled tuple keeps each
+        Two candidate starts i != j are compared from offset ``off``; at the
+        first difference the start with the larger entry and the ``off``
+        starts after it are ruled out, so every step either grows ``off`` or
+        rules out starts (Booth 1980, Duval 1983).  Reading the doubled tuple keeps each
         index below 2k without a modulus.
         """
         b, n = self.b, self.k
