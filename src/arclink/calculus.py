@@ -126,9 +126,6 @@ class DltModel:
         is_cusp = self.sing_class.kind is SingKind.CUSP
         object.__setattr__(self, "frame", cusp_structure(self.residual) if is_cusp else None)
 
-    def orbifold_points_at(self, vid: str) -> tuple[OrbifoldPoint, ...]:
-        return tuple(p for p in self.orbifold_points if p.host == vid)
-
 
 # -- minimal log resolution ---------------------------------------------
 
@@ -179,19 +176,51 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
     so every intermediate graph stays negative definite.
 
     The smallest contractible id goes first.  Only the ends of a blown-down
-    vertex change, so they are the only new candidates for the heap.
+    vertex change, so they are the only new candidates for the heap.  The
+    steps of ``blow_down`` run on one working copy (euler numbers,
+    neighbor multiplicities, loop counts), and one graph is built at the end.
     """
     heap = sorted(vid for vid in g.vertex_ids() if _contractible(g, vid))
+    if not heap:
+        return g
+    euler = {v.id: v.euler for v in g.vertices}
+    rational = {v.id for v in g.vertices if v.genus == 0}
+    mult = {vid: g.multiplicities(vid) for vid in euler}
+    loops = {vid: g.loops_at(vid) for vid in euler}
+
+    def contractible(vid: str) -> bool:
+        return (
+            euler[vid] == -1 and vid in rational and not loops[vid] and sum(mult[vid].values()) <= 2
+        )
+
     while heap:
         vid = heapq.heappop(heap)
-        if not g.has_vertex(vid) or not _contractible(g, vid):
+        if vid not in euler or not contractible(vid):
             continue
-        ends = g.neighbors(vid)
-        g = blow_down(g, vid)
-        for u in ends:
-            if _contractible(g, u):
+        del euler[vid], loops[vid]
+        nbrs = mult.pop(vid)
+        ends = [w for w, m in nbrs.items() for _ in range(m)]
+        for w, m in nbrs.items():
+            euler[w] += m
+            del mult[w][vid]
+        if len(ends) == 2:
+            u, w = ends
+            if u == w:
+                loops[u] += 1
+            else:
+                mult[u][w] = mult[u].get(w, 0) + 1
+                mult[w][u] = mult[w].get(u, 0) + 1
+        for u in nbrs:
+            if contractible(u):
                 heapq.heappush(heap, u)
-    return g
+    vs = tuple(
+        v if v.euler == euler[v.id] else Vertex(v.id, euler[v.id], v.genus)
+        for v in g.vertices
+        if v.id in euler
+    )
+    es = [(u, w) for u, inc in mult.items() for w, m in inc.items() if u < w for _ in range(m)]
+    es += [(u, u) for u, n in loops.items() for _ in range(n)]
+    return PlumbingGraph(vs, tuple(es), g.name)
 
 
 # -- rational chain tails ------------------------------------------------

@@ -11,6 +11,7 @@ chain-system oracle in ``checks``.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .calculus import (
     SelfDltError,
 )
 from .cusp import Vec, reduce_mod_monodromy
-from .graph_core import GraphError, PlumbingGraph
+from .graph_core import GraphError
 from .hjcf import chain_exponent
 
 
@@ -189,18 +190,6 @@ def _leg_generator(host: str, leg: str) -> str:
 # -- enumeration -------------------------------------------------------------
 
 
-def _branch_count(g: PlumbingGraph, vid: str, model: DltModel) -> int:
-    return g.degree(vid) + len(model.orbifold_points_at(vid))
-
-
-def _curve_homotopy(model: DltModel, vid: str, m: int) -> HomotopyType:
-    v = model.residual.vertex(vid)
-    r = _branch_count(model.residual, vid, model)
-    if r == 0:
-        return HomotopyType(HomotopyKind.CIRCLE_BUNDLE, genus=v.genus, chern=m * (-v.euler))
-    return HomotopyType(HomotopyKind.CIRCLE_TIMES_WEDGE, wedge_count=2 * v.genus + r - 1)
-
-
 def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     """All short-arc components with multiplicity data bounded by ``bound``.
 
@@ -221,9 +210,16 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
         out.append(ArcComponent(kind, location, multiplicities, denominator, winding, homotopy))
 
     g = model.residual
+    points_at = Counter(pt.host for pt in model.orbifold_points)
     for vid in sorted(g.vertex_ids()):
+        v = g.vertex(vid)
+        branches = g.degree(vid) + points_at[vid]
+        wedge = HomotopyType(HomotopyKind.CIRCLE_TIMES_WEDGE, wedge_count=2 * v.genus + branches - 1)
         for m in range(1, bound + 1):
-            add(ComponentKind.CURVE_INTERIOR, (vid,), (m,), None, _curve_homotopy(model, vid, m))
+            homotopy = wedge
+            if not branches:  # a closed curve: the circle bundle of Chern number m * (-e_v)
+                homotopy = HomotopyType(HomotopyKind.CIRCLE_BUNDLE, genus=v.genus, chern=m * (-v.euler))
+            add(ComponentKind.CURVE_INTERIOR, (vid,), (m,), None, homotopy)
     torus = HomotopyType(HomotopyKind.TWO_TORUS)
     for inst in g.edge_instances():
         for mu in range(1, bound):

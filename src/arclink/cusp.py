@@ -174,12 +174,18 @@ def cone_position(w: Vec, c: CuspSequence) -> ConePosition:
     crossed, and then located among at most k rays with small integers:
     O(|l| + k) steps for w at fan depth l periods.
     """
+    return _locate(w, c)[0]
+
+
+def _locate(w: Vec, c: CuspSequence) -> tuple[ConePosition, Vec | None]:
+    """``cone_position(w, c)`` and, for w in the principal cone, the
+    translate of w by whole periods that lies in [v_0, v_k)."""
     if w == (0, 0):
         raise CuspError("zero vector has no cone position")
     m = monodromy(c)
     cone = four_cone(m, w)
     if cone is not Cone.CONE:
-        return ConePosition(cone, w)
+        return ConePosition(cone, w), None
     v0: Vec = (0, 1)
     vk: Vec = (m.q, m.s)  # v_k = M v_0
     m_inv = m.inverse()
@@ -198,8 +204,8 @@ def cone_position(w: Vec, c: CuspSequence) -> ConePosition:
             b = _det2(u, vi)  # coefficient on v_{i+1}, >= 0
             index_abs = i + periods * c.k
             if b == 0:
-                return ConePosition(Cone.CONE, w, ray_index=i, coeffs=(a,), index_abs=index_abs)
-            return ConePosition(Cone.CONE, w, sector_index=i, coeffs=(a, b), index_abs=index_abs)
+                return ConePosition(Cone.CONE, w, ray_index=i, coeffs=(a,), index_abs=index_abs), u
+            return ConePosition(Cone.CONE, w, sector_index=i, coeffs=(a, b), index_abs=index_abs), u
         # step right: v_{i+2} = b_{i+1} v_{i+1} - v_i
         bterm = c.term(i + 1)
         vi, vi1 = vi1, (bterm * vi1[0] - vi[0], bterm * vi1[1] - vi[1])
@@ -207,13 +213,14 @@ def cone_position(w: Vec, c: CuspSequence) -> ConePosition:
 
 
 def reduce_mod_monodromy(w: Vec, c: CuspSequence) -> tuple[Vec, int]:
-    """Unique M^l * w inside the fundamental sectors [v_0, v_k), with l."""
-    pos = cone_position(w, c)
+    """Unique M^l * w inside the fundamental sectors [v_0, v_k), with l.
+
+    The fan walk of ``cone_position`` already moved w there by whole
+    periods, so the representative is the vector it located."""
+    pos, rep = _locate(w, c)
     if pos.cone is not Cone.CONE:
         raise CuspError(f"{w} lies in {pos.cone.value}, not in the principal cone")
-    ell = -(pos.index_abs // c.k)
-    rep = (monodromy(c) ** ell).apply(w)
-    return rep, ell
+    return rep, -(pos.index_abs // c.k)
 
 
 # -- component enumeration ----------------------------------------------
@@ -403,16 +410,15 @@ def _recover_with_transition(m: Mat2) -> tuple[tuple[int, ...], Mat2]:
     start = seen[(a, cden)]
     period = emitted[start:]
     assert all(b >= 2 for b in period) and not all(b == 2 for b in period)
-    # Repetition count: trace of M(period^l) grows strictly with l.
-    times = 1
-    while True:
-        cand = tuple(period * times)
-        t = mono_product(cand).trace()
-        if t == tau:
-            break
-        if t > tau:
-            raise CuspError(f"no power of period {period} matches trace {tau}")
+    # Repetition count: with A = M(period), det A = 1, the traces
+    # tr(A^l) = tr(A) tr(A^(l-1)) - tr(A^(l-2)) grow strictly with l.
+    a = mono_product(period).trace()
+    prev, t, times = 2, a, 1
+    while t < tau:
+        prev, t = t, a * t - prev
         times += 1
+    if t != tau:
+        raise CuspError(f"no power of period {period} matches trace {tau}")
     # Pre-period product of N(b) = ((b,-1),(1,0)) conjugated by J = diag(1,-1)
     # transports the purely periodic fixed point to the one of m.
     w = Mat2.identity()

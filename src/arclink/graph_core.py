@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 from .inputs import InputError, numbered_lines
@@ -109,6 +109,10 @@ class PlumbingGraph:
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
         return sorted(self._adj.get(vid, _NO_INCIDENCE).mult)
+
+    def multiplicities(self, vid: str) -> dict[str, int]:
+        """Neighbor -> number of edges to it, loops excluded, as a new dict."""
+        return dict(self._adj.get(vid, _NO_INCIDENCE).mult)
 
     def edge_multiplicity(self, u: str, v: str) -> int:
         inc = self._adj.get(u, _NO_INCIDENCE)
@@ -229,7 +233,7 @@ def intersection_matrix(g: PlumbingGraph) -> list[list[int]]:
 def is_negative_definite(mat: Sequence[Sequence[int]]) -> bool:
     """Exact negative-definiteness test of a symmetric integer matrix A.
 
-    Method: a sparse LDL^T factorisation of B = -A over ``Fraction``,
+    Method: a sparse LDL^T factorisation of B = -A in exact rationals,
     eliminating vertices in minimum-degree order (a heap with lazy
     deletion), which stops with False at the first pivot <= 0.
 
@@ -268,15 +272,18 @@ def is_negative_definite_graph(g: PlumbingGraph) -> bool:
     return _positive_definite_ldl(diag, rows)
 
 
-def _positive_definite_ldl(diag: list, rows: list[dict[int, int]]) -> bool:
-    """Whether the symmetric matrix B with diagonal ``diag`` and
+def _positive_definite_ldl(diag: list[int], rows: list[dict[int, int]]) -> bool:
+    """Whether the symmetric integer matrix B with diagonal ``diag`` and
     off-diagonal nonzeros ``rows[i] = {j: B_ij}`` is positive definite.
 
     Both arguments are consumed.  Eliminating pivot p subtracts
     B_ip B_pj / B_pp from every entry (i, j) over the neighbors of p;
-    entries that cancel to zero are dropped so degrees stay exact.
+    entries that cancel to zero are dropped so degrees stay exact.  Every
+    entry is a reduced pair (numerator, denominator > 0) of plain ints, and
+    the update is Fraction's arithmetic inlined (``_sub_mul``).
     """
-    diag = [Fraction(x) for x in diag]
+    den = [1] * len(diag)
+    rows = [{j: (x, 1) for j, x in row.items()} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * len(diag)
@@ -284,25 +291,42 @@ def _positive_definite_ldl(diag: list, rows: list[dict[int, int]]) -> bool:
         deg, p = heapq.heappop(heap)
         if done[p] or deg != len(rows[p]):
             continue  # eliminated, or a stale entry for an older degree
-        d = diag[p]
-        if d <= 0:
+        dn, dd = diag[p], den[p]
+        if dn <= 0:
             return False
         done[p] = True
-        nbrs = list(rows[p].items())
-        for i, a in nbrs:
+        nbrs = []  # (i, B_ip, B_ip / B_pp), each a reduced pair
+        for i, (an, ad) in rows[p].items():
             del rows[i][p]
-            diag[i] -= a * a / d
-        for s, (i, a) in enumerate(nbrs):
+            g, h = gcd(an, dn), gcd(ad, dd)
+            nbrs.append((i, an, ad, (an // g) * (dd // h), (ad // h) * (dn // g)))
+        for s, (i, an, ad, ln, ld) in enumerate(nbrs):
+            diag[i], den[i] = _sub_mul(diag[i], den[i], ln, ld, an, ad)
             row_i = rows[i]
-            for j, b in nbrs[s + 1:]:
-                x = row_i.get(j, 0) - a * b / d
-                if x:
-                    row_i[j] = rows[j][i] = x
+            for j, bn, bd, _, _ in nbrs[s + 1:]:
+                xn, xd = _sub_mul(*row_i.get(j, (0, 1)), ln, ld, bn, bd)
+                if xn:
+                    row_i[j] = rows[j][i] = (xn, xd)
                 elif j in row_i:
                     del row_i[j], rows[j][i]
-        for i, _ in nbrs:
+        for i, *_ in nbrs:
             heapq.heappush(heap, (len(rows[i]), i))
     return True
+
+
+def _sub_mul(xn: int, xd: int, un: int, ud: int, vn: int, vd: int) -> tuple[int, int]:
+    """x - u*v for reduced pairs, reduced.  As in ``Fraction``, the product
+    cancels crosswise and the difference takes the gcd of the denominators
+    first, so no gcd runs on a whole product."""
+    g, h = gcd(un, vd), gcd(vn, ud)
+    yn, yd = (un // g) * (vn // h), (ud // h) * (vd // g)
+    g = gcd(xd, yd)
+    if g == 1:
+        return xn * yd - yn * xd, xd * yd
+    s = xd // g
+    t = xn * (yd // g) - yn * s
+    h = gcd(t, g)
+    return t // h, s * (yd // h)
 
 
 # -- shape classification ----------------------------------------------

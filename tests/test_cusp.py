@@ -111,6 +111,13 @@ def test_recover_a_ten_thousand_curve_cycle():
     assert recover_sequence(monodromy(c)) == c.canonical()
 
 
+def test_recover_a_periodic_ten_thousand_curve_cycle():
+    # The period (2, 3) repeats 5,000 times: the repetition count comes
+    # from the trace recurrence of the period's monodromy.
+    c = CuspSequence((3, 2) * 5000)
+    assert recover_sequence(monodromy(c)) == c.canonical() == CuspSequence((2, 3) * 5000)
+
+
 # -- the v fan -------------------------------------------------------------------
 
 
@@ -255,6 +262,23 @@ def test_cone_position_shifts_by_whole_periods(ell):
         assert moved.index_abs == base.index_abs + ell * c.k
         assert (moved.ray_index, moved.sector_index, moved.coeffs) == (
             base.ray_index, base.sector_index, base.coeffs)
+
+
+@given(_sequences, st.integers(-6, 6))
+@settings(max_examples=120, deadline=None)
+def test_reduce_matches_the_power_of_the_monodromy(bs, ell):
+    # On the grid of the stepwise walk: the representative is M^l w with
+    # l = -floor(index / k) for the walk's absolute fan index.
+    c = CuspSequence(tuple(bs))
+    m = monodromy(c)
+    m_ell = m ** ell
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            w = m_ell.apply((x, y))
+            if (x, y) == (0, 0) or (pos := _stepwise_position(w, c)).cone is not Cone.CONE:
+                continue
+            shift = -(pos.index_abs // c.k)
+            assert reduce_mod_monodromy(w, c) == ((m ** shift).apply(w), shift), (bs, ell, w)
 
 
 # -- reduction and enumeration -------------------------------------------------------

@@ -205,6 +205,54 @@ def test_definiteness_invariant_under_relabelling_and_reordering(g, rnd):
     )
 
 
+_big = st.integers(-(2**40), 2**40)
+
+
+@st.composite
+def _big_symmetric(draw):
+    """A symmetric matrix with entries past 2^32: either -(X^T X + D) for
+    an r x n matrix X and a diagonal D >= 0 (negative definite exactly when
+    X^T X + D is nonsingular, and otherwise a pivot cancels to zero), or a
+    symmetric matrix with free entries."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n))
+        x = [[draw(st.integers(-(2**20), 2**20)) for _ in range(n)] for _ in range(r)]
+        d = [draw(st.sampled_from([0, 0, 1, 2**33])) for _ in range(n)]
+        return [
+            [-sum(row[i] * row[j] for row in x) - (d[i] if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = draw(_big)
+    return mat
+
+
+@given(_big_symmetric())
+@settings(max_examples=300)
+def test_definiteness_agrees_with_oracles_on_large_entries(mat):
+    want = sylvester_negative_definite(mat)
+    assert is_negative_definite(mat) == want == negative_definite_cholesky(mat)
+
+
+def test_zero_pivots_are_rejected():
+    # Each first meets a pivot that cancels to exactly zero, here or after
+    # a permutation, with entries past 2^32 where they are large.
+    big = 2**35 + 7
+    assert not is_negative_definite([[-1, 1], [1, -1]])
+    assert not is_negative_definite([[-big, big], [big, -big]])
+    assert not is_negative_definite([[-big * big, big], [big, -1]])
+    assert is_negative_definite([[-big * big - 1, big], [big, -1]])
+    # -A = v v^T + w w^T on three coordinates: rank 2, so not definite.
+    v, w = (big, 1, 3), (2, -big, 5)
+    mat = [[-(v[i] * v[j] + w[i] * w[j]) for j in range(3)] for i in range(3)]
+    assert sylvester_negative_definite(mat) is False
+    assert not is_negative_definite(mat)
+    assert is_negative_definite([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)])
+
+
 def test_large_chain_accepted():
     # The leading minors of -A(A_n) are the continuants k + 1 > 0.
     assert is_negative_definite_graph(chain_graph([2] * 1000))
