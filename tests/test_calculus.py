@@ -351,7 +351,7 @@ def test_resolution_order_matches_rescan():
     assert minimal_log_resolution(loop) == _resolve_by_rescan(loop)
     assert minimal_log_resolution(loop) == PlumbingGraph((Vertex("a", -3),), (("a", "a"),), "graph")
     # A -1 curve whose two neighbors already meet blows down to a parallel
-    # edge; here the chain b - c survives beside the new double edge.
+    # edge; the -2 curve b on w survives beside the new double edge.
     parallel = parse_plumbing(
         "vertex u euler=-4 genus=0\nvertex w euler=-4 genus=0\nvertex e euler=-1 genus=0\n"
         "vertex b euler=-2 genus=0\nedge u w\nedge u e\nedge e w\nedge w b\n"

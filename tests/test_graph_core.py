@@ -238,8 +238,8 @@ def test_definiteness_agrees_with_oracles_on_large_entries(mat):
 
 
 def test_zero_pivots_are_rejected():
-    # Each first meets a pivot that cancels to exactly zero, here or after
-    # a permutation, with entries past 2^32 where they are large.
+    # Each singular matrix here meets a pivot that cancels to exactly zero
+    # in the minimum-degree order; ``big`` puts entries past 2^32.
     big = 2**35 + 7
     assert not is_negative_definite([[-1, 1], [1, -1]])
     assert not is_negative_definite([[-big, big], [big, -big]])
