@@ -464,9 +464,12 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
     expansion of m/q gives back, and whose labels a/m (1 <= a <= bound*m)
     carry the model arc (a, c) with c*q = a mod m.  For m <= 16 the label
     count is also bound times the class count of the closed cyclic group
-    of order m."""
+    of order m.  The label list is a function of (m, q) alone, so it is
+    checked on the first chain that routes to each pair; a chain and its
+    reverse share the pair."""
     cases = 0
     class_counts: dict[int, int] = {}  # one closure per distinct m
+    checked: set[tuple[int, int]] = set()  # one label list per distinct (m, q)
     for k in range(1, max_len + 1):
         for bs in product(range(2, max_b + 1), repeat=k):
             cases += 1
@@ -482,7 +485,8 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
                 return SweepResult("chain quotient agreement", False, cases, f"{bs}: class {cls}")
             if hj_expand(m, q) not in (list(bs), list(bs)[::-1]):
                 return SweepResult("chain quotient agreement", False, cases, f"{bs}: {m}/{q} expands otherwise")
-            if m <= 300:  # check the full label list where affordable
+            if m <= 300 and (m, q) not in checked:  # the full label list where affordable
+                checked.add((m, q))
                 labels = cyclic_quotient_components(m, q, bound)
                 if len(labels) != bound * m:
                     return SweepResult("chain quotient agreement", False, cases, f"{bs}: {len(labels)} labels")

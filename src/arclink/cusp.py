@@ -362,20 +362,14 @@ def check_duality(c: CuspSequence) -> DualityReport:
 
 def _floor_quad(a: int, c: int, d: int, r: int) -> int:
     """floor((a + sqrt(d)) / c) for integer a, c != 0, non-square d > 0
-    and r = isqrt(d)."""
-    est = (a + r) // c if c > 0 else (a + r + 1) // c
-    # Adjust: find n with n <= x < n + 1 using exact comparisons.
-    def le(n: int) -> bool:  # n <= (a + sqrt(d)) / c
-        lhs = n * c - a
-        if c > 0:
-            return quadint_sign(lhs, -1, d) <= 0  # n*c - a <= sqrt(d)
-        return quadint_sign(lhs, -1, d) >= 0
-    n = est
-    while not le(n):
-        n -= 1
-    while le(n + 1):
-        n += 1
-    return n
+    and r = isqrt(d).
+
+    Exact from r alone: d is not a square, so r < sqrt(d) < r + 1 and
+    no integer lies in (a + r, a + sqrt(d)].  For c > 0 the multiple
+    n*c therefore passes a + sqrt(d) exactly when it passes a + r, and
+    the floor is (a + r) // c.  For c < 0 the quotient is irrational,
+    so its floor is -1 - (a + r) // |c|, which is (a + r + 1) // c."""
+    return (a + r) // c if c > 0 else (a + r + 1) // c
 
 
 def _recover_with_transition(m: Mat2) -> tuple[tuple[int, ...], Mat2]:

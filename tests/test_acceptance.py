@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
+from itertools import product
 
 from arclink import checks
 from arclink.calculus import minimal_dlt_model
@@ -23,7 +24,7 @@ from arclink.checks import (
 )
 from arclink.components import enumerate_components
 from arclink.cusp import CuspSequence, check_duality, dual_sequence, monodromy
-from arclink.hjcf import Mat2
+from arclink.hjcf import Mat2, hj_pair
 from arclink.inoue import inoue_cross_check
 from arclink.quadratic import QuadNum
 from arclink.quotient import (
@@ -159,6 +160,42 @@ def test_criterion_8_sweep_catches_a_wrong_class_count(monkeypatch):
     monkeypatch.setattr(checks, "conjugacy_classes", planted)
     result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
     assert not result.passed and "2 classes in Z/3" in result.witness
+
+
+def test_chain_quotient_sweep_checks_each_label_list_once(monkeypatch):
+    # A chain and its reverse are one cyclic quotient: the pair {q_f, q_b}
+    # of second numerators names it whatever q the class picks.
+    real = checks.cyclic_quotient_components
+    calls = []
+
+    def counted(m, q, bound):
+        calls.append((m, q))
+        return real(m, q, bound)
+
+    monkeypatch.setattr(checks, "cyclic_quotient_components", counted)
+    result = sweep_chain_quotient_agreement()
+    assert result.passed and result.cases == 5460, result.witness
+    quotients = set()
+    for k in range(1, 7):
+        for bs in product(range(2, 6), repeat=k):
+            m, q_f = hj_pair(bs)
+            _, q_b = hj_pair(bs[::-1])
+            if m <= 300:
+                quotients.add((m, frozenset((q_f, q_b))))
+    assert len(calls) == len(set(calls)) == len(quotients) == 927
+    assert {(m, frozenset((q, pow(q, -1, m)))) for m, q in calls} == quotients
+
+
+def test_chain_quotient_sweep_names_the_first_chain_of_a_wrong_label_list(monkeypatch):
+    # (2, 3) and (3, 2) are both 1/5(2, 1); (2, 3) comes first in the sweep.
+    real = checks.cyclic_quotient_components
+
+    def planted(m, q, bound):
+        return real(m, _other_q(m, q) if (m, q) == (5, 2) else q, bound)
+
+    monkeypatch.setattr(checks, "cyclic_quotient_components", planted)
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and result.witness.startswith("(2, 3): label"), result.witness
 
 
 def test_mckay_sweep_computes_the_classes_once(monkeypatch):

@@ -26,6 +26,7 @@ from arclink.cusp import (
     v_sequence,
 )
 from arclink.hjcf import Mat2, mono_product
+from arclink.quadratic import quadint_sign
 
 _sequences = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(
     lambda bs: any(b > 2 for b in bs)
@@ -445,6 +446,22 @@ def test_recover_conjugated_matrices():
     assert recover_sequence(m2).is_rotation_of(c)
     seq, p = recover_with_conjugator(m2)
     assert p * mono_product(seq.b) == m2 * p
+
+
+def test_floor_quad_matches_the_exact_definition():
+    # n = floor((a + sqrt d) / c) iff n*c and (n + 1)*c lie on either side
+    # of a + sqrt d, the sides read off exact signs with the sign of c.
+    rng = random.Random(5)
+    for bits in (4, 40, 300):
+        for _ in range(300):
+            r = rng.getrandbits(bits) | 1 << (bits - 1)  # d >= 2**598 at 300 bits
+            d = r * r + rng.randint(1, 2 * r)  # strictly between squares
+            a = rng.randint(-(2**bits), 2**bits)
+            c = rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+            n = cusp_mod._floor_quad(a, c, d, r)
+            side = 1 if c > 0 else -1
+            assert side * quadint_sign(a - n * c, 1, d) > 0, (a, c, d)
+            assert side * quadint_sign(a - (n + 1) * c, 1, d) < 0, (a, c, d)
 
 
 def test_recover_roundtrip_500_random():
