@@ -1,6 +1,7 @@
-"""Pinned ``analyze --json --bound 3`` output for a few fixed graphs.
+"""Pinned CLI output: ``analyze --json --bound 3`` for a few fixed graphs,
+and the text and JSON output of every subcommand on one input each.
 
-Refactors must leave the report byte-identical; a deliberate change of
+Refactors must leave the output byte-identical; a deliberate change of
 the report is a schema change and updates these hashes with it.
 """
 from __future__ import annotations
@@ -9,6 +10,7 @@ import hashlib
 
 import pytest
 
+import arclink.cusp as cusp_mod
 from arclink.cli import main
 from conftest import E8_TEXT, SIGMA_237_TEXT
 
@@ -123,3 +125,112 @@ def test_analyze_json_is_pinned(name, tmp_path, capsys):
     assert main(["analyze", str(path), "--json", "--bound", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+FIELD_TEXT = "d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2+1/2*sqrt\n"
+
+# argv ({g} names a file holding GENERAL_TEXT, {c} CUSP_333_TEXT, {f}
+# FIELD_TEXT) and the sha256 of its stdout; every call exits 0.
+CLI_GOLDEN = {
+    "analyze_text": (
+        ["analyze", "{g}"],
+        "f1cd42e0b74cef396b174224b5d5a36a5a34629ed8c7402b82ace1872b62097a",
+    ),
+    "analyze_cusp_text": (
+        ["analyze", "{c}"],
+        "a85e54c16bfb591a5bcf8183f4aec77a83e7f8de147b7dc13eaf014a8cadf308",
+    ),
+    "components_text": (
+        ["components", "{g}"],
+        "90678c13f22b7c6b924bbb441096df14ff455467e9f30b9bfc453eb4fbe5e129",
+    ),
+    "components_json": (
+        ["components", "{g}", "--json"],
+        "ae2f46f931f79a88d1920222b4d47d4e128931801d032b52835685ad76be00b8",
+    ),
+    "cusp_text": (
+        ["cusp", "--seq", "2,3,4"],
+        "20bfa901fd28e1a5bb12503dac5a420b39bbdbd2848cf53b22d433ed301c082d",
+    ),
+    "cusp_json": (
+        ["cusp", "--seq", "2,3,4", "--json"],
+        "01b548efa2f7e8827871184f7c0955fd1e1c98e2d94580062b996adde516e807",
+    ),
+    "dual_text": (
+        ["dual", "--seq", "2,3,4"],
+        "063e9432860d73cdca19a2a1923d5956d517c3d30b00ca0e6638a30fe2bf8ae5",
+    ),
+    "dual_json": (
+        ["dual", "--seq", "2,3,4", "--json"],
+        "31c1c26805bd628af546a7b40ffedbeaede8f666ac1ddc5caeb2394c5fdbf3ba",
+    ),
+    "quotient_text": (
+        ["quotient", "--builtin", "2T"],
+        "63f45c7d6f4aa26b92471add3e00cd688d8309f801d307714fcd14159524a2e0",
+    ),
+    "quotient_json": (
+        ["quotient", "--builtin", "2T", "--json"],
+        "f9ec870eecd6d44df5098fe762b5036d916e5f1f7bf99d977f58b5594d89a0d1",
+    ),
+    "inoue_text": (
+        ["inoue", "--field", "{f}"],
+        "7e748394fa741cadd0bdd7b58b9f4226c703df82527a36103765bb308a53bc23",
+    ),
+    "inoue_json": (
+        ["inoue", "--field", "{f}", "--json"],
+        "8a1ed5b887f218ff71c6d0412394eeb4b5c11011ed249b29e5be0679441d03b5",
+    ),
+    "check_text": (
+        ["check"],
+        "2ac48d8ed361699b80329fdf784504d1a3d08fef0f577d0cfbcb5286aff4128d",
+    ),
+    "check_json": (
+        ["check", "--json"],
+        "9c0c8189a7e4069626550d5e7ec725c23808c2174529843cf11c311d1be33af5",
+    ),
+}
+
+
+def _files(tmp_path) -> dict[str, str]:
+    paths = {}
+    for token, text in (("{g}", GENERAL_TEXT), ("{c}", CUSP_333_TEXT), ("{f}", FIELD_TEXT)):
+        path = tmp_path / f"input{token[1]}"
+        path.write_text(text)
+        paths[token] = str(path)
+    return paths
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN))
+def test_cli_output_is_pinned(name, tmp_path, capsys):
+    argv, want = CLI_GOLDEN[name]
+    files = _files(tmp_path)
+    assert main([files.get(tok, tok) for tok in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == want
+
+
+def test_falsified_cusp_prints_its_report_first(capsys, monkeypatch):
+    # A wrong bridge matrix: cusp prints the whole report, then the witness.
+    monkeypatch.setattr(cusp_mod, "T_MATRIX", cusp_mod.Mat2(-1, -1, 1, 3))
+    assert main(["cusp", "--seq", "3,3,3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert _sha(captured.out) == (
+        "fbd9aab7aedb0e9dbbcabe8ca7e6466160a915128e687add17b0d26c0434ed51"
+    )
+    assert captured.err == "FALSIFIED: MT = TM* failed for (3, 3, 3)\n"
+
+
+def test_falsified_analyze_prints_nothing(tmp_path, capsys, monkeypatch):
+    # analysis_report raises before anything is printed, in every mode.
+    monkeypatch.setattr(cusp_mod, "T_MATRIX", cusp_mod.Mat2(-1, -1, 1, 3))
+    path = _files(tmp_path)["{c}"]
+    for mode in (["--json"], [], ["--quiet"]):
+        assert main(["analyze", path, *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "FALSIFIED: MT = TM* failed for (3, 3, 3)\n"
