@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 input error, 2 falsified mathematical identity
 (the witness is printed).  JSON output is deterministic: same input,
 byte-identical report.
 
+Each ``cmd_*`` returns ``(report, text, failure)``: the JSON report, a
+function that prints the text form, and the witness of a falsification
+or None.  ``main`` alone prints one of the two forms and then reports the
+falsification.
+
 Each subcommand imports the library modules it uses when it runs, so a call
 loads only those; at module level this file imports the standard library and
 ``inputs`` alone.
@@ -213,15 +218,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _print_report(report: dict, args) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return
-    if args.quiet:
-        return
-    _pretty_report(report)
-
-
 def _pretty_report(report: dict) -> None:
     print(f"input: {report['input']}")
     print(f"singularity class: {report['singularity_class']['description']}")
@@ -261,34 +257,32 @@ def _pretty_report(report: dict) -> None:
         )
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     from .graph_core import parse_plumbing
 
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
     if args.dot:
         write_dot(g, args.dot)
-    _print_report(report, args)
-    return 0
+    return report, lambda: _pretty_report(report), None
 
 
-def cmd_components(args) -> int:
+def cmd_components(args):
     from .graph_core import parse_plumbing
 
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
-    out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound,
-           "components": report["components"]}
-    if args.json:
-        print(json.dumps(out, indent=2))
-    elif not args.quiet:
-        comps = out["components"]
+    comps = report["components"]
+    out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound, "components": comps}
+
+    def text():
         if isinstance(comps, dict):
             print(comps["note"])
         else:
             for c in comps:
                 print(json.dumps(c))
-    return 0
+
+    return out, text, None
 
 
 def _parse_seq(text: str) -> CuspSequence:
@@ -300,7 +294,7 @@ def _parse_seq(text: str) -> CuspSequence:
         raise InputError(f"bad cusp sequence {text!r}: {exc}") from None
 
 
-def cmd_cusp(args) -> int:
+def cmd_cusp(args):
     from .cusp import check_duality, enumerate_cusp_components, monodromy
 
     c = _parse_seq(args.seq)
@@ -328,22 +322,20 @@ def cmd_cusp(args) -> int:
             for comp in comps
         ],
     }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    elif not args.quiet:
+
+    def text():
         print(f"monodromy {m}, trace {m.trace()}")
-        print(f"dual sequence: {','.join(map(str, report['dual_sequence']))}")
-        print(f"auto-dual: {report['auto_dual']}")
+        print(f"dual sequence: {','.join(map(str, dual_sequence))}")
+        print(f"auto-dual: {auto_dual}")
         print(f"fundamental-domain components, mass <= {args.bound}:")
         for comp in comps:
             mult = ",".join(map(str, comp.multiplicities))
             print(f"  {comp.kind}[{comp.index}] ({mult}) -> {comp.vector}")
-    if not dual.ok:
-        raise Falsified(f"MT = TM* failed for {c.b}")
-    return 0
+
+    return report, text, None if dual.ok else f"MT = TM* failed for {c.b}"
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args):
     from .cusp import check_duality
 
     c = _parse_seq(args.seq)
@@ -363,18 +355,18 @@ def cmd_dual(args) -> int:
         "traces_equal": report.traces_equal,
         "auto_dual": auto_dual,
     }
-    if args.json:
-        print(json.dumps(out, indent=2))
-    elif not args.quiet:
-        print(f"dual of {','.join(map(str, c.b))}: {','.join(map(str, out['dual_sequence']))}")
+
+    def text():
+        print(f"dual of {','.join(map(str, c.b))}: {','.join(map(str, dual_sequence))}")
         print(f"M = {report.m}, M* = {report.m_star}")
         print(f"MT = TM*: {report.t_identity_holds}; traces equal: {report.traces_equal}")
-    if not report.ok:
-        raise Falsified(f"duality identity failed for {c.b}: M={report.m}, M*={report.m_star}")
-    return 0
+
+    failure = None if report.ok else (
+        f"duality identity failed for {c.b}: M={report.m}, M*={report.m_star}")
+    return out, text, failure
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args):
     from .quotient import (
         builtin_generators,
         conjugacy_classes,
@@ -399,76 +391,53 @@ def cmd_quotient(args) -> int:
         report = mckay_report(group, classes)
     except InputError as exc:
         out["mckay"] = {"error": str(exc)}
-        report = None
-    else:
-        out["mckay"] = {
-            "family": report.family,
-            "nontrivial_classes": report.nontrivial_classes,
-            "expected_exceptional_curves": report.expected_exceptional_curves,
-            "matches": report.matches,
-        }
-    if args.json:
-        print(json.dumps(out, indent=2))
-    elif not args.quiet:
-        if report is not None:
-            print(report.render())
-        else:
-            print(f"order={group.order} classes={classes.count} (not an SL(2)-type catalog group)")
-    if report is not None and not report.matches:
-        raise Falsified("McKay class count does not match the exceptional-curve count")
-    return 0
+        line = f"order={group.order} classes={classes.count} (not an SL(2)-type catalog group)"
+        return out, lambda: print(line), None
+    out["mckay"] = {
+        "family": report.family,
+        "nontrivial_classes": report.nontrivial_classes,
+        "expected_exceptional_curves": report.expected_exceptional_curves,
+        "matches": report.matches,
+    }
+    failure = None if report.matches else "McKay class count does not match the exceptional-curve count"
+    return out, lambda: print(report.render()), failure
 
 
-def cmd_inoue(args) -> int:
+def cmd_inoue(args):
     from .inoue import inoue_cross_check, parse_field_file
 
     data = parse_field_file(_read(args.field))
     report = inoue_cross_check(data.d, data.basis, data.u, args.bound)
-    if args.json:
-        out = {
-            "schema": SCHEMA,
-            "d": report.d,
-            "matrix": _mat_json(report.matrix),
-            "sequence": list(report.sequence),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-            ],
-            "passed": report.passed,
-        }
-        print(json.dumps(out, indent=2))
-    elif not args.quiet:
-        print(report.render())
-    if not report.passed:
-        fail = report.first_failure()
-        raise Falsified(f"{fail.name}: {fail.detail}")
-    return 0
+    out = {
+        "schema": SCHEMA,
+        "d": report.d,
+        "matrix": _mat_json(report.matrix),
+        "sequence": list(report.sequence),
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
+        ],
+        "passed": report.passed,
+    }
+    fail = report.first_failure()
+    failure = None if fail is None else f"{fail.name}: {fail.detail}"
+    return out, lambda: print(report.render()), failure
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     from .checks import run_all_sweeps
 
     results = run_all_sweeps()
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "sweeps": [
-                        {"name": r.name, "passed": r.passed, "cases": r.cases, "witness": r.witness}
-                        for r in results
-                    ],
-                    "passed": all(r.passed for r in results),
-                },
-                indent=2,
-            )
-        )
-    elif not args.quiet:
-        for r in results:
-            print(r.render())
-    failures = [r for r in results if not r.passed]
-    if failures:
-        raise Falsified(f"{failures[0].name}: {failures[0].witness}")
-    return 0
+    out = {
+        "schema": SCHEMA,
+        "sweeps": [
+            {"name": r.name, "passed": r.passed, "cases": r.cases, "witness": r.witness}
+            for r in results
+        ],
+        "passed": all(r.passed for r in results),
+    }
+    fail = next((r for r in results if not r.passed), None)
+    failure = None if fail is None else f"{fail.name}: {fail.witness}"
+    return out, lambda: print("\n".join(r.render() for r in results)), failure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,7 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        report, text, failure = args.fn(args)
+        if args.json:
+            print(json.dumps(report, indent=2))
+        elif not args.quiet:
+            text()
+        if failure is not None:
+            raise Falsified(failure)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -217,6 +217,32 @@ def test_criterion_9_chain_system():
     _report(9, "chain system unsolvable for 200 random negative definite chains")
 
 
+def test_chain_system_sweep_falsifies_on_a_wrong_continuant(monkeypatch):
+    # One too many in every continuant: the chain matrix leaves SL(2, Z),
+    # and the determinant guard turns that into a falsified sweep.
+    real = checks.hj_numerator
+    monkeypatch.setattr(checks, "hj_numerator", lambda terms: real(terms) + 1)
+    result = sweep_chain_system(samples=200)
+    assert result.name == "chain system infeasibility" and not result.passed
+    assert result.witness.startswith("raised ValueError: the chain matrix of"), result.witness
+    assert "not 1" in result.witness
+
+
+def test_a_sweep_that_raises_keeps_its_name_and_count(monkeypatch):
+    # A library error in the third family: the two cases before it count.
+    real = checks.builtin_generators
+
+    def refuse_2o(name):
+        if name == "2O":
+            raise ValueError("planted")
+        return real(name)
+
+    monkeypatch.setattr(checks, "builtin_generators", refuse_2o)
+    result = checks.sweep_mckay()
+    assert (result.name, result.passed, result.cases) == ("mckay families", False, 2)
+    assert result.witness == "raised ValueError: planted"
+
+
 def test_criterion_10_inoue_cross_checks():
     one = QuadNum.of(1)
     omega = QuadNum.of(Fraction(1, 2), Fraction(1, 2), 5)

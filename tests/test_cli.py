@@ -239,6 +239,8 @@ def test_check_goes_red_under_a_planted_continuant(capsys, monkeypatch):
     code, out = run(capsys, "check", "--json")
     assert code == 2
     sweeps = json.loads(out)["sweeps"]
+    # A sweep that raised still carries its display name.
+    assert [s["name"] for s in sweeps] == [name for name, _ in CHECK_SWEEPS]
     assert sweeps[0]["name"] == "duality sweep" and sweeps[0]["witness"] == "MT != TM* at (3,)"
     raised = [s for s in sweeps if s["witness"].startswith("raised CuspError")]
     assert raised and not any(s["passed"] for s in raised)
