@@ -20,8 +20,9 @@ from .cusp import CuspSequence, Vec, v_sequence
 from .graph_core import (
     GraphError,
     PlumbingGraph,
+    Shape,
     Vertex,
-    graph_nodes,
+    connected_shape,
     is_negative_definite_graph,
     star_legs,
     walk,
@@ -267,31 +268,25 @@ def singularity_class(g: PlumbingGraph) -> SingClass:
 
 def _classify(g: PlumbingGraph) -> SingClass:
     """The class of a minimal log resolution, already checked connected
-    and definite.
-
-    The shape is read as ``classify_shape`` reads it, without its second
-    connectivity scan: a connected graph with no node is a path if it has
-    fewer edges than vertices and one cycle otherwise, and one with a
-    single node is a star if it is a tree.
-    """
+    and definite."""
     if not g.vertices:
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=1, q=0)
-    nodes = graph_nodes(g)
-    if not nodes and len(g.edges) < len(g.vertices):
+    shape = connected_shape(g)
+    if shape.kind is Shape.CHAIN:
         order = _chain_order(g)
         bs = [-g.vertex(v).euler for v in order]
         m_f, q_f = hj_pair(bs)
         m_b, q_b = hj_pair(bs[::-1])
         assert m_f == m_b
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=m_f, q=min(q_f, q_b))
-    if not nodes:
+    if shape.kind is Shape.CYCLE:
         order = cycle_order(g)
         bs = [-g.vertex(v).euler for v in order]
         # least rotation of either direction; the definiteness gate makes bs a cusp sequence
         b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
         return SingClass(SingKind.CUSP, b_sequence=b_sequence)
-    if len(nodes) == 1 and len(g.edges) == len(g.vertices) - 1:
-        center = nodes[0]
+    if shape.kind is Shape.STAR:
+        center = shape.center
         cv = g.vertex(center)
         legs = star_legs(g, center)
         if cv.genus == 0 and len(legs) == 3:

@@ -353,10 +353,15 @@ def graph_nodes(g: PlumbingGraph) -> list[str]:
 
 def classify_shape(g: PlumbingGraph) -> ShapeClass:
     """Chain / Cycle / Star / General for a connected graph."""
-    if not g.vertices:
-        return ShapeClass(Shape.CHAIN)
     if not g.is_connected():
         raise GraphError("classify_shape expects a connected graph")
+    return connected_shape(g)
+
+
+def connected_shape(g: PlumbingGraph) -> ShapeClass:
+    """The shape of a graph already checked connected."""
+    if not g.vertices:
+        return ShapeClass(Shape.CHAIN)
     nodes = graph_nodes(g)
     n_vertices = len(g.vertices)
     n_edges = len(g.edges)

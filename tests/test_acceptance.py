@@ -11,6 +11,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from arclink import checks
 from arclink.calculus import minimal_dlt_model
 from arclink.checks import (
@@ -241,6 +243,24 @@ def test_a_sweep_that_raises_keeps_its_name_and_count(monkeypatch):
     result = checks.sweep_mckay()
     assert (result.name, result.passed, result.cases) == ("mckay families", False, 2)
     assert result.witness == "raised ValueError: planted"
+
+
+@pytest.mark.parametrize(
+    "planted, swapped_in, cases, witness",
+    [
+        ("2T", "2O", 2, "2T: order 48, classes 8"),
+        ("cyclic:3", "cyclic:4", 7, "cyclic:3"),
+        ("bd:3", "bd:4", 18, "bd:3"),
+    ],
+)
+def test_mckay_sweep_witness_names_the_wrong_group(monkeypatch, planted, swapped_in, cases, witness):
+    # The exceptional groups check their order and report it with the class
+    # count; the cyclic and binary dihedral families check class counts only
+    # and report the group name.
+    real = checks.builtin_generators
+    monkeypatch.setattr(checks, "builtin_generators", lambda name: real(swapped_in if name == planted else name))
+    result = checks.sweep_mckay()
+    assert (result.passed, result.cases, result.witness) == (False, cases, witness)
 
 
 def test_criterion_10_inoue_cross_checks():

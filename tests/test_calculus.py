@@ -16,9 +16,7 @@ from arclink.calculus import (
 from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
-    Shape,
     Vertex,
-    classify_shape,
     intersection_matrix,
     is_negative_definite,
     parse_plumbing,
@@ -320,32 +318,6 @@ def test_one_connectivity_scan_per_analysis(e8, sigma237, monkeypatch):
             calls.clear()
             stage(g)
             assert calls == [g]
-
-
-def test_class_follows_the_shape_of_the_resolution():
-    # The class reads the shape without classify_shape; the two readings
-    # agree on random connected definite multigraphs with loops and
-    # parallel edges.
-    rng = random.Random(77)
-    want = {Shape.CHAIN: {SingKind.CYCLIC_QUOTIENT}, Shape.CYCLE: {SingKind.CUSP},
-            Shape.STAR: {SingKind.NONCYCLIC_QUOTIENT, SingKind.GENERAL},
-            Shape.GENERAL: {SingKind.GENERAL}}
-    seen = set()
-    for _ in range(3000):
-        n = rng.randint(1, 6)
-        vs = tuple(Vertex(f"v{i}", -rng.randint(1, 6), rng.choice([0, 0, 0, 1])) for i in range(n))
-        es = tuple((f"v{rng.randint(0, i - 1)}", f"v{i}") for i in range(1, n))
-        es += tuple((f"v{rng.randrange(n)}", f"v{rng.randrange(n)}") for _ in range(rng.randint(0, 2)))
-        g = PlumbingGraph(vs, es, "fuzz")
-        if not is_negative_definite(intersection_matrix(g)):
-            continue
-        r = minimal_log_resolution(g)
-        if not r.vertices:
-            continue
-        shape = classify_shape(r).kind
-        seen.add(shape)
-        assert singularity_class(g).kind in want[shape], (g, shape)
-    assert seen == set(Shape)
 
 
 def test_single_vertex_chain_class():
