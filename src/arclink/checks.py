@@ -6,7 +6,8 @@ counts the cases, stops at the first witness and returns a SweepResult.
 The CLI ``check`` subcommand runs all of them and exits nonzero if any
 fails, and the acceptance tests reuse them directly.  The oracles the
 sweeps test against live here too: the dense definiteness routes, the
-closed-form solver of the chain conjugacy system, and the Seifert
+closed-form solver of the chain conjugacy system, a 2x2 matrix product
+of their own for the recovered conjugators, and the Seifert
 invariants of a star with the finiteness test of its fundamental group.
 Only the CLI imports this module.
 """
@@ -21,7 +22,14 @@ from math import gcd
 
 from .calculus import DltKind, minimal_dlt_model, singularity_class
 from .components import enumerate_components
-from .cusp import CuspSequence, check_duality, dual_sequence, monodromy, recover_sequence
+from .cusp import (
+    CuspSequence,
+    check_duality,
+    dual_sequence,
+    monodromy,
+    recover_sequence,
+    recover_with_conjugator,
+)
 from .graph_core import (
     GraphError,
     PlumbingGraph,
@@ -33,7 +41,7 @@ from .graph_core import (
     is_negative_definite_graph,
     star_legs,
 )
-from .hjcf import hj_expand, hj_numerator, hj_pair
+from .hjcf import Mat2, hj_expand, hj_numerator, hj_pair
 from .inoue import inoue_cross_check
 from .quadratic import QuadNum
 from .quotient import (
@@ -123,17 +131,57 @@ def sweep_dual_involution(max_k: int = 5, max_b: int = 5):
     yield from map(witness, _valid_sequences(max_k, max_b))
 
 
+def _mul(x, y):
+    """The product of 2x2 integer matrices as row-major 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _monodromy_of(bs):
+    """The product of the matrices ((b, 1), (-1, 0)), by ``_mul``."""
+    out = (1, 0, 0, 1)
+    for b in bs:
+        out = _mul(out, (b, 1, -1, 0))
+    return out
+
+
+def _small_sl2(rng: random.Random, size: int = 4):
+    """A seeded determinant-1 matrix with p, q, r in [-size, size]."""
+    while True:
+        p, q, r = (rng.randint(-size, size) for _ in range(3))
+        if p and (q * r + 1) % p == 0:
+            return (p, q, r, (q * r + 1) // p)
+
+
 @_sweep("recover roundtrip")
 def sweep_recover_roundtrip(samples: int = 500, max_k: int = 8, max_b: int = 9, seed: int = 7):
-    """recover_sequence(monodromy(b)) is a rotation of b, randomized."""
-    rng = random.Random(seed)
+    """recover_sequence(monodromy(b)) is a rotation of b, randomized.
+
+    Each case also recovers P M P^-1 for a seeded small P in SL(2, Z),
+    whose fixed point has a pre-period, and checks the returned
+    conjugator with ``_mul``, not with the library's own verification.
+    """
+    def witness(bs, pm):
+        c = CuspSequence(bs)
+        rec = recover_sequence(monodromy(c))
+        if not rec.is_rotation_of(c):
+            return f"{bs} -> {rec.b}"
+        p, q, r, s = pm
+        target = _mul(_mul(pm, _monodromy_of(bs)), (s, -q, -r, p))
+        seq, conj = recover_with_conjugator(Mat2(*target))
+        if not seq.is_rotation_of(c):
+            return f"{bs} conjugated by {pm} -> {seq.b}"
+        qm = (conj.p, conj.q, conj.r, conj.s)
+        if qm[0] * qm[3] - qm[1] * qm[2] != 1 or _mul(qm, _monodromy_of(seq.b)) != _mul(target, qm):
+            return f"{bs} conjugated by {pm}: {qm} does not conjugate {seq.b} to {target}"
+        return None
+
+    rng, conj_rng = random.Random(seed), random.Random(seed + 1)
     for _ in range(samples):
         bs = (2,)
         while all(b == 2 for b in bs):  # redraw the invalid all-2 sequences
             bs = tuple(rng.randint(2, max_b) for _ in range(rng.randint(1, max_k)))
-        c = CuspSequence(bs)
-        rec = recover_sequence(monodromy(c))
-        yield None if rec.is_rotation_of(c) else f"{bs} -> {rec.b}"
+        yield witness(bs, _small_sl2(conj_rng))
 
 
 # -- the chain conjugacy system ---------------------------------------------------

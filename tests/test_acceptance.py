@@ -82,6 +82,20 @@ def test_criterion_4_recover_roundtrip():
     _report(4, "recover_sequence(monodromy(b)) ~ b for 500 random sequences")
 
 
+def test_criterion_4_sweep_catches_a_wrong_conjugator(monkeypatch):
+    # P * T has determinant 1 but does not conjugate M(seq) to m, as T
+    # does not commute with M(seq).
+    real = checks.recover_with_conjugator
+
+    def planted(m):
+        seq, p = real(m)
+        return seq, p * Mat2(1, 1, 0, 1)
+
+    monkeypatch.setattr(checks, "recover_with_conjugator", planted)
+    result = sweep_recover_roundtrip(samples=20)
+    assert not result.passed and "does not conjugate" in result.witness, result.witness
+
+
 def test_criterion_5_conjugacy_classes_and_mckay():
     for m in range(1, 13):
         g = group_closure(builtin_generators(f"cyclic:{m}"))

@@ -361,6 +361,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         (["cusp", "--seq", _THREE_TWO_10K, "--bound", "1", "--json"], {}),
         (["dual", "--seq", _THREE_TWO_10K], {}),
         (["dual", "--seq", _THREE_TWO_10K, "--json"], {}),
+        # k*B*(B+1)/2 rows just past the ceiling of 2*10^5: 200,385 and 200,028
+        (["cusp", "--seq", "3,3,3", "--bound", "365"], {}),
+        (["inoue", "--field", "{f}", "--bound", "632"], {"f": FIELD_TEXT}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):

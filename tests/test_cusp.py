@@ -10,6 +10,7 @@ import arclink.cusp as cusp_mod
 from arclink.cusp import (
     Cone,
     ConePosition,
+    CuspComponent,
     CuspError,
     CuspSequence,
     T_MATRIX,
@@ -117,6 +118,30 @@ def test_recover_a_periodic_ten_thousand_curve_cycle():
     # from the trace recurrence of the period's monodromy.
     c = CuspSequence((3, 2) * 5000)
     assert recover_sequence(monodromy(c)) == c.canonical() == CuspSequence((2, 3) * 5000)
+
+
+def test_recover_a_dense_eight_thousand_term_sequence():
+    # Every term is 2 or 3, so the monodromy entries have thousands of
+    # digits and every step of the expansion works on numbers that long.
+    rng = random.Random(8000)
+    c = CuspSequence(tuple(rng.choice((2, 3)) for _ in range(8000)))
+    assert recover_sequence(monodromy(c)) == c.canonical()
+
+
+def test_recover_a_conjugated_2048_term_sequence():
+    # The fixed point of a conjugate has a pre-period, which the returned
+    # conjugator carries.
+    rng = random.Random(2048)
+    c = CuspSequence(tuple(rng.randint(2, 5) for _ in range(2048)))
+    conj = Mat2.identity()
+    for _ in range(12):
+        n = rng.choice((-3, -2, -1, 1, 2, 3))
+        conj = conj * rng.choice((Mat2(1, n, 0, 1), Mat2(1, 0, n, 1)))
+    m = conj * monodromy(c) * conj.inverse()
+    seq, p = recover_with_conjugator(m)
+    assert seq.is_rotation_of(c)
+    assert p.det() == 1 and p != Mat2.identity()
+    assert p * monodromy(seq) == m * p
 
 
 # -- the v fan -------------------------------------------------------------------
@@ -325,6 +350,24 @@ def test_enumerate_examples():
     assert [x.vector for x in comps] == [(0, 1)]
     comps = enumerate_cusp_components(c, 2)
     assert sorted(x.vector for x in comps) == [(0, 1), (0, 2), (1, 1)]
+
+
+def test_cusp_component_record_contract():
+    comp = enumerate_cusp_components(CuspSequence((3,)), 1)[0]
+    assert repr(comp) == "CuspComponent(kind='ray', index=0, multiplicities=(1,), vector=(0, 1))"
+    with pytest.raises(AttributeError):
+        comp.index = 1
+    same = CuspComponent("ray", 0, (1,), (0, 1))
+    assert comp == same and hash(comp) == hash(same)
+    assert comp != CuspComponent("ray", 0, (2,), (0, 2))
+    assert comp == ("ray", 0, (1,), (0, 1))
+
+
+def test_enumeration_is_refused_past_the_row_ceiling():
+    # k*B*(B+1)/2 is 199,290 at k = 3, B = 364 and 200,385 at B = 365, the
+    # first bound past the ceiling of 2*10^5 rows.
+    with pytest.raises(CuspError, match="200385 rows, more than 200000"):
+        enumerate_cusp_components(CuspSequence((3, 3, 3)), 365)
 
 
 @given(_sequences, st.integers(1, 4))
