@@ -10,11 +10,11 @@ chain via minus continued fractions.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, takewhile
 from math import gcd
+from typing import NamedTuple
 
 from .cusp import CuspSequence, Vec, v_sequence
 from .graph_core import (
@@ -28,7 +28,7 @@ from .graph_core import (
     walk,
 )
 from .hjcf import hj_pair
-from .inputs import InputError
+from .inputs import InputError, Record
 
 
 class SelfDltError(InputError):
@@ -42,8 +42,7 @@ class SingKind(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True, slots=True)
-class SingClass:
+class SingClass(NamedTuple):
     kind: SingKind
     m: int | None = None
     q: int | None = None
@@ -70,8 +69,7 @@ class DltKind(Enum):
     MODEL = "model"
 
 
-@dataclass(frozen=True, slots=True)
-class OrbifoldPoint:
+class OrbifoldPoint(Record):
     """Cyclic quotient point of order m on a surviving curve.
 
     ``tail_ids`` lists the contracted tail read from the surviving curve
@@ -79,23 +77,25 @@ class OrbifoldPoint:
     survivor.
     """
 
-    host: str
-    m: int
-    omega: int
-    leg: str
-    terms: tuple[int, ...]
-    tail_ids: tuple[str, ...]
+    __slots__ = ("host", "m", "omega", "leg", "terms", "tail_ids")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.omega < self.m) or gcd(self.m, self.omega) != 1:
-            raise ValueError(f"invalid orbifold data ({self.m}, {self.omega})")
+    def __init__(
+        self, host: str, m: int, omega: int, leg: str, terms: tuple[int, ...], tail_ids: tuple[str, ...]
+    ) -> None:
+        if not (0 < omega < m) or gcd(m, omega) != 1:
+            raise ValueError(f"invalid orbifold data ({m}, {omega})")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "leg", leg)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "tail_ids", tail_ids)
 
 
 EdgeInstance = tuple[str, str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class CuspStructure:
+class CuspStructure(NamedTuple):
     """The cusp frame of a cycle model.
 
     ``fan`` holds v_0..v_k.  Curve order[t] carries the ray v_{t+1}
@@ -109,22 +109,30 @@ class CuspStructure:
     sector: dict[EdgeInstance, tuple[int, str]]      # -> (fan index, first curve)
 
 
-@dataclass(frozen=True, slots=True)
-class DltModel:
+class DltModel(Record):
     """``source`` is the minimal log resolution the model was built from.
     ``frame`` follows from the class: the cusp frame of the residual cycle
-    for a cusp model, None for every other model."""
+    for a cusp model, None for every other model.  Equality, hash and repr
+    leave it out."""
 
-    kind: DltKind
-    residual: PlumbingGraph
-    orbifold_points: tuple[OrbifoldPoint, ...]
-    sing_class: SingClass
-    source: PlumbingGraph
-    frame: CuspStructure | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "residual", "orbifold_points", "sing_class", "source", "frame")
+    _fields = ("kind", "residual", "orbifold_points", "sing_class", "source")
 
-    def __post_init__(self) -> None:
-        is_cusp = self.sing_class.kind is SingKind.CUSP
-        object.__setattr__(self, "frame", cusp_structure(self.residual) if is_cusp else None)
+    def __init__(
+        self,
+        kind: DltKind,
+        residual: PlumbingGraph,
+        orbifold_points: tuple[OrbifoldPoint, ...],
+        sing_class: SingClass,
+        source: PlumbingGraph,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "orbifold_points", orbifold_points)
+        object.__setattr__(self, "sing_class", sing_class)
+        object.__setattr__(self, "source", source)
+        is_cusp = sing_class.kind is SingKind.CUSP
+        object.__setattr__(self, "frame", cusp_structure(residual) if is_cusp else None)
 
 
 # -- minimal log resolution ---------------------------------------------

@@ -14,11 +14,11 @@ Only the CLI imports this module.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .calculus import DltKind, minimal_dlt_model, singularity_class
 from .components import enumerate_components
@@ -43,6 +43,7 @@ from .graph_core import (
 )
 from .hjcf import Mat2, hj_expand, hj_numerator, hj_pair
 from .inoue import inoue_cross_check
+from .inputs import Record
 from .quadratic import QuadNum
 from .quotient import (
     ArcCenter,
@@ -54,8 +55,7 @@ from .quotient import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
     passed: bool
     cases: int
@@ -368,20 +368,22 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
 # g_i^{alpha_i} = h (Neumann, A calculus for plumbing, 1981).
 
 
-@dataclass(frozen=True, slots=True)
-class SeifertLeg:
-    alpha: int
-    omega: int
-    leg_id: str          # vertex of the leg adjacent to the node
-    terms: tuple[int, ...]  # b_1..b_s read node-outward
+class SeifertLeg(Record):
+    """``leg_id`` is the vertex of the leg adjacent to the node, and
+    ``terms`` are b_1..b_s read node-outward."""
 
-    def __post_init__(self) -> None:
-        if self.alpha < 2 or not (0 < self.omega < self.alpha) or gcd(self.alpha, self.omega) != 1:
-            raise ValueError(f"invalid Seifert pair ({self.alpha}, {self.omega})")
+    __slots__ = ("alpha", "omega", "leg_id", "terms")
+
+    def __init__(self, alpha: int, omega: int, leg_id: str, terms: tuple[int, ...]) -> None:
+        if alpha < 2 or not (0 < omega < alpha) or gcd(alpha, omega) != 1:
+            raise ValueError(f"invalid Seifert pair ({alpha}, {omega})")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "leg_id", leg_id)
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True, slots=True)
-class SeifertData:
+class SeifertData(NamedTuple):
     b: int                       # negated central Euler number
     genus: int
     legs: tuple[SeifertLeg, ...]

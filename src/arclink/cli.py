@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 
 from .inputs import InputError
 
@@ -64,6 +64,13 @@ def _refuse_unprintable(numbers) -> None:
                      f"more than the limit of {limit} digits")
 
 
+def _fraction_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, without importing fractions."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _mat_json(m: Mat2) -> list[list[int]]:
     return [[m.p, m.q], [m.r, m.s]]
 
@@ -99,7 +106,7 @@ def _component_json(c: ArcComponent) -> dict:
     }
     if c.denominator is not None:
         out["denominator"] = c.denominator
-        out["intersection_number"] = str(Fraction(c.multiplicities[0], c.denominator))
+        out["intersection_number"] = _fraction_text(c.multiplicities[0], c.denominator)
     out["winding"] = _winding_json(c.winding)
     out["homotopy"] = {"type": c.homotopy.kind.value, "description": c.homotopy.render()}
     return out

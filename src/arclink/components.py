@@ -12,9 +12,9 @@ chain-system oracle in ``checks``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .calculus import (
     CuspStructure,
@@ -26,13 +26,13 @@ from .calculus import (
 from .cusp import Vec, reduce_mod_monodromy
 from .graph_core import GraphError
 from .hjcf import chain_exponent
+from .inputs import ROWS_CEILING, InputError, Record
 
 
 # -- winding classes -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SeifertWord:
+class SeifertWord(NamedTuple):
     """Power word in the fiber/leg generators of one piece."""
 
     piece: str
@@ -42,8 +42,7 @@ class SeifertWord:
         return " ".join(f"{g}^{e}" if e != 1 else g for g, e in self.terms)
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeTorus:
+class EdgeTorus(NamedTuple):
     """Class gamma_u^{m_u} gamma_v^{m_v} on the torus of one edge."""
 
     chain: EdgeInstance
@@ -54,8 +53,7 @@ class EdgeTorus:
         return f"gamma[{u}]^{mu} gamma[{v}]^{mv}"
 
 
-@dataclass(frozen=True, slots=True)
-class CuspLattice:
+class CuspLattice(NamedTuple):
     """Lattice vector in the canonical pi_1(T) = Z^2 basis of a cusp."""
 
     vector: Vec
@@ -82,8 +80,7 @@ class HomotopyKind(Enum):
     CIRCLE = "circle"
 
 
-@dataclass(frozen=True, slots=True)
-class HomotopyType:
+class HomotopyType(NamedTuple):
     kind: HomotopyKind
     wedge_count: int | None = None
     genus: int | None = None
@@ -108,21 +105,29 @@ class ComponentKind(Enum):
     ORBIFOLD_POINT = "orbifold_point"
 
 
-@dataclass(frozen=True, slots=True)
-class ArcComponent:
-    kind: ComponentKind
-    location: tuple
-    multiplicities: tuple[int, ...]
-    denominator: int | None
-    winding: WindingClass
-    homotopy: HomotopyType
+class ArcComponent(Record):
+    __slots__ = ("kind", "location", "multiplicities", "denominator", "winding", "homotopy")
 
-    def __post_init__(self) -> None:
-        if any(m <= 0 for m in self.multiplicities):
+    def __init__(
+        self,
+        kind: ComponentKind,
+        location: tuple,
+        multiplicities: tuple[int, ...],
+        denominator: int | None,
+        winding: WindingClass,
+        homotopy: HomotopyType,
+    ) -> None:
+        if any(m <= 0 for m in multiplicities):
             raise ValueError("multiplicities must be strictly positive")
-        if self.kind is ComponentKind.ORBIFOLD_POINT:
-            if self.denominator is None or self.multiplicities[0] % self.denominator == 0:
+        if kind is ComponentKind.ORBIFOLD_POINT:
+            if denominator is None or multiplicities[0] % denominator == 0:
                 raise ValueError("orbifold numerator must not be divisible by m")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "location", location)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "winding", winding)
+        object.__setattr__(self, "homotopy", homotopy)
 
     def label(self) -> tuple:
         if self.kind is ComponentKind.ORBIFOLD_POINT:
@@ -190,6 +195,18 @@ def _leg_generator(host: str, leg: str) -> str:
 # -- enumeration -------------------------------------------------------------
 
 
+def component_count(model: DltModel, bound: int) -> int:
+    """The number of rows ``enumerate_components(model, bound)`` returns:
+    B per residual curve, B(B-1)/2 per residual edge instance and
+    B - floor(B/m) per orbifold point of order m, for B = bound."""
+    g = model.residual
+    return (
+        bound * len(g.vertices)
+        + bound * (bound - 1) // 2 * len(g.edges)
+        + sum(bound - bound // pt.m for pt in model.orbifold_points)
+    )
+
+
 def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     """All short-arc components with multiplicity data bounded by ``bound``.
 
@@ -197,11 +214,18 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     orbifold points numerators <= bound (numerators divisible by the
     orbifold order coincide with central classes and are skipped).  On
     cusp models the windings are lattice vectors read in the cusp frame.
+    More rows than ``inputs.ROWS_CEILING`` are refused before any is built.
     """
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
     if bound < 1:
         raise ValueError("bound must be positive")
+    rows = component_count(model, bound)
+    if rows > ROWS_CEILING:
+        raise InputError(
+            f"the enumeration would have B*V + B*(B-1)/2*E + sum(B - B//m) = {rows} rows, "
+            f"more than {ROWS_CEILING}"
+        )
     frame = model.frame
     out: list[ArcComponent] = []
 

@@ -8,13 +8,12 @@ cone membership tests run in Z[sqrt(D)], D = trace^2 - 4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from typing import NamedTuple
 
 from .hjcf import Mat2, mono_product
-from .inputs import InputError
+from .inputs import ROWS_CEILING, InputError, Record
 from .quadratic import quadint_sign
 
 Vec = tuple[int, int]
@@ -24,19 +23,18 @@ class CuspError(InputError):
     """Invalid cusp sequence or vector outside the expected cone."""
 
 
-@dataclass(frozen=True, slots=True)
-class CuspSequence:
-    b: tuple[int, ...]
+class CuspSequence(Record):
+    __slots__ = ("b",)
 
-    def __post_init__(self) -> None:
-        b = tuple(self.b)
-        object.__setattr__(self, "b", b)
+    def __init__(self, b: tuple[int, ...]) -> None:
+        b = tuple(b)
         if not b:
             raise CuspError("empty cusp sequence")
         if min(b) < 2:
             raise CuspError(f"all entries must be >= 2, got {b}")
         if max(b) == 2:
             raise CuspError(f"sum(b_i - 2) must be positive, got {b}")
+        object.__setattr__(self, "b", b)
 
     @property
     def k(self) -> int:
@@ -115,8 +113,7 @@ class Cone(Enum):
     DUAL_CONE_MINUS = "dual_cone_minus"
 
 
-@dataclass(frozen=True, slots=True)
-class ConePosition:
+class ConePosition(NamedTuple):
     cone: Cone
     witness: Vec
     # For vectors inside CONE only:
@@ -253,8 +250,8 @@ def enumerate_cusp_components(c: CuspSequence, bound: int) -> list[CuspComponent
     if bound < 1:
         raise CuspError("bound must be positive")
     rows = c.k * bound * (bound + 1) // 2
-    if rows > _ROWS_CEILING:
-        raise CuspError(f"the enumeration would have k*B*(B+1)/2 = {rows} rows, more than {_ROWS_CEILING}")
+    if rows > ROWS_CEILING:
+        raise CuspError(f"the enumeration would have k*B*(B+1)/2 = {rows} rows, more than {ROWS_CEILING}")
     vs = v_sequence(c, 0, c.k)
     # All rays, then all sectors, each by (index, multiplicities): the
     # order of (kind, index, multiplicities), so no sort is needed.
@@ -280,12 +277,6 @@ T_MATRIX = Mat2(-1, -1, 1, 2)
 # list is built.  Construction and canonical rotation are linear in the
 # length, so at this ceiling `dual` and `cusp` finish in well under 1 s.
 _DUAL_CEILING = 100_000
-
-# `enumerate_cusp_components` refuses more rows than this before it builds
-# any.  On a two-core machine with Python 3.11, `cusp --json` takes 2.2 s
-# and 276 MB at 135,450 rows (k = 3, bound 300), and 4.2 s and 399 MB just
-# under the ceiling (bound 364).
-_ROWS_CEILING = 200_000
 
 
 def _construction_rotation(c: CuspSequence) -> CuspSequence:
@@ -333,8 +324,7 @@ def dual_sequence(c: CuspSequence) -> CuspSequence:
     return dual.canonical()
 
 
-@dataclass(frozen=True, slots=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     sequence: tuple[int, ...]          # the rotation actually used
     dual: tuple[int, ...]              # dual in construction order
     m: Mat2

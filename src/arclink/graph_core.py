@@ -11,67 +11,67 @@ vertices without renumbering.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .inputs import InputError, numbered_lines
+from .inputs import InputError, Record, numbered_lines
 
 
 class GraphError(InputError):
     """Malformed graph text or violated structural invariant."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vertex:
-    id: str
-    euler: int
-    genus: int = 0
+class Vertex(Record):
+    __slots__ = ("id", "euler", "genus")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise GraphError(f"vertex {self.id}: genus must be nonnegative")
+    def __init__(self, id: str, euler: int, genus: int = 0) -> None:
+        if genus < 0:
+            raise GraphError(f"vertex {id}: genus must be nonnegative")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "genus", genus)
 
 
 def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(slots=True)
 class _Incidence:
     """One vertex's entry in the adjacency index of a PlumbingGraph."""
 
-    mult: dict[str, int] = field(default_factory=dict)  # neighbor -> edge count, loops excluded
-    loops: int = 0
+    __slots__ = ("mult", "loops")
+
+    def __init__(self, mult: dict[str, int] | None = None, loops: int = 0) -> None:
+        self.mult = {} if mult is None else mult  # neighbor -> edge count, loops excluded
+        self.loops = loops
 
 
 _NO_INCIDENCE = _Incidence()
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Immutable weighted multigraph.
 
     Next to the id lookup it keeps an adjacency index, so the local
     queries (degree, neighbors, loops, multiplicities) cost O(degree)
-    rather than a scan of every edge.
+    rather than a scan of every edge.  Equality, hash and repr leave the
+    two indexes out.
     """
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...] = ()
-    name: str = "graph"
-    _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _adj: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    __slots__ = ("vertices", "edges", "name", "_by_id", "_adj")
+    _fields = ("vertices", "edges", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str], ...] = (), name: str = "graph"
+    ) -> None:
         by_id = {}
-        for v in self.vertices:
+        for v in vertices:
             if v.id in by_id:
                 raise GraphError(f"duplicate vertex id {v.id!r}")
             by_id[v.id] = v
         adj = {vid: _Incidence() for vid in by_id}
-        for u, v in self.edges:
+        for u, v in edges:
             for end in (u, v):
                 if end not in by_id:
                     raise GraphError(f"edge ({u}, {v}) references unknown vertex {end!r}")
@@ -80,7 +80,9 @@ class PlumbingGraph:
             else:
                 adj[u].mult[v] = adj[u].mult.get(v, 0) + 1
                 adj[v].mult[u] = adj[v].mult.get(u, 0) + 1
-        object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in self.edges)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in edges)))
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)
 
@@ -339,8 +341,7 @@ class Shape(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True, slots=True)
-class ShapeClass:
+class ShapeClass(NamedTuple):
     kind: Shape
     center: str | None = None
     nodes: tuple[str, ...] = ()

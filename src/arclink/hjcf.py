@@ -7,19 +7,22 @@ continuant recursion.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .inputs import Record
 
-@dataclass(frozen=True, slots=True)
-class Mat2:
+
+class Mat2(Record):
     """Integer 2x2 matrix with rows (p, q) and (r, s)."""
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ("p", "q", "r", "s")
+
+    def __init__(self, p: int, q: int, r: int, s: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     @staticmethod
     def identity() -> "Mat2":

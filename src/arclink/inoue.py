@@ -7,9 +7,9 @@ everything here verifies that correspondence exactly, orbit by orbit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cusp import (
     Cone,
@@ -136,15 +136,13 @@ def reduce_by_unit(m: QuadNum, u: QuadNum) -> tuple[QuadNum, int]:
 # -- the cross-check -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class InoueReport:
+class InoueReport(NamedTuple):
     d: int
     matrix: Mat2
     sequence: tuple[int, ...]
@@ -344,8 +342,7 @@ def inoue_cross_check(
 # -- field files -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FieldData:
+class FieldData(NamedTuple):
     d: int
     basis: tuple[QuadNum, QuadNum]
     u: QuadNum

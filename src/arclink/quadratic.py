@@ -7,10 +7,11 @@ d*b^2; no floating point enters any predicate.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
+
+from .inputs import Record
 
 Rat = Union[int, Fraction]
 
@@ -45,26 +46,25 @@ def quadint_sign(a: int, b: int, d: int) -> int:
     return -1 if cmp > 0 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class QuadNum:
+class QuadNum(Record):
     """a + b*sqrt(d), exact.  d = 0 is allowed for plain rationals."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.b == 0:
+    def __init__(self, a: Fraction, b: Fraction, d: int) -> None:
+        a, b = _frac(a), _frac(b)
+        if b == 0:
             # Canonical form: rational values forget d, so equality and
             # hashing agree across fields.
-            object.__setattr__(self, "d", 0)
+            d = 0
         else:
-            if self.d <= 0:
+            if d <= 0:
                 raise ValueError("irrational part requires a positive d")
-            if is_square(self.d):
-                raise ValueError(f"d={self.d} must not be a perfect square")
+            if is_square(d):
+                raise ValueError(f"d={d} must not be a perfect square")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def of(a: Rat, b: Rat = 0, d: int = 0) -> "QuadNum":

@@ -7,26 +7,27 @@ Everything is exact; no numerical tolerance appears anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .inputs import InputError, numbered_lines
+from .inputs import ROWS_CEILING, InputError, Record, numbered_lines
 from .quadratic import QuadNum, parse_quad_token
 
 # -- elements ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
+class Quaternion(Record):
     """a + b*i + c*j + e*k with QuadNum coefficients."""
 
-    a: QuadNum
-    b: QuadNum
-    c: QuadNum
-    e: QuadNum
+    __slots__ = ("a", "b", "c", "e")
+
+    def __init__(self, a: QuadNum, b: QuadNum, c: QuadNum, e: QuadNum) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "e", e)
 
     @staticmethod
     def of(a, b=0, c=0, e=0, d: int = 0) -> "Quaternion":
@@ -82,8 +83,7 @@ class ClosureError(InputError):
     of the common size, or not over the common field."""
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(NamedTuple):
     elements: tuple
     identity_index: int
     table: tuple[tuple[int, ...], ...]
@@ -307,13 +307,12 @@ def group_closure(generators) -> FiniteGroup:
     return FiniteGroup(decode(elements), 0, tuple(tuple(row) for row in table))
 
 
-@dataclass(frozen=True, slots=True)
-class ConjClasses:
+class ConjClasses(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows tuple.count, which no caller needs
         return len(self.classes)
 
 
@@ -335,8 +334,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClasses:
 # -- McKay ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class McKayReport:
+class McKayReport(NamedTuple):
     group_order: int
     class_count: int
     nontrivial_classes: int
@@ -510,7 +508,8 @@ class CyclicComponentLabel(NamedTuple):
 
 
 def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicComponentLabel]:
-    """Labels a/m for 1 <= a <= bound*m; integer labels sit on the curve."""
+    """Labels a/m for 1 <= a <= bound*m; integer labels sit on the curve.
+    More rows than ``inputs.ROWS_CEILING`` are refused before any is built."""
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
@@ -520,6 +519,9 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
         raise ValueError(f"need 0 < q < m coprime, got q={q}, m={m}")
     if bound < 1:
         raise ValueError("bound must be positive")
+    rows = bound * m
+    if rows > ROWS_CEILING:
+        raise InputError(f"the enumeration would have B*m = {rows} rows, more than {ROWS_CEILING}")
     q_inv = pow(q, -1, m) if m > 1 else 0
     on_curve, at_origin = ArcCenter.ON_CURVE, ArcCenter.AT_ORIGIN
     return [
@@ -536,11 +538,10 @@ class RealForm(Enum):
     HYPERBOLIC = "hyperbolic"          # x*y = z^m
 
 
-@dataclass(frozen=True, slots=True)
-class RealCatalogEntry:
+class RealCatalogEntry(NamedTuple):
     form: RealForm
     exponent: int
-    count: int
+    count: int   # shadows tuple.count, which no caller needs
     status: str  # "shown" or "suggested"
 
 

@@ -6,7 +6,6 @@ computed in exact arithmetic.
 """
 from __future__ import annotations
 
-import dataclasses
 import time
 from fractions import Fraction
 from itertools import product
@@ -14,7 +13,7 @@ from itertools import product
 import pytest
 
 from arclink import checks
-from arclink.calculus import minimal_dlt_model
+from arclink.calculus import DltModel, minimal_dlt_model
 from arclink.checks import (
     seifert_data,
     seifert_labels,
@@ -157,7 +156,8 @@ def test_criterion_8_sweep_catches_a_wrong_class_q(monkeypatch):
     def planted(g):
         model = real(g)
         cls = model.sing_class
-        return dataclasses.replace(model, sing_class=dataclasses.replace(cls, q=_other_q(cls.m, cls.q)))
+        wrong = cls._replace(q=_other_q(cls.m, cls.q))
+        return DltModel(model.kind, model.residual, model.orbifold_points, wrong, model.source)
 
     monkeypatch.setattr(checks, "minimal_dlt_model", planted)
     result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
@@ -171,7 +171,7 @@ def test_criterion_8_sweep_catches_a_wrong_class_count(monkeypatch):
         cc = real(group)
         if group.order != 3:
             return cc
-        return dataclasses.replace(cc, classes=cc.classes[1:], representatives=cc.representatives[1:])
+        return cc._replace(classes=cc.classes[1:], representatives=cc.representatives[1:])
 
     monkeypatch.setattr(checks, "conjugacy_classes", planted)
     result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)

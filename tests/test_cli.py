@@ -25,6 +25,7 @@ edge v2 v0
 
 FIELD_TEXT = "d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2+1/2*sqrt\n"
 GROUP_2I_TEXT = "d=5\n1/2 1/2 1/2 1/2\n1/4+1/4*sqrt 1/2 -1/4+1/4*sqrt 0\n"
+DOUBLE_EDGE_TEXT = "vertex a euler=-3 genus=0\nvertex b euler=-3 genus=0\nedge a b\nedge a b\n"
 
 
 @pytest.fixture
@@ -364,6 +365,10 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         # k*B*(B+1)/2 rows just past the ceiling of 2*10^5: 200,385 and 200,028
         (["cusp", "--seq", "3,3,3", "--bound", "365"], {}),
         (["inoue", "--field", "{f}", "--bound", "632"], {"f": FIELD_TEXT}),
+        # rows counted off the model, past the same ceiling: B*m = 3*10^8 for
+        # one -3 curve, B*V + B(B-1)/2*E = 25,005,000 for a double edge
+        (["analyze", "{g}", "--bound", "100000000"], {"g": "vertex a euler=-3 genus=0\n"}),
+        (["components", "{g}", "--bound", "5000"], {"g": DOUBLE_EDGE_TEXT}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):

@@ -16,11 +16,13 @@ from arclink.components import (
     EdgeTorus,
     HomotopyKind,
     canonical_label,
+    component_count,
     enumerate_components,
     gamma_power,
 )
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
+from arclink.inputs import ROWS_CEILING, InputError
 from conftest import SIGMA_237_TEXT, cycle_graph, star_graph
 
 
@@ -45,6 +47,15 @@ def test_sigma237_matches_seifert(sigma237):
     comps = enumerate_components(model, 6)
     assert len(comps) == 19
     assert sorted(c.label() for c in comps) == seifert_labels(seifert_data(sigma237), 6)
+
+
+def test_enumeration_is_refused_past_the_row_ceiling():
+    # Two -3 curves on a double edge: B*V + B(B-1)/2*E is 199,362 rows at
+    # B = 446 and 200,256 at B = 447, the first bound past the ceiling.
+    model = minimal_dlt_model(cycle_graph([3, 3]))
+    assert component_count(model, 446) == 199_362 <= ROWS_CEILING
+    with pytest.raises(InputError, match="200256 rows, more than 200000"):
+        enumerate_components(model, 447)
 
 
 def test_self_dlt_is_rejected(e8):

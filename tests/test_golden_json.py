@@ -11,7 +11,11 @@ import hashlib
 import pytest
 
 import arclink.cusp as cusp_mod
+from arclink.calculus import DltKind, SingKind, minimal_dlt_model
 from arclink.cli import main
+from arclink.components import component_count, enumerate_components
+from arclink.graph_core import parse_plumbing
+from arclink.quotient import cyclic_quotient_components
 from conftest import E8_TEXT, SIGMA_237_TEXT
 
 CUSP_333_TEXT = """
@@ -125,6 +129,17 @@ def test_analyze_json_is_pinned(name, tmp_path, capsys):
     assert main(["analyze", str(path), "--json", "--bound", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_row_count_is_read_off_the_model(name):
+    model = minimal_dlt_model(parse_plumbing(GOLDEN[name][0]))
+    cls = model.sing_class
+    for bound in range(1, 7):
+        if model.kind is DltKind.MODEL:
+            assert component_count(model, bound) == len(enumerate_components(model, bound))
+        elif cls.kind is SingKind.CYCLIC_QUOTIENT:
+            assert len(cyclic_quotient_components(cls.m, cls.q, bound)) == bound * cls.m
 
 
 FIELD_TEXT = "d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2+1/2*sqrt\n"

@@ -1,5 +1,7 @@
 """The package loads on demand: ``import arclink`` loads no submodule, and a
-CLI call loads only the modules its subcommand uses.
+CLI call loads only the modules its subcommand uses.  No call loads
+``dataclasses`` or the ``inspect`` module it imports, and neither importing
+the CLI nor a usage error loads ``fractions`` or the ``decimal`` under it.
 
 Module sets are read from ``sys.modules`` in a fresh interpreter, so each
 case pays one interpreter start; nothing is timed.
@@ -18,7 +20,9 @@ import arclink
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LOADED = "*sorted(m for m in sys.modules if m.partition('.')[0] == 'arclink')"
+CLASS_BUILDERS = {"dataclasses", "inspect"}
+WATCHED = ("arclink", *sorted(CLASS_BUILDERS), "decimal", "fractions")
+LOADED = f"*sorted(m for m in sys.modules if m.partition('.')[0] in {WATCHED!r})"
 
 CUSP_TEXT = """
 graph cusp333
@@ -73,13 +77,25 @@ def test_a_subcommand_loads_only_its_modules(tmp_path, argv, files, code, loaded
     script = f"import sys\nfrom arclink.cli import main\nprint(main(sys.argv[1:]), {LOADED})"
     exit_code, *modules = fresh(script, *argv, "--quiet")
     assert int(exit_code) == code
-    assert set(modules) == loaded
+    assert not CLASS_BUILDERS & set(modules)
+    assert {m for m in modules if m.partition(".")[0] == "arclink"} == loaded
+    if code == 1:
+        assert set(modules) == loaded
     if argv[0] == "analyze":
         assert not {"arclink.checks", "arclink.inoue"} & set(modules)
 
 
 def test_importing_the_cli_loads_only_the_cli_and_inputs():
     assert set(fresh(f"import sys, arclink.cli\nprint({LOADED})")) == CLI
+
+
+def test_no_module_of_the_package_loads_dataclasses_or_inspect():
+    names = [p.stem for p in (SRC / "arclink").glob("*.py") if p.stem != "__init__"]
+    assert "checks" in names
+    script = f"import importlib, sys\nfor n in {names!r}: importlib.import_module('arclink.' + n)\nprint({LOADED})"
+    modules = set(fresh(script))
+    assert {f"arclink.{n}" for n in names} <= modules
+    assert not CLASS_BUILDERS & modules
 
 
 def test_importing_the_package_loads_no_submodule():

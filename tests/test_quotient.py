@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from arclink.inputs import ROWS_CEILING, InputError
 from arclink.quadratic import QuadNum
 from arclink.quotient import (
     ArcCenter,
@@ -238,7 +238,7 @@ def test_mckay_report_reads_the_classes_it_is_given():
     g = group_closure(builtin_generators("cyclic:3"))
     cc = conjugacy_classes(g)
     assert mckay_report(g, cc) == mckay_report(g)
-    short = dataclasses.replace(cc, classes=cc.classes[1:], representatives=cc.representatives[1:])
+    short = cc._replace(classes=cc.classes[1:], representatives=cc.representatives[1:])
     report = mckay_report(g, short)
     assert report.class_count == 2 and report.family == "A2" and not report.matches
 
@@ -318,6 +318,13 @@ def test_label_count_is_bound_times_m():
     for m, q in [(2, 1), (5, 2), (7, 3), (12, 5)]:
         for bound in (1, 2, 3):
             assert len(cyclic_quotient_components(m, q, bound)) == bound * m
+
+
+def test_labels_are_refused_past_the_row_ceiling():
+    # B*m is 199,998 at m = 3, B = 66,666 and 200,001 at B = 66,667.
+    assert len(cyclic_quotient_components(3, 1, 66_666)) == 199_998 <= ROWS_CEILING
+    with pytest.raises(InputError, match="200001 rows, more than 200000"):
+        cyclic_quotient_components(3, 1, 66_667)
 
 
 def test_label_validation():

@@ -2,9 +2,11 @@
 checked on its source.
 
 Every module under src/arclink is parsed with ast; an absolute import
-outside the standard library, a cmath import, a relative import of a
-_-prefixed (module-private) name, a float or complex literal, or any use
-of the names float or complex fails the module.  Every exception class
+outside the standard library, a cmath import, a dataclasses import (a
+record is a NamedTuple or a slotted class: building a dataclass costs each
+CLI call the inspect import and an exec per generated method), a relative
+import of a _-prefixed (module-private) name, a float or complex literal,
+or any use of the names float or complex fails the module.  Every exception class
 the library defines derives from InputError, except cli.Falsified, the
 exit-2 outcome.  Only cli.py imports checks, so the sweeps and the oracles
 they test against stay out of the library path.
@@ -34,8 +36,8 @@ def violations(source: str) -> list[str]:
             out += [f"line {node.lineno}: private import {a.name}" for a in node.names if a.name.startswith("_")]
         for module in modules:
             top = module.partition(".")[0]
-            if top == "cmath":
-                out.append(f"line {node.lineno}: cmath import")
+            if top in ("cmath", "dataclasses"):
+                out.append(f"line {node.lineno}: {top} import")
             elif top not in sys.stdlib_module_names:
                 out.append(f"line {node.lineno}: non-stdlib import {module}")
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -61,6 +63,8 @@ def test_module_is_stdlib_only_and_exact(path):
         "from sympy.core import Rational",
         "import cmath",
         "from cmath import exp",
+        "import dataclasses",
+        "from dataclasses import dataclass",
         "from .calculus import _resolve",
         "x = 0.5",
         "x = 1e-9",
