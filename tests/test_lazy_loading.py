@@ -79,7 +79,7 @@ def test_a_subcommand_loads_only_its_modules(tmp_path, argv, files, code, loaded
     assert int(exit_code) == code
     assert not CLASS_BUILDERS & set(modules)
     assert {m for m in modules if m.partition(".")[0] == "arclink"} == loaded
-    if code == 1:
+    if code == 1:  # a usage error loads neither fractions nor decimal
         assert set(modules) == loaded
     if argv[0] == "analyze":
         assert not {"arclink.checks", "arclink.inoue"} & set(modules)
