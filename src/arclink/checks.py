@@ -338,12 +338,45 @@ def _random_multigraph(rng: random.Random, max_n: int = 7) -> PlumbingGraph:
     return PlumbingGraph(vs, es, "random")
 
 
+def _chain_heavy_multigraph(rng: random.Random, max_n: int = 10) -> PlumbingGraph:
+    """A small graph of runs of -1 to -4 curves on one to three nodes.
+
+    Each run joins two nodes, closes a cycle at one node (a one-curve run
+    there meets its node twice), or closes on itself with no node; two
+    nodes joined by several runs make a theta graph.  Up to two more edges
+    give the nodes loops and parallel edges.
+    """
+    nodes = [f"n{i}" for i in range(rng.randint(1, 3))]
+    vs = [Vertex(v, rng.randint(-8, -1)) for v in nodes]
+    es = []
+    n = rng.randint(len(nodes) + 1, max_n)
+    while len(vs) < n:
+        k = rng.randint(1, n - len(vs))
+        run = [f"c{len(vs) + i}" for i in range(k)]
+        vs += [Vertex(c, rng.choice((-1, -2, -2, -2, -3, -4))) for c in run]
+        es += zip(run, run[1:])
+        if k >= 3 and rng.randrange(5) == 0:
+            es.append((run[-1], run[0]))
+        else:
+            es += [(rng.choice(nodes), run[0]), (run[-1], rng.choice(nodes))]
+    es += [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 2))]
+    return PlumbingGraph(tuple(vs), tuple(es), "chains")
+
+
 @_sweep("negative definiteness gate")
-def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5):
+def sweep_negative_definite(max_chain: int = 8, samples: int = 400, chain_samples: int = 100, seed: int = 5):
     """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass; on
-    seeded random multigraphs the sparse test agrees with Sylvester."""
+    seeded random multigraphs, then on seeded chain-heavy ones, the
+    graph test (runs compressed) and the matrix test (plain LDL) agree
+    with Sylvester."""
     def definite(g) -> bool:
         return is_negative_definite(intersection_matrix(g))
+
+    def witness(g):
+        mat = intersection_matrix(g)
+        want = sylvester_negative_definite(mat)
+        agree = is_negative_definite(mat) == want and is_negative_definite_graph(g) == want
+        return None if agree else f"{g.vertices} {g.edges}: Sylvester says {want}"
 
     yield None if definite(e8_graph()) else "E8 rejected"
     for n in range(1, max_chain + 1):
@@ -353,11 +386,9 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
         yield None if definite(_cycle_graph(bs)) else f"cusp cycle {bs} rejected"
     rng = random.Random(seed)
     for _ in range(samples):
-        g = _random_multigraph(rng)
-        mat = intersection_matrix(g)
-        want = sylvester_negative_definite(mat)
-        agree = is_negative_definite(mat) == want and is_negative_definite_graph(g) == want
-        yield None if agree else f"{g.vertices} {g.edges}: Sylvester says {want}"
+        yield witness(_random_multigraph(rng))
+    for _ in range(chain_samples):
+        yield witness(_chain_heavy_multigraph(rng))
 
 
 # -- Seifert invariants of a star ---------------------------------------------------

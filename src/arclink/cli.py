@@ -53,7 +53,7 @@ def _refuse_unprintable(numbers) -> None:
     the interpreter's limit on int-to-str conversion.  The limit stays: it
     also guards the parsing of ``--seq`` tokens."""
     limit = sys.get_int_max_str_digits()
-    largest = max(map(abs, numbers))
+    largest = max(map(abs, numbers), default=0)
     if not limit or largest < 10 ** limit:
         return
     # 1233 / 4096 < log10(2), so this starts at or below the digit count
@@ -62,6 +62,13 @@ def _refuse_unprintable(numbers) -> None:
         digits += 1
     raise InputError(f"the output would print a {digits}-digit integer, "
                      f"more than the limit of {limit} digits")
+
+
+def _refuse_unprintable_windings(components) -> None:
+    """``_refuse_unprintable`` over the winding vectors of a report's
+    component rows: a cusp-lattice vector grows with the cycle length."""
+    if isinstance(components, list):
+        _refuse_unprintable([x for c in components for x in c.get("winding", {}).get("vector", ())])
 
 
 def _fraction_text(n: int, d: int) -> str:
@@ -269,6 +276,8 @@ def cmd_analyze(args):
 
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
+    if args.json:  # the text form prints no winding
+        _refuse_unprintable_windings(report["components"])
     if args.dot:
         write_dot(g, args.dot)
     return report, lambda: _pretty_report(report), None
@@ -280,6 +289,8 @@ def cmd_components(args):
     g = parse_plumbing(_read(args.graph))
     report = analysis_report(g, args.bound)
     comps = report["components"]
+    if args.json or not args.quiet:
+        _refuse_unprintable_windings(comps)
     out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound, "components": comps}
 
     def text():

@@ -139,9 +139,6 @@ class ArcComponent(Record):
             return Fraction(self.multiplicities[0], self.denominator)
         return None
 
-    def sort_key(self) -> tuple:
-        return (self.kind.value, tuple(str(x) for x in self.location), self.multiplicities)
-
 
 # -- windings ---------------------------------------------------------------
 
@@ -215,6 +212,12 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     orbifold order coincide with central classes and are skipped).  On
     cusp models the windings are lattice vectors read in the cusp frame.
     More rows than ``inputs.ROWS_CEILING`` are refused before any is built.
+
+    The rows come in their final order: curve interiors by vertex id, then
+    node points by edge instance (u, v, str(copy index)), then orbifold
+    points by (host, leg); within each location the multiplicities rise
+    lexicographically.  Copy indices compare as strings (1, 10, 11, 2, ...)
+    because the JSON locations are strings.
     """
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
@@ -245,16 +248,15 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
                 homotopy = HomotopyType(HomotopyKind.CIRCLE_BUNDLE, genus=v.genus, chern=m * (-v.euler))
             add(ComponentKind.CURVE_INTERIOR, (vid,), (m,), None, homotopy)
     torus = HomotopyType(HomotopyKind.TWO_TORUS)
-    for inst in g.edge_instances():
+    for inst in sorted(g.edge_instances(), key=lambda e: (e[0], e[1], str(e[2]))):
         for mu in range(1, bound):
             for mv in range(1, bound - mu + 1):
                 add(ComponentKind.NODE_POINT, inst, (mu, mv), None, torus)
     circle = HomotopyType(HomotopyKind.CIRCLE)
-    for pt in model.orbifold_points:
+    for pt in sorted(model.orbifold_points, key=lambda p: (p.host, p.leg)):
         for a in range(1, bound + 1):
             if a % pt.m:
                 add(ComponentKind.ORBIFOLD_POINT, (pt.host, pt.leg), (a,), pt.m, circle)
-    out.sort(key=ArcComponent.sort_key)
     return out
 
 

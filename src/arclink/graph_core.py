@@ -256,36 +256,106 @@ def is_negative_definite(mat: Sequence[Sequence[int]]) -> bool:
         for j in range(n):
             if mat[i][j] != mat[j][i]:
                 raise ValueError("matrix must be symmetric")
-    diag = [-mat[i][i] for i in range(n)]
-    rows = [{j: -x for j, x in enumerate(mat[i]) if x and j != i} for i in range(n)]
+    diag = [(-mat[i][i], 1) for i in range(n)]
+    rows = [{j: (-x, 1) for j, x in enumerate(mat[i]) if x and j != i} for i in range(n)]
     return _positive_definite_ldl(diag, rows)
 
 
 def is_negative_definite_graph(g: PlumbingGraph) -> bool:
     """``is_negative_definite(intersection_matrix(g))`` without the n x n
-    matrix: the sparse rows of -A come straight from the adjacency index."""
-    index = {vid: i for i, vid in enumerate(g.vertex_ids())}
-    diag = []
-    rows = []
+    matrix, with every run of chain vertices compressed first.
+
+    A chain vertex has no loop and two distinct neighbours, each joined by
+    one edge; every other vertex is a node.  Let B = -A and let a maximal
+    run v_1..v_k of chain vertices (diagonal b_1..b_k of B) join the nodes
+    u (next to v_1) and w (next to v_k).
+
+    Lemma.  Write P_i for the continuant P_i = b_i P_{i-1} - P_{i-2}
+    (P_0 = 1, P_{-1} = 0) and C for the run's tridiagonal block.  Its
+    leading minors are P_1..P_k, so C is positive definite iff every P_i
+    is positive (Sylvester).  Then C^{-1} has (1,1) entry
+    cont(b_2..b_k)/P_k, (k,k) entry P_{k-1}/P_k and (1,k) entry 1/P_k, so
+    the Schur complement onto the nodes takes cont(b_2..b_k)/P_k from B_uu,
+    P_{k-1}/P_k from B_ww and 1/P_k from B_uw; when u = w, B_uu loses the
+    sum of the three with 1/P_k counted twice.  Inertia is additive over a
+    Schur complement (Haynsworth 1968), and the runs are disjoint blocks
+    joined only through nodes, so B is positive definite iff every run is
+    and the compressed node matrix is.  A cycle with no node makes one of
+    its vertices a node.
+
+    The continuants come from the int recurrence of the product of the
+    matrices ((b_i, -1), (1, 0)), which is ((P_k, -P_{k-1}),
+    (cont(b_2..b_k), -cont(b_2..b_{k-1}))); its determinant 1 makes each
+    quotient reduced, so the walk along a run takes no gcd.  The node
+    matrix goes to the minimum-degree LDL of ``is_negative_definite``.
+    Chains of rational curves and their continued fractions: Neumann,
+    *A calculus for plumbing* (1981).
+    """
+    adj, by_id = g._adj, g._by_id
+    chain = {vid for vid, inc in adj.items()
+             if not inc.loops and len(inc.mult) == 2 and sum(inc.mult.values()) == 2}
+    index: dict[str, int] = {}  # node -> row of the compressed matrix
+    diag: list[tuple[int, int]] = []
+    rows: list[dict[int, tuple[int, int]]] = []
+    seen: set[str] = set()  # chain vertices already in a compressed run
+
+    def add_node(vid: str) -> None:
+        index[vid] = len(diag)
+        diag.append((-(by_id[vid].euler + 2 * adj[vid].loops), 1))
+        rows.append({})
+
+    def compress(u: str, first: str) -> bool:
+        """Fold the run that leaves node u through ``first`` into the node
+        matrix; False if the run's block is not positive definite."""
+        p, q, r, s = 1, 0, 0, 1
+        for x in walk(g, u, first):
+            if x in index:
+                break
+            seen.add(x)
+            b = -by_id[x].euler
+            p, q, r, s = p * b + q, -p, r * b + s, -r
+            if p <= 0:
+                return False
+        i, j = index[u], index[x]
+        if i == j:
+            n = r - q + 2
+            h = gcd(n, p)
+            diag[i] = _sub_mul(*diag[i], n // h, p // h, 1, 1)
+        else:
+            diag[i] = _sub_mul(*diag[i], r, p, 1, 1)
+            diag[j] = _sub_mul(*diag[j], -q, p, 1, 1)
+            rows[i][j] = rows[j][i] = _sub_mul(*rows[i].get(j, (0, 1)), 1, p, 1, 1)
+        return True
+
     for v in g.vertices:
-        inc = g._adj[v.id]
-        diag.append(-(v.euler + 2 * inc.loops))
-        rows.append({index[w]: -m for w, m in inc.mult.items()})
+        if v.id not in chain:
+            add_node(v.id)
+    for u, i in index.items():
+        for w, m in adj[u].mult.items():
+            if w in index:
+                rows[i][index[w]] = (-m, 1)
+    for u in index:
+        for first in adj[u].mult:
+            if first in chain and first not in seen and not compress(u, first):
+                return False
+    for v in g.vertices:  # what is left are cycles with no node
+        if v.id in chain and v.id not in seen:
+            add_node(v.id)
+            if not compress(v.id, next(iter(adj[v.id].mult))):
+                return False
     return _positive_definite_ldl(diag, rows)
 
 
-def _positive_definite_ldl(diag: list[int], rows: list[dict[int, int]]) -> bool:
-    """Whether the symmetric integer matrix B with diagonal ``diag`` and
+def _positive_definite_ldl(diag: list[tuple[int, int]], rows: list[dict[int, tuple[int, int]]]) -> bool:
+    """Whether the symmetric rational matrix B with diagonal ``diag`` and
     off-diagonal nonzeros ``rows[i] = {j: B_ij}`` is positive definite.
 
-    Both arguments are consumed.  Eliminating pivot p subtracts
-    B_ip B_pj / B_pp from every entry (i, j) over the neighbors of p;
-    entries that cancel to zero are dropped so degrees stay exact.  Every
-    entry is a reduced pair (numerator, denominator > 0) of plain ints, and
-    the update is Fraction's arithmetic inlined (``_sub_mul``).
+    Both arguments are consumed.  Every entry is a reduced pair
+    (numerator, denominator > 0) of plain ints.  Eliminating pivot p
+    subtracts B_ip B_pj / B_pp from every entry (i, j) over the neighbors
+    of p; entries that cancel to zero are dropped so degrees stay exact.
+    The update is Fraction's arithmetic inlined (``_sub_mul``).
     """
-    den = [1] * len(diag)
-    rows = [{j: (x, 1) for j, x in row.items()} for row in rows]
     heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * len(diag)
@@ -293,7 +363,7 @@ def _positive_definite_ldl(diag: list[int], rows: list[dict[int, int]]) -> bool:
         deg, p = heapq.heappop(heap)
         if done[p] or deg != len(rows[p]):
             continue  # eliminated, or a stale entry for an older degree
-        dn, dd = diag[p], den[p]
+        dn, dd = diag[p]
         if dn <= 0:
             return False
         done[p] = True
@@ -303,7 +373,7 @@ def _positive_definite_ldl(diag: list[int], rows: list[dict[int, int]]) -> bool:
             g, h = gcd(an, dn), gcd(ad, dd)
             nbrs.append((i, an, ad, (an // g) * (dd // h), (ad // h) * (dn // g)))
         for s, (i, an, ad, ln, ld) in enumerate(nbrs):
-            diag[i], den[i] = _sub_mul(diag[i], den[i], ln, ld, an, ad)
+            diag[i] = _sub_mul(*diag[i], ln, ld, an, ad)
             row_i = rows[i]
             for j, bn, bd, _, _ in nbrs[s + 1:]:
                 xn, xd = _sub_mul(*row_i.get(j, (0, 1)), ln, ld, bn, bd)

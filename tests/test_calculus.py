@@ -397,6 +397,20 @@ def test_resolution_order_matches_rescan():
         checked += 1
 
 
+def test_twenty_thousand_vertex_blown_up_cycle():
+    # The period 2,3,2,4 read backwards from its fourth term, blown up once
+    # on every cycle edge: its class is the least rotation or reflection,
+    # the period itself repeated.
+    n = 10_000
+    bs = [(4, 2, 3, 2)[i % 4] for i in range(n)]
+    vs = [Vertex(f"c{i}", -(b + 2)) for i, b in enumerate(bs)] + [Vertex(f"e{i}", -1) for i in range(n)]
+    es = [(f"c{i}", f"e{i}") for i in range(n)] + [(f"e{i}", f"c{(i + 1) % n}") for i in range(n)]
+    model = minimal_dlt_model(PlumbingGraph(tuple(vs), tuple(es), "blown"))
+    assert model.sing_class.kind is SingKind.CUSP
+    assert model.sing_class.b_sequence == (2, 3, 2, 4) * (n // 4)
+    assert len(model.source.vertices) == n and len(model.source.edges) == n
+
+
 def test_ten_thousand_vertex_blown_up_cycle():
     # 5,000 cusp curves with a -1 curve blown up on every cycle edge: one
     # blow-down per edge gives back the cycle of the base weights, whose

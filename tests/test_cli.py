@@ -198,7 +198,7 @@ CHECK_SWEEPS = [
     ("recover roundtrip", 500),
     ("chain system infeasibility", 200),
     ("mckay families", 21),
-    ("negative definiteness gate", 526),
+    ("negative definiteness gate", 626),
     ("seifert vs components (sigma(2,3,7))", 1),
     ("chain quotient agreement", 5460),
     ("quotient detection", 343),
@@ -319,6 +319,11 @@ def test_analyze_general_graph_with_nodes(graph_file, capsys):
 
 
 _THREE_TWO_10K = ",".join(["3,2"] * 10_000)
+# a cycle of 12,000 -3 curves: its cusp-lattice windings have 5,015 digits
+_MINUS_THREE_CYCLE_12K = "".join(
+    [f"vertex v{i} euler=-3 genus=0\n" for i in range(12_000)]
+    + [f"edge v{i} v{(i + 1) % 12_000}\n" for i in range(12_000)]
+)
 
 
 def _run_subprocess(*argv) -> subprocess.CompletedProcess:
@@ -362,6 +367,9 @@ def _run_subprocess(*argv) -> subprocess.CompletedProcess:
         (["cusp", "--seq", _THREE_TWO_10K, "--bound", "1", "--json"], {}),
         (["dual", "--seq", _THREE_TWO_10K], {}),
         (["dual", "--seq", _THREE_TWO_10K, "--json"], {}),
+        (["analyze", "{g}", "--bound", "1", "--json"], {"g": _MINUS_THREE_CYCLE_12K}),
+        (["components", "{g}", "--bound", "1"], {"g": _MINUS_THREE_CYCLE_12K}),
+        (["components", "{g}", "--bound", "1", "--json"], {"g": _MINUS_THREE_CYCLE_12K}),
         # k*B*(B+1)/2 rows just past the ceiling of 2*10^5: 200,385 and 200,028
         (["cusp", "--seq", "3,3,3", "--bound", "365"], {}),
         (["inoue", "--field", "{f}", "--bound", "632"], {"f": FIELD_TEXT}),
@@ -381,6 +389,14 @@ def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert proc.stdout == ""
+
+
+def test_long_windings_are_refused_only_where_printed(graph_file, capsys):
+    # The text form of analyze prints no winding, and --quiet prints nothing.
+    path = graph_file(_MINUS_THREE_CYCLE_12K)
+    code, out = run(capsys, "analyze", path, "--bound", "1")
+    assert code == 0 and "components (bound 1): 12000" in out
+    assert run(capsys, "components", path, "--bound", "1", "--quiet") == (0, "")
 
 
 def test_unprintable_integer_names_its_exact_digit_count():

@@ -20,6 +20,7 @@ from arclink.components import (
     enumerate_components,
     gamma_power,
 )
+from arclink.cli import analysis_report
 from arclink.cusp import CuspSequence, enumerate_cusp_components
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
 from arclink.inputs import ROWS_CEILING, InputError
@@ -31,6 +32,12 @@ def edge_class(u: str, v: str, m_u: int, m_v: int, instance: int = 0) -> EdgeTor
     if (v, u) < (u, v):
         u, v, m_u, m_v = v, u, m_v, m_u
     return EdgeTorus(chain=(u, v, instance), vector=(m_u, m_v))
+
+
+def row_key(c: ArcComponent) -> tuple:
+    """The order ``enumerate_components`` emits: kind, then the location
+    compared as strings, then the multiplicities."""
+    return (c.kind.value, tuple(str(x) for x in c.location), c.multiplicities)
 
 
 def same_label(w1, w2, g: PlumbingGraph) -> bool:
@@ -160,10 +167,30 @@ def test_node_points_at_loop_edge():
 
 def test_components_sorted_and_positive(sigma237):
     comps = enumerate_components(minimal_dlt_model(sigma237), 4)
-    assert comps == sorted(comps, key=ArcComponent.sort_key)
+    assert comps == sorted(comps, key=row_key)
     assert all(all(m > 0 for m in c.multiplicities) for c in comps)
     with pytest.raises(ValueError):
         enumerate_components(minimal_dlt_model(sigma237), 0)
+
+
+def test_row_order_is_pinned():
+    # Twelve parallel edges: the copy indices order as strings, as the JSON
+    # locations do.  Legs at both nodes give orbifold points at two hosts,
+    # listed in the graph out of (host, leg) order.
+    vs = [Vertex("b", -30), Vertex("a", -30), Vertex("z", -2), Vertex("y", -3),
+          Vertex("x", -2), Vertex("w", -5), Vertex("x2", -2)]
+    es = [("b", "a")] * 12 + [("b", "z"), ("a", "y"), ("b", "x"), ("x", "x2"), ("a", "w")]
+    model = minimal_dlt_model(PlumbingGraph(tuple(vs), tuple(es), "pin"))
+    comps = enumerate_components(model, 3)
+    copies = [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+    points = [("a", "w", 5), ("a", "y", 3), ("b", "x", 3), ("b", "z", 2)]
+    want = [("curve_interior", (v,), (m,)) for v in "ab" for m in (1, 2, 3)]
+    want += [("node_point", ("a", "b", k), mult) for k in copies for mult in [(1, 1), (1, 2), (2, 1)]]
+    want += [("orbifold_point", (host, leg), (a,)) for host, leg, m in points for a in (1, 2, 3) if a % m]
+    assert [(c.kind.value, c.location, c.multiplicities) for c in comps] == want
+    assert comps == sorted(comps, key=row_key)
+    rows = analysis_report(model.source, 3)["components"]
+    assert [(r["kind"], r["location"]) for r in rows] == [(k, [str(x) for x in loc]) for k, loc, _ in want]
 
 
 # -- winding classes -----------------------------------------------------------------
@@ -436,7 +463,7 @@ def test_pipeline_on_random_trees():
         comps = enumerate_components(model, bound)
         labels = [c.label() for c in comps]
         assert len(labels) == len(set(labels))
-        assert comps == sorted(comps, key=ArcComponent.sort_key)
+        assert comps == sorted(comps, key=row_key)
         n_curves = len(model.residual.vertices)
         n_edges = len(model.residual.edges)
         expected = n_curves * bound + n_edges * (bound * (bound - 1) // 2)

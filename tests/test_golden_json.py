@@ -197,11 +197,11 @@ CLI_GOLDEN = {
     ),
     "check_text": (
         ["check"],
-        "2ac48d8ed361699b80329fdf784504d1a3d08fef0f577d0cfbcb5286aff4128d",
+        "c5f47a43ad372f17444e68fa2f9d3cb34a08ba92a0ab1f3384582dd21e79c318",
     ),
     "check_json": (
         ["check", "--json"],
-        "9c0c8189a7e4069626550d5e7ec725c23808c2174529843cf11c311d1be33af5",
+        "e9baaf782d871fdec40089411dd72d00660ac2eafc7d521e1501cf00fb12397e",
     ),
 }
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink.checks import determinant, sylvester_negative_definite
+from arclink.checks import _chain_heavy_multigraph, determinant, sylvester_negative_definite
 from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
@@ -271,6 +272,73 @@ def test_large_all_minus_two_cycle_rejected():
     g = cycle_graph([2] * 1000)
     assert all(sum(row) == 0 for row in intersection_matrix(g))
     assert not is_negative_definite_graph(g)
+
+
+def test_ten_thousand_vertex_minus_two_chain_and_cycle():
+    # A run of k -2 curves has continuants P_i = i + 1 > 0, so the A_n chain
+    # is definite.  Closed into a cycle, one vertex becomes a node and its
+    # pivot is 2 - (k + k + 2)/(k + 1) = 0: the semidefinite boundary.
+    n = 10_000
+    assert is_negative_definite_graph(chain_graph([2] * n))
+    assert not is_negative_definite_graph(cycle_graph([2] * n))
+    bs = [2] * n
+    bs[n // 2] = 3
+    assert is_negative_definite_graph(cycle_graph(bs))
+
+
+def _graph(text: str) -> PlumbingGraph:
+    """Vertex lines 'id:euler' and edge lines 'u-v', space-separated."""
+    vs, es = [], []
+    for tok in text.split():
+        if ":" in tok:
+            vid, e = tok.split(":")
+            vs.append(Vertex(vid, int(e)))
+        else:
+            es.append(tuple(tok.split("-")))
+    return PlumbingGraph(tuple(vs), tuple(es), "runs")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a run between two nodes, with a -1 curve inside (P_3 = 0) or not
+        "a:-3 b:-3 x:-2 y:-1 z:-2 l1:-2 l2:-2 l3:-2 l4:-2 a-x x-y y-z z-b a-l1 a-l2 b-l3 b-l4",
+        "a:-3 b:-3 x:-2 y:-2 z:-2 l1:-2 l2:-2 l3:-2 l4:-2 a-x x-y y-z z-b a-l1 a-l2 b-l3 b-l4",
+        # a run that closes a cycle at one node, and a loop there
+        "a:-3 x:-2 y:-2 z:-3 a-x x-y y-z z-a a-a",
+        "a:-7 x:-2 y:-2 z:-3 a-x x-y y-z z-a a-a",
+        # a one-curve run meeting its node twice is no run
+        "a:-4 x:-3 a-x a-x",
+        # cycles with no node, definite and semidefinite
+        "x:-2 y:-3 z:-2 x-y y-z z-x",
+        "x:-2 y:-2 z:-2 w:-2 x-y y-z z-w w-x",
+        "x:-1 y:-5 z:-5 x-y y-z z-x",
+        # theta graphs, and two nodes joined by parallel edges
+        "a:-3 b:-3 x:-2 y:-2 z:-2 a-x x-b a-y y-b a-z z-b",
+        "a:-2 b:-3 x:-2 y:-1 z:-2 a-x x-b a-y y-b a-z z-b",
+        "a:-4 b:-4 x:-2 y:-3 a-x x-y y-b a-b a-b",
+        # two components, one of them a cycle with no node
+        "a:-2 b:-2 a-b x:-2 y:-2 z:-3 x-y y-z z-x",
+    ],
+)
+def test_compressed_runs_agree_with_sylvester(text):
+    g = _graph(text)
+    mat = intersection_matrix(g)
+    assert is_negative_definite_graph(g) == is_negative_definite(mat) == sylvester_negative_definite(mat)
+
+
+def test_compressed_and_plain_agree_on_chain_heavy_multigraphs():
+    # Runs between nodes and closing at one node, cycles with no node,
+    # theta graphs, loops and parallel edges at nodes, -1 and -2 curves.
+    rng = random.Random(19)
+    definite = 0
+    for _ in range(1500):
+        g = _chain_heavy_multigraph(rng)
+        mat = intersection_matrix(g)
+        want = sylvester_negative_definite(mat)
+        assert is_negative_definite_graph(g) == is_negative_definite(mat) == want, (g.vertices, g.edges)
+        definite += want
+    assert 300 < definite < 1200
 
 
 # -- adjacency index ------------------------------------------------------
