@@ -5,7 +5,7 @@ a pass, a witness string for a falsification.  One runner, ``_sweep``,
 counts the cases, stops at the first witness and returns a SweepResult.
 The CLI ``check`` subcommand runs all of them and exits nonzero if any
 fails, and the acceptance tests reuse them directly.  The oracles the
-sweeps test against live here too: the dense definiteness routes, the
+sweeps test against live here too: the dense definiteness route, the
 closed-form solver of the chain conjugacy system, a 2x2 matrix product
 of their own for the recovered conjugators, and the Seifert
 invariants of a star with the finiteness test of its fundamental group.
@@ -290,43 +290,26 @@ def sigma_2_3_7() -> PlumbingGraph:
 
 # -- definiteness oracles ---------------------------------------------------------
 #
-# Dense, textbook routes kept only to check the sparse elimination in
-# graph_core against: they share no code with it.
-
-
-def determinant(mat) -> int:
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    if n == 1:
-        return mat[0][0]
-    # Bareiss with row pivoting; exact over the integers.
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# A dense, textbook route kept only to check the sparse elimination in
+# graph_core against: it shares no code with it.
 
 
 def sylvester_negative_definite(mat) -> bool:
     """Sylvester's criterion: the leading principal minors of A alternate
-    in sign, starting negative."""
-    for k in range(1, len(mat) + 1):
-        if (-1) ** k * determinant([row[:k] for row in mat[:k]]) <= 0:
+    in sign, starting negative.  Bareiss elimination without row swaps
+    leaves the (k+1)-th leading minor as its k-th pivot, so one pass
+    reads them all; a zero minor stops it before it would divide by zero."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        d = a[k][k]
+        if (d if k % 2 else -d) <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * d - a[i][k] * a[k][j]) // prev
+        prev = d
     return True
 
 
@@ -338,8 +321,9 @@ def _random_multigraph(rng: random.Random, max_n: int = 7) -> PlumbingGraph:
     return PlumbingGraph(vs, es, "random")
 
 
-def _chain_heavy_multigraph(rng: random.Random, max_n: int = 10) -> PlumbingGraph:
-    """A small graph of runs of -1 to -4 curves on one to three nodes.
+def _chain_heavy_multigraph(rng: random.Random) -> PlumbingGraph:
+    """A graph of at most ten curves: runs of -1 to -4 curves on one to
+    three nodes.
 
     Each run joins two nodes, closes a cycle at one node (a one-curve run
     there meets its node twice), or closes on itself with no node; two
@@ -349,7 +333,7 @@ def _chain_heavy_multigraph(rng: random.Random, max_n: int = 10) -> PlumbingGrap
     nodes = [f"n{i}" for i in range(rng.randint(1, 3))]
     vs = [Vertex(v, rng.randint(-8, -1)) for v in nodes]
     es = []
-    n = rng.randint(len(nodes) + 1, max_n)
+    n = rng.randint(len(nodes) + 1, 10)
     while len(vs) < n:
         k = rng.randint(1, n - len(vs))
         run = [f"c{len(vs) + i}" for i in range(k)]
@@ -364,7 +348,7 @@ def _chain_heavy_multigraph(rng: random.Random, max_n: int = 10) -> PlumbingGrap
 
 
 @_sweep("negative definiteness gate")
-def sweep_negative_definite(max_chain: int = 8, samples: int = 400, chain_samples: int = 100, seed: int = 5):
+def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5):
     """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass; on
     seeded random multigraphs, then on seeded chain-heavy ones, the
     graph test (runs compressed) and the matrix test (plain LDL) agree
@@ -387,7 +371,7 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, chain_sample
     rng = random.Random(seed)
     for _ in range(samples):
         yield witness(_random_multigraph(rng))
-    for _ in range(chain_samples):
+    for _ in range(100):
         yield witness(_chain_heavy_multigraph(rng))
 
 

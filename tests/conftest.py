@@ -5,6 +5,33 @@ import pytest
 from arclink.graph_core import PlumbingGraph, Vertex, parse_plumbing
 
 
+def determinant(mat) -> int:
+    """Exact integer determinant by fraction-free Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0][0]
+    # Bareiss with row pivoting; exact over the integers.
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def chain_graph(bs, prefix: str = "v") -> PlumbingGraph:
     vs = tuple(Vertex(f"{prefix}{i}", -b, 0) for i, b in enumerate(bs))
     es = tuple((f"{prefix}{i}", f"{prefix}{i+1}") for i in range(len(bs) - 1))

@@ -397,33 +397,23 @@ def test_resolution_order_matches_rescan():
         checked += 1
 
 
-def test_twenty_thousand_vertex_blown_up_cycle():
-    # The period 2,3,2,4 read backwards from its fourth term, blown up once
-    # on every cycle edge: its class is the least rotation or reflection,
-    # the period itself repeated.
-    n = 10_000
-    bs = [(4, 2, 3, 2)[i % 4] for i in range(n)]
-    vs = [Vertex(f"c{i}", -(b + 2)) for i, b in enumerate(bs)] + [Vertex(f"e{i}", -1) for i in range(n)]
-    es = [(f"c{i}", f"e{i}") for i in range(n)] + [(f"e{i}", f"c{(i + 1) % n}") for i in range(n)]
-    model = minimal_dlt_model(PlumbingGraph(tuple(vs), tuple(es), "blown"))
-    assert model.sing_class.kind is SingKind.CUSP
-    assert model.sing_class.b_sequence == (2, 3, 2, 4) * (n // 4)
-    assert len(model.source.vertices) == n and len(model.source.edges) == n
-
-
 def test_ten_thousand_vertex_blown_up_cycle():
-    # 5,000 cusp curves with a -1 curve blown up on every cycle edge: one
+    # n cusp curves with a -1 curve blown up on every cycle edge: one
     # blow-down per edge gives back the cycle of the base weights, whose
-    # class is the least rotation or reflection of those weights.
-    n = 5000
-    bs = [(2, 3, 2, 4)[i % 4] for i in range(n)]
-    random.Random(10_000).shuffle(bs)
-    vs = [Vertex(f"c{i}", -(b + 2)) for i, b in enumerate(bs)] + [Vertex(f"e{i}", -1) for i in range(n)]
-    es = [(f"c{i}", f"e{i}") for i in range(n)] + [(f"e{i}", f"c{(i + 1) % n}") for i in range(n)]
-    model = minimal_dlt_model(PlumbingGraph(tuple(vs), tuple(es), "blown"))
-    least = min(min(t[i:i + n] for i in range(n)) for t in (tuple(bs) * 2, tuple(bs[::-1]) * 2))
-    assert model.sing_class.kind is SingKind.CUSP
-    assert model.sing_class.b_sequence == least
-    assert len(model.source.vertices) == n and len(model.source.edges) == n
-    assert all(v.euler != -1 for v in model.source.vertices)
-    assert sorted(-v.euler for v in model.source.vertices) == sorted(bs)
+    # class is the least rotation or reflection of those weights.  The
+    # 5,000 weights are shuffled; the 10,000 (2*10^4 vertices) are the
+    # period 4,2,3,2, whose class is the period 2,3,2,4 repeated.
+    shuffled = [(2, 3, 2, 4)[i % 4] for i in range(5000)]
+    random.Random(10_000).shuffle(shuffled)
+    least = min(min(t[i:i + 5000] for i in range(5000)) for t in (tuple(shuffled) * 2, tuple(shuffled[::-1]) * 2))
+    periodic = [(4, 2, 3, 2)[i % 4] for i in range(10_000)]
+    for bs, least in ((shuffled, least), (periodic, (2, 3, 2, 4) * 2500)):
+        n = len(bs)
+        vs = [Vertex(f"c{i}", -(b + 2)) for i, b in enumerate(bs)] + [Vertex(f"e{i}", -1) for i in range(n)]
+        es = [(f"c{i}", f"e{i}") for i in range(n)] + [(f"e{i}", f"c{(i + 1) % n}") for i in range(n)]
+        model = minimal_dlt_model(PlumbingGraph(tuple(vs), tuple(es), "blown"))
+        assert model.sing_class.kind is SingKind.CUSP
+        assert model.sing_class.b_sequence == least
+        assert len(model.source.vertices) == n and len(model.source.edges) == n
+        assert all(v.euler != -1 for v in model.source.vertices)
+        assert sorted(-v.euler for v in model.source.vertices) == sorted(bs)

@@ -14,10 +14,10 @@ from itertools import product
 from math import prod
 
 from arclink.cusp import CuspSequence, dual_construction, monodromy
-from arclink.checks import determinant, seifert_data
+from arclink.checks import seifert_data
 from arclink.graph_core import intersection_matrix, is_negative_definite
 from arclink.hjcf import Mat2, hj_numerator, mono_product
-from conftest import chain_graph, cycle_graph, star_graph
+from conftest import chain_graph, cycle_graph, determinant, star_graph
 
 
 def test_chain_determinant_is_signed_continuant():
