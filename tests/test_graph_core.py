@@ -310,6 +310,7 @@ def _graph(text: str) -> PlumbingGraph:
         # theta graphs, and two nodes joined by parallel edges
         "a:-3 b:-3 x:-2 y:-2 z:-2 a-x x-b a-y y-b a-z z-b",
         "a:-2 b:-3 x:-2 y:-1 z:-2 a-x x-b a-y y-b a-z z-b",
+        "a:-3 b:-3 x:-1 y:-1 z:-1 w:-1 l:-2 m:-2 a-x x-y y-b a-z z-w w-b a-l b-m",  # P_2 = 0 twice
         "a:-4 b:-4 x:-2 y:-3 a-x x-y y-b a-b a-b",
         # a run and a double edge: B_ab = -2 - 1/2, semidefinite on (1, 1, 1)
         "a:-3 b:-3 x:-2 a-x x-b a-b a-b",
