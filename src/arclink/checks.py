@@ -477,11 +477,13 @@ def sweep_seifert_vs_components(bound: int = 6):
 def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int = 2):
     """Chains route to SelfDlt cyclic quotients 1/m(q, 1) whose chain the
     expansion of m/q gives back, and whose labels a/m (1 <= a <= bound*m)
-    carry the model arc (a, c) with c*q = a mod m.  For m <= 16 the label
-    count is also bound times the class count of the closed cyclic group
-    of order m.  The label list is a function of (m, q) alone, so it is
-    checked on the first chain that routes to each pair; a chain and its
-    reverse share the pair."""
+    carry the model arc (a, c) with c*q = a mod m.  A label row holds
+    ints and its label is m1/m, so label a/m is the row's m equal to m
+    and its m1 equal to a.  For m <= 16 the label count is also bound
+    times the class count of the closed cyclic group of order m.  The
+    label list is a function of (m, q) alone, so it is checked on the
+    first chain that routes to each pair; a chain and its reverse share
+    the pair."""
     class_counts: dict[int, int] = {}  # one closure per distinct m
     checked: set[tuple[int, int]] = set()  # one label list per distinct (m, q)
 
@@ -509,11 +511,10 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
             if len(labels) != bound * class_counts[m]:
                 return f"{bs}: {len(labels)} labels, {class_counts[m]} classes in Z/{m}"
         for a, r in enumerate(labels, start=1):
-            label, center, m1, c = r
+            r_m, center, m1, c = r
             if (
-                label.numerator * m != a * label.denominator  # label == a/m
+                r_m != m or m1 != a  # label m1/r_m == a/m
                 or (center is ArcCenter.ON_CURVE) != (a % m == 0)
-                or m1 != a
                 or not 0 <= c < m
                 or (c * q - a) % m
             ):

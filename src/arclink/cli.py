@@ -207,7 +207,7 @@ def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
         return [
             {
                 "kind": "cyclic_quotient_label",
-                "intersection_number": str(r.label),
+                "intersection_number": _fraction_text(r.m1, r.m),
                 "center": r.center.value,
                 "model_arc": {"m1": r.m1, "c": r.c},
             }

@@ -497,19 +497,27 @@ class ArcCenter(Enum):
 class CyclicComponentLabel(NamedTuple):
     """One component of the cyclic-quotient pair ((x=0) in C^2)/(1/m)(q,1).
 
-    ``label`` is the intersection number with the image curve; the model
-    arc downstairs is t -> (t^{m1}, t^c).
+    Every field but ``center`` is a plain int: the intersection number
+    with the image curve is m1/m, read as a ``Fraction`` through the
+    ``label`` property, and the model arc downstairs is t -> (t^{m1}, t^c).
     """
 
-    label: Fraction
+    m: int
     center: ArcCenter
     m1: int
     c: int
 
+    @property
+    def label(self) -> Fraction:
+        """The intersection number m1/m, normalised."""
+        return Fraction(self.m1, self.m)
+
 
 def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicComponentLabel]:
     """Labels a/m for 1 <= a <= bound*m; integer labels sit on the curve.
-    More rows than ``inputs.ROWS_CEILING`` are refused before any is built."""
+    Each row holds the ints (m, m1 = a, c) and no ``Fraction``; its
+    ``label`` property is m1/m.  More rows than ``inputs.ROWS_CEILING``
+    are refused before any is built."""
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
@@ -525,7 +533,7 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     q_inv = pow(q, -1, m) if m > 1 else 0
     on_curve, at_origin = ArcCenter.ON_CURVE, ArcCenter.AT_ORIGIN
     return [
-        CyclicComponentLabel(Fraction(a, m), at_origin if a % m else on_curve, a, a * q_inv % m)
+        CyclicComponentLabel(m, at_origin if a % m else on_curve, a, a * q_inv % m)
         for a in range(1, bound * m + 1)
     ]
 

@@ -214,6 +214,24 @@ def test_chain_quotient_sweep_names_the_first_chain_of_a_wrong_label_list(monkey
     assert not result.passed and result.witness.startswith("(2, 3): label"), result.witness
 
 
+@pytest.mark.parametrize("field, wrong", [("m", 6), ("m1", 8)])
+def test_chain_quotient_sweep_catches_a_row_with_a_wrong_int(monkeypatch, field, wrong):
+    # Row a = 3 of 1/5(2, 1) with its m or its m1 off: the label m1/m is
+    # 3/6 or 8/5, not 3/5, and the sweep names the row it read.
+    real = checks.cyclic_quotient_components
+
+    def planted(m, q, bound):
+        rows = real(m, q, bound)
+        if (m, q) == (5, 2):
+            rows[2] = rows[2]._replace(**{field: wrong})
+        return rows
+
+    monkeypatch.setattr(checks, "cyclic_quotient_components", planted)
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and result.witness.startswith("(2, 3): label 3/5 is "), result.witness
+    assert f"{field}={wrong}, " in result.witness
+
+
 def test_mckay_sweep_computes_the_classes_once(monkeypatch):
     # mckay_report gets the classes the sweep holds; recomputing them
     # inside it would call this.

@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from arclink.cli import _fraction_text
 from arclink.inputs import ROWS_CEILING, InputError
 from arclink.quadratic import QuadNum
 from arclink.quotient import (
@@ -305,13 +307,25 @@ def test_labels_smooth_case():
 
 def test_label_is_an_immutable_hashable_record():
     r = cyclic_quotient_components(5, 2, 1)[2]
-    assert repr(r) == (
-        "CyclicComponentLabel(label=Fraction(3, 5), center=<ArcCenter.AT_ORIGIN: 'at_origin'>, m1=3, c=4)"
-    )
-    assert CyclicComponentLabel._fields == ("label", "center", "m1", "c")
+    assert repr(r) == "CyclicComponentLabel(m=5, center=<ArcCenter.AT_ORIGIN: 'at_origin'>, m1=3, c=4)"
+    assert CyclicComponentLabel._fields == ("m", "center", "m1", "c")
+    assert r.label == Fraction(3, 5)
     with pytest.raises(AttributeError):
         r.c = 0
-    assert {r, CyclicComponentLabel(Fraction(3, 5), ArcCenter.AT_ORIGIN, 3, 4)} == {r}
+    with pytest.raises(AttributeError):
+        r.label = Fraction(1, 5)
+    assert {r, CyclicComponentLabel(5, ArcCenter.AT_ORIGIN, 3, 4)} == {r}
+
+
+def test_label_text_matches_the_fraction_on_a_grid():
+    # The CLI prints a row's m1/m from its ints; it must read as the
+    # normalised Fraction a/m, including the smooth case m = 1.
+    cases = [(1, 0)] + [(m, q) for m in range(2, 41) for q in range(1, m) if gcd(m, q) == 1]
+    for m, q in cases:
+        for bound in (1, 2, 3):
+            rows = cyclic_quotient_components(m, q, bound)
+            for a, r in enumerate(rows, start=1):
+                assert _fraction_text(r.m1, r.m) == str(r.label) == str(Fraction(a, m))
 
 
 def test_label_count_is_bound_times_m():
