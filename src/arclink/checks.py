@@ -73,7 +73,9 @@ def _sweep(name: str):
     The SweepResult counts the cases up to the first witness.  A library
     error (every one is a ValueError) falsifies too, with the cases
     completed before it: the sweep builds only valid inputs, so the
-    library has rejected one of its own results.
+    library has rejected one of its own results.  So does an
+    ArithmeticError, such as a division by a zero that exact arithmetic
+    should never meet.
     """
     def decorate(cases):
         @wraps(cases)
@@ -84,7 +86,7 @@ def _sweep(name: str):
                     count += 1
                     if witness is not None:
                         return SweepResult(name, False, count, witness)
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 return SweepResult(name, False, count, f"raised {type(exc).__name__}: {exc}")
             return SweepResult(name, True, count)
         return sweep
@@ -347,12 +349,57 @@ def _chain_heavy_multigraph(rng: random.Random) -> PlumbingGraph:
     return PlumbingGraph(tuple(vs), tuple(es), "chains")
 
 
+def _boundary_multigraph(rng: random.Random) -> PlumbingGraph:
+    """Two nodes u and w on the definiteness boundary, so that a wrong
+    Schur term of a run shows (every node joins at least three edge-ends).
+
+    Either a theta graph: two runs from u to w that blow down to [1, 1],
+    so each ends at P_k = 0 and u is met by both, and one or two more
+    runs or edges from u to w.  Or -2 runs and parallel edges from u to
+    w, perhaps a -2 cycle and a loop at u, with each node's weight its
+    degree: -A is then the graph Laplacian, semidefinite on (1, ..., 1),
+    and definite once u's weight drops by one more.
+    """
+    vs: list[Vertex] = []
+    es: list[tuple[str, str]] = []
+
+    def run(bs: list[int], a: str, b: str) -> None:
+        ids = [f"c{len(vs) + i}" for i in range(len(bs))]
+        vs.extend(Vertex(c, -x) for c, x in zip(ids, bs))
+        es.extend(zip([a, *ids], [*ids, b]))
+
+    if rng.randrange(2):
+        for _ in range(2):
+            bs = [1, 1]
+            for _ in range(rng.randint(0, 3)):  # blow up an edge or the end
+                i = rng.randrange(len(bs))
+                bs[i:i + 2] = [bs[i] + 1, 1, *(x + 1 for x in bs[i + 1:i + 2])]
+            run(bs, "u", "w")
+        for _ in range(rng.randint(1, 2)):
+            if rng.randrange(2):
+                run([rng.randint(1, 4) for _ in range(rng.randint(1, 3))], "u", "w")
+            else:
+                es.append(("u", "w"))
+        vs += [Vertex("u", rng.randint(-8, -1)), Vertex("w", rng.randint(-8, -1))]
+    else:
+        k = rng.randint(1, 2)
+        for _ in range(k):
+            run([2] * rng.randint(1, 4), "u", "w")
+        es += [("u", "w")] * rng.randint(3 - k, 2)
+        if rng.randrange(2):
+            run([2] * rng.randint(2, 4), "u", "u")
+        es += [("u", "u")] * rng.randrange(2)
+        deg = {x: sum((a == x) + (b == x) for a, b in es) for x in "uw"}
+        vs += [Vertex("u", -deg["u"] - rng.randrange(2)), Vertex("w", -deg["w"])]
+    return PlumbingGraph(tuple(vs), tuple(es), "boundary")
+
+
 @_sweep("negative definiteness gate")
 def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5):
     """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass; on
-    seeded random multigraphs, then on seeded chain-heavy ones, the
-    graph test (runs compressed) and the matrix test (plain LDL) agree
-    with Sylvester."""
+    seeded random multigraphs, then on seeded chain-heavy ones, then on
+    seeded graphs on the definiteness boundary, the graph test (runs
+    compressed) and the matrix test (plain LDL) agree with Sylvester."""
     def definite(g) -> bool:
         return is_negative_definite(intersection_matrix(g))
 
@@ -373,6 +420,8 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
         yield witness(_random_multigraph(rng))
     for _ in range(100):
         yield witness(_chain_heavy_multigraph(rng))
+    for _ in range(40):
+        yield witness(_boundary_multigraph(rng))
 
 
 # -- Seifert invariants of a star ---------------------------------------------------

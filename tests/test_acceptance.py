@@ -325,3 +325,20 @@ def test_criterion_12_negative_definiteness_gate():
     result = sweep_negative_definite(max_chain=8)
     assert result.passed, result.witness
     _report(12, "E8 and A_n pass, +1 fails, every valid cusp cycle passes")
+
+
+def test_criterion_12_sweep_falsifies_a_division_by_zero(monkeypatch):
+    # A run compressed at P_k = 0 puts a zero denominator in the node
+    # matrix; the division that follows is a falsification, not a crash,
+    # counted after the 626 cases before the first boundary graph.
+    real = checks.is_negative_definite_graph
+
+    def planted(g):
+        if g.name == "boundary":
+            raise ZeroDivisionError("integer division or modulo by zero")
+        return real(g)
+
+    monkeypatch.setattr(checks, "is_negative_definite_graph", planted)
+    result = sweep_negative_definite()
+    assert not result.passed and result.cases == 626
+    assert result.witness == "raised ZeroDivisionError: integer division or modulo by zero"

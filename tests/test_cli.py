@@ -198,7 +198,7 @@ CHECK_SWEEPS = [
     ("recover roundtrip", 500),
     ("chain system infeasibility", 200),
     ("mckay families", 21),
-    ("negative definiteness gate", 626),
+    ("negative definiteness gate", 666),
     ("seifert vs components (sigma(2,3,7))", 1),
     ("chain quotient agreement", 5460),
     ("quotient detection", 343),

@@ -197,11 +197,11 @@ CLI_GOLDEN = {
     ),
     "check_text": (
         ["check"],
-        "c5f47a43ad372f17444e68fa2f9d3cb34a08ba92a0ab1f3384582dd21e79c318",
+        "a1443b5c09e6171c9307f0037159bcd0a2d6f8cd2721ef0cb9e5d9dff58c1a03",
     ),
     "check_json": (
         ["check", "--json"],
-        "e9baaf782d871fdec40089411dd72d00660ac2eafc7d521e1501cf00fb12397e",
+        "1c2184a8f5e35bfe9472da3aa9442fe57889e990e39724a6e260573e20c7d81a",
     ),
 }
 
