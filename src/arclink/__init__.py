@@ -23,7 +23,7 @@ _MODULE_OF = {
         ),
         "components": (
             "ArcComponent", "ComponentKind", "CuspLattice", "EdgeTorus", "HomotopyKind",
-            "HomotopyType", "SeifertWord", "canonical_label", "enumerate_components",
+            "HomotopyType", "SeifertWord", "enumerate_components",
         ),
         "cusp": (
             "Cone", "ConePosition", "CuspComponent", "CuspError", "CuspSequence", "check_duality",
@@ -34,14 +34,13 @@ _MODULE_OF = {
             "GraphError", "PlumbingGraph", "Shape", "ShapeClass", "Vertex", "classify_shape",
             "intersection_matrix", "is_negative_definite", "parse_plumbing",
         ),
-        "hjcf": ("Mat2", "chain_exponent", "hj_expand", "hj_numerator", "mono_product"),
+        "hjcf": ("Mat2", "hj_expand", "hj_numerator", "mono_product"),
         "inoue": ("InoueError", "inoue_cross_check"),
         "inputs": ("InputError",),
         "quadratic": ("QuadNum",),
         "quotient": (
-            "ConjClasses", "FiniteGroup", "Quaternion", "RealForm", "builtin_generators",
-            "conjugacy_classes", "cyclic_quotient_components", "group_closure", "mckay_report",
-            "real_A_catalog_entry",
+            "ConjClasses", "FiniteGroup", "Quaternion", "builtin_generators", "conjugacy_classes",
+            "cyclic_quotient_components", "group_closure", "mckay_report",
         ),
     }.items()
     for name in names

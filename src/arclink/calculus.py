@@ -148,22 +148,6 @@ def _contractible(g: PlumbingGraph, vid: str) -> bool:
     )
 
 
-def blow_down(g: PlumbingGraph, vid: str) -> PlumbingGraph:
-    """Contract one -1 vertex meeting the rest in at most two points."""
-    if not _contractible(g, vid):
-        raise GraphError(f"vertex {vid!r} is not contractible")
-    ends = [w for w in g.neighbors(vid) for _ in range(g.edge_multiplicity(vid, w))]
-    vs = tuple(
-        Vertex(v.id, v.euler + ends.count(v.id), v.genus) if v.id in ends else v
-        for v in g.vertices
-        if v.id != vid
-    )
-    es = [e for e in g.edges if vid not in e]
-    if len(ends) == 2:
-        es.append((ends[0], ends[1]))
-    return PlumbingGraph(vs, tuple(es), g.name)
-
-
 def _check_definite(g: PlumbingGraph) -> None:
     """The precondition of every stage below: connected, negative definite."""
     if not g.is_connected():
@@ -184,9 +168,9 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
     so every intermediate graph stays negative definite.
 
     The smallest contractible id goes first.  Only the ends of a blown-down
-    vertex change, so they are the only new candidates for the heap.  The
-    steps of ``blow_down`` run on one working copy (euler numbers,
-    neighbor multiplicities, loop counts), and one graph is built at the end.
+    vertex change, so they are the only new candidates for the heap.  Each
+    blow-down updates one working copy (euler numbers, neighbor
+    multiplicities, loop counts), and one graph is built at the end.
     """
     heap = sorted(vid for vid in g.vertex_ids() if _contractible(g, vid))
     if not heap:

@@ -396,12 +396,13 @@ def _boundary_multigraph(rng: random.Random) -> PlumbingGraph:
 
 @_sweep("negative definiteness gate")
 def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 5):
-    """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass; on
-    seeded random multigraphs, then on seeded chain-heavy ones, then on
-    seeded graphs on the definiteness boundary, the graph test (runs
-    compressed) and the matrix test (plain LDL) agree with Sylvester."""
+    """E8 and the A_n chains pass; +1 fails; valid cusp cycles pass, each
+    through both the graph test (runs compressed) and the matrix test
+    (plain LDL); on seeded random multigraphs, then on seeded chain-heavy
+    ones, then on seeded graphs on the definiteness boundary, both tests
+    agree with Sylvester."""
     def definite(g) -> bool:
-        return is_negative_definite(intersection_matrix(g))
+        return is_negative_definite(intersection_matrix(g)) and is_negative_definite_graph(g)
 
     def witness(g):
         mat = intersection_matrix(g)
@@ -412,7 +413,9 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
     yield None if definite(e8_graph()) else "E8 rejected"
     for n in range(1, max_chain + 1):
         yield None if definite(_chain_graph([2] * n)) else f"A{n} rejected"
-    yield "+1 vertex accepted" if is_negative_definite([[1]]) else None
+    plus_one = PlumbingGraph((Vertex("v0", 1),), (), "plus_one")
+    accepted = is_negative_definite([[1]]) or is_negative_definite_graph(plus_one)
+    yield "+1 vertex accepted" if accepted else None
     for bs in _valid_sequences(4, 4):
         yield None if definite(_cycle_graph(bs)) else f"cusp cycle {bs} rejected"
     rng = random.Random(seed)

@@ -179,7 +179,7 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
         },
         "bound": bound,
     }
-    report["components"] = _model_components_json(model, cls, bound)
+    report["components"] = _model_components_json(model, bound)
     if cls.kind is SingKind.CUSP:
         dual = check_duality(CuspSequence(cls.b_sequence))
         dual_sequence, auto_dual = dual.canonical_dual()
@@ -194,10 +194,11 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     return report
 
 
-def _model_components_json(model: DltModel, cls, bound: int) -> list | dict:
+def _model_components_json(model: DltModel, bound: int) -> list | dict:
     from .calculus import DltKind, SingKind
     from .components import enumerate_components
 
+    cls = model.sing_class
     if model.kind is DltKind.MODEL:
         return [_component_json(c) for c in enumerate_components(model, bound)]
     if cls.kind is SingKind.CYCLIC_QUOTIENT:

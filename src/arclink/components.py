@@ -3,11 +3,11 @@
 Components of the short-arc space correspond to: interior multiplicities
 on each surviving curve, pairs of branch multiplicities at each node of
 the divisor (including both branches of a loop), and fractional
-intersection numbers at orbifold points.  Two arc-generators are
-conjugate exactly when ``canonical_label`` gives them the same label on the
-model; the only identification is g_i^{m} = h^{m/alpha_i} when alpha_i
-divides m.  Exponents outside the label calculus are the business of the
-chain-system oracle in ``checks``.
+intersection numbers at orbifold points.  ``enumerate_components`` emits
+one row per component up to a bound; ``ArcComponent.label()`` is its
+label, and its winding class names the arc-generator of the component
+(a fiber power, an edge class, a leg power, or a lattice vector in the
+cusp frame).
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ from .calculus import (
     EdgeInstance,
     SelfDltError,
 )
-from .cusp import Vec, reduce_mod_monodromy
+from .cusp import Vec
 from .graph_core import GraphError
-from .hjcf import chain_exponent
 from .inputs import ROWS_CEILING, InputError, Record
 
 
@@ -258,117 +257,3 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
             if a % pt.m:
                 add(ComponentKind.ORBIFOLD_POINT, (pt.host, pt.leg), (a,), pt.m, circle)
     return out
-
-
-# -- conjugacy ---------------------------------------------------------------
-
-
-def _require_positive(w: WindingClass) -> None:
-    # Lattice vectors may have negative coordinates (monodromy translates);
-    # their validity is cone membership, checked during reduction.
-    if isinstance(w, SeifertWord):
-        exps = [e for _, e in w.terms]
-    elif isinstance(w, EdgeTorus):
-        exps = list(w.vector)
-    else:
-        return
-    if any(e <= 0 for e in exps):
-        raise ValueError(
-            "m-arc-generators with nonpositive exponents are outside the label "
-            "calculus; use arclink.checks.chain_system_solvable as the "
-            "falsification oracle"
-        )
-
-
-def _parse_gamma(term: str) -> str:
-    if term.startswith("gamma[") and term.endswith("]"):
-        return term[6:-1]
-    raise ValueError(f"expected a raw fiber generator gamma[v], got {term!r}")
-
-
-def _tail_position(model: DltModel, vid: str):
-    for pt in model.orbifold_points:
-        if vid in pt.tail_ids:
-            return pt, pt.tail_ids.index(vid) + 1
-    return None, None
-
-
-def _reduce_leg_power(pt, exponent: int):
-    if exponent % pt.m == 0:
-        return ("curve_interior", pt.host, exponent // pt.m)
-    return ("orbifold_point", pt.host, pt.leg, exponent, pt.m)
-
-
-def _vertex_label(model: DltModel, vid: str, m: int):
-    if model.residual.has_vertex(vid):
-        return ("curve_interior", vid, m)
-    pt, pos = _tail_position(model, vid)
-    if pt is None:
-        raise GraphError(f"vertex {vid!r} is not part of the model")
-    exp = m * chain_exponent(len(pt.terms), pos, pt.terms)
-    return _reduce_leg_power(pt, exp)
-
-
-def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
-    u, v, idx = chain
-    res = model.residual
-    if res.has_vertex(u) and res.has_vertex(v):
-        if chain not in res.edge_instances():
-            raise GraphError(f"edge instance {chain} is not part of the model")
-        return ("node_point", *chain, mu, mv)
-    pt_u, pos_u = _tail_position(model, u)
-    pt_v, pos_v = _tail_position(model, v)
-    if pt_u is not None and pt_v is not None:
-        if pt_u != pt_v or abs(pos_u - pos_v) != 1:
-            raise GraphError(f"{u!r} and {v!r} are not adjacent on one tail")
-        s = len(pt_u.terms)
-        exp = mu * chain_exponent(s, pos_u, pt_u.terms) + mv * chain_exponent(s, pos_v, pt_u.terms)
-        return _reduce_leg_power(pt_u, exp)
-    # One endpoint survives, the other sits on its tail at position 1.
-    if pt_u is None:
-        host_id, host_m, pt, pos, tail_m = u, mu, pt_v, pos_v, mv
-    else:
-        host_id, host_m, pt, pos, tail_m = v, mv, pt_u, pos_u, mu
-    if pt is None or pt.host != host_id or pos != 1:
-        raise GraphError(f"({u}, {v}) is not an edge of the source graph")
-    s = len(pt.terms)
-    exp = host_m * pt.m + tail_m * chain_exponent(s, 1, pt.terms)
-    return _reduce_leg_power(pt, exp)
-
-
-def _cusp_label(frame: CuspStructure, w: WindingClass):
-    if isinstance(w, CuspLattice):
-        vec = w.vector
-    elif isinstance(w, SeifertWord):
-        if len(w.terms) != 1:
-            raise ValueError("expected a single fiber power for a cusp graph")
-        gen, m = w.terms[0]
-        vec = _cusp_vector(frame, (_parse_gamma(gen),), (m,))
-    else:
-        vec = _cusp_vector(frame, w.chain, w.vector)
-    rep, _ = reduce_mod_monodromy(vec, frame.sequence)
-    return ("cusp_lattice", rep)
-
-
-def canonical_label(w: WindingClass, model: DltModel) -> tuple:
-    """Reduce an arc-generator to its component label on the dlt model."""
-    _require_positive(w)
-    if model.kind is not DltKind.MODEL:
-        raise SelfDltError(
-            "finite fundamental group: conjugacy goes through the quotient machinery"
-        )
-    if model.frame is not None:
-        return _cusp_label(model.frame, w)
-    if isinstance(w, CuspLattice):
-        raise ValueError("lattice classes only make sense on cusp graphs")
-    if isinstance(w, SeifertWord):
-        if len(w.terms) != 1:
-            raise ValueError("arc-generators are single fiber powers")
-        gen, m = w.terms[0]
-        if gen.startswith("g[") and gen.endswith("]"):
-            for pt in model.orbifold_points:
-                if gen == _leg_generator(pt.host, pt.leg):
-                    return _reduce_leg_power(pt, m)
-            raise GraphError(f"no orbifold point for generator {gen!r}")
-        return _vertex_label(model, _parse_gamma(gen), m)
-    return _edge_label(model, w.chain, *w.vector)

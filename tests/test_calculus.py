@@ -8,7 +8,6 @@ import pytest
 from arclink.calculus import (
     DltKind,
     SingKind,
-    blow_down,
     minimal_dlt_model,
     minimal_log_resolution,
     singularity_class,
@@ -343,6 +342,23 @@ def test_classification_stable_under_blow_up():
         blown = _blow_up_edge(g, u, w, "fresh")
         assert singularity_class(minimal_log_resolution(blown)) == cls0
         checked += 1
+
+
+def blow_down(g: PlumbingGraph, vid: str) -> PlumbingGraph:
+    """Contract one -1 vertex meeting the rest in at most two points."""
+    v = g.vertex(vid)
+    if v.euler != -1 or v.genus != 0 or g.loops_at(vid) or g.degree(vid) > 2:
+        raise GraphError(f"vertex {vid!r} is not contractible")
+    ends = [w for w in g.neighbors(vid) for _ in range(g.edge_multiplicity(vid, w))]
+    vs = tuple(
+        Vertex(v.id, v.euler + ends.count(v.id), v.genus) if v.id in ends else v
+        for v in g.vertices
+        if v.id != vid
+    )
+    es = [e for e in g.edges if vid not in e]
+    if len(ends) == 2:
+        es.append((ends[0], ends[1]))
+    return PlumbingGraph(vs, tuple(es), g.name)
 
 
 def _resolve_by_rescan(g: PlumbingGraph) -> PlumbingGraph:

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arclink import calculus
-from arclink.calculus import DltKind, DltModel, SelfDltError, cycle_order, minimal_dlt_model, minimal_log_resolution
+from arclink.calculus import (
+    CuspStructure,
+    DltKind,
+    DltModel,
+    EdgeInstance,
+    SelfDltError,
+    cycle_order,
+    minimal_dlt_model,
+    minimal_log_resolution,
+)
 from arclink.checks import chain_system_solvable, seifert_data, seifert_labels
 from arclink.components import (
     ArcComponent,
@@ -15,16 +24,139 @@ from arclink.components import (
     CuspLattice,
     EdgeTorus,
     HomotopyKind,
-    canonical_label,
+    SeifertWord,
+    WindingClass,
+    _cusp_vector,
+    _leg_generator,
     component_count,
     enumerate_components,
     gamma_power,
 )
 from arclink.cli import analysis_report
-from arclink.cusp import CuspSequence, enumerate_cusp_components
+from arclink.cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
+from arclink.hjcf import hj_numerator
 from arclink.inputs import ROWS_CEILING, InputError
 from conftest import SIGMA_237_TEXT, cycle_graph, star_graph
+
+
+# -- the label oracle --------------------------------------------------------------
+#
+# A second way to label a component, from its arc-generator rather than
+# from the enumeration: two arc-generators are conjugate exactly when
+# canonical_label gives them the same label on the model.  The only
+# identification is g_i^m = h^(m/alpha_i) when alpha_i divides m; on a
+# rational tail [b_1, ..., b_s] the curve at position i carries
+# gamma_i = gamma_s^E_i with E_i = det[b_(i+1), ..., b_s], the continuant
+# of the suffix.  Exponents outside this calculus are the business of the
+# chain-system oracle in arclink.checks.
+
+
+def _require_positive(w: WindingClass) -> None:
+    # Lattice vectors may have negative coordinates (monodromy translates);
+    # their validity is cone membership, checked during reduction.
+    if isinstance(w, SeifertWord):
+        exps = [e for _, e in w.terms]
+    elif isinstance(w, EdgeTorus):
+        exps = list(w.vector)
+    else:
+        return
+    if any(e <= 0 for e in exps):
+        raise ValueError(
+            "m-arc-generators with nonpositive exponents are outside the label "
+            "calculus; use arclink.checks.chain_system_solvable as the "
+            "falsification oracle"
+        )
+
+
+def _parse_gamma(term: str) -> str:
+    if term.startswith("gamma[") and term.endswith("]"):
+        return term[6:-1]
+    raise ValueError(f"expected a raw fiber generator gamma[v], got {term!r}")
+
+
+def _tail_position(model: DltModel, vid: str):
+    for pt in model.orbifold_points:
+        if vid in pt.tail_ids:
+            return pt, pt.tail_ids.index(vid) + 1
+    return None, None
+
+
+def _reduce_leg_power(pt, exponent: int):
+    if exponent % pt.m == 0:
+        return ("curve_interior", pt.host, exponent // pt.m)
+    return ("orbifold_point", pt.host, pt.leg, exponent, pt.m)
+
+
+def _vertex_label(model: DltModel, vid: str, m: int):
+    if model.residual.has_vertex(vid):
+        return ("curve_interior", vid, m)
+    pt, pos = _tail_position(model, vid)
+    if pt is None:
+        raise GraphError(f"vertex {vid!r} is not part of the model")
+    return _reduce_leg_power(pt, m * hj_numerator(pt.terms[pos:]))
+
+
+def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
+    u, v, idx = chain
+    res = model.residual
+    if res.has_vertex(u) and res.has_vertex(v):
+        if chain not in res.edge_instances():
+            raise GraphError(f"edge instance {chain} is not part of the model")
+        return ("node_point", *chain, mu, mv)
+    pt_u, pos_u = _tail_position(model, u)
+    pt_v, pos_v = _tail_position(model, v)
+    if pt_u is not None and pt_v is not None:
+        if pt_u != pt_v or abs(pos_u - pos_v) != 1:
+            raise GraphError(f"{u!r} and {v!r} are not adjacent on one tail")
+        exp = mu * hj_numerator(pt_u.terms[pos_u:]) + mv * hj_numerator(pt_u.terms[pos_v:])
+        return _reduce_leg_power(pt_u, exp)
+    # One endpoint survives, the other sits on its tail at position 1.
+    if pt_u is None:
+        host_id, host_m, pt, pos, tail_m = u, mu, pt_v, pos_v, mv
+    else:
+        host_id, host_m, pt, pos, tail_m = v, mv, pt_u, pos_u, mu
+    if pt is None or pt.host != host_id or pos != 1:
+        raise GraphError(f"({u}, {v}) is not an edge of the source graph")
+    return _reduce_leg_power(pt, host_m * pt.m + tail_m * hj_numerator(pt.terms[1:]))
+
+
+def _cusp_label(frame: CuspStructure, w: WindingClass):
+    if isinstance(w, CuspLattice):
+        vec = w.vector
+    elif isinstance(w, SeifertWord):
+        if len(w.terms) != 1:
+            raise ValueError("expected a single fiber power for a cusp graph")
+        gen, m = w.terms[0]
+        vec = _cusp_vector(frame, (_parse_gamma(gen),), (m,))
+    else:
+        vec = _cusp_vector(frame, w.chain, w.vector)
+    rep, _ = reduce_mod_monodromy(vec, frame.sequence)
+    return ("cusp_lattice", rep)
+
+
+def canonical_label(w: WindingClass, model: DltModel) -> tuple:
+    """Reduce an arc-generator to its component label on the dlt model."""
+    _require_positive(w)
+    if model.kind is not DltKind.MODEL:
+        raise SelfDltError(
+            "finite fundamental group: conjugacy goes through the quotient machinery"
+        )
+    if model.frame is not None:
+        return _cusp_label(model.frame, w)
+    if isinstance(w, CuspLattice):
+        raise ValueError("lattice classes only make sense on cusp graphs")
+    if isinstance(w, SeifertWord):
+        if len(w.terms) != 1:
+            raise ValueError("arc-generators are single fiber powers")
+        gen, m = w.terms[0]
+        if gen.startswith("g[") and gen.endswith("]"):
+            for pt in model.orbifold_points:
+                if gen == _leg_generator(pt.host, pt.leg):
+                    return _reduce_leg_power(pt, m)
+            raise GraphError(f"no orbifold point for generator {gen!r}")
+        return _vertex_label(model, _parse_gamma(gen), m)
+    return _edge_label(model, w.chain, *w.vector)
 
 
 def edge_class(u: str, v: str, m_u: int, m_v: int, instance: int = 0) -> EdgeTorus:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from arclink.hjcf import Mat2, chain_exponent, hj_expand, hj_numerator, hj_pair, mono_product
+from arclink.hjcf import Mat2, hj_expand, hj_numerator, hj_pair, mono_product
 
 
 def test_expand_examples():
@@ -77,23 +77,14 @@ def test_mono_product_matches_the_matrix_product(terms):
     assert mono_product(iter(terms)) == _product_oracle(terms)
 
 
-def test_chain_exponent():
-    assert chain_exponent(3, 3, [2, 2, 2]) == 1  # empty determinant
-    assert chain_exponent(2, 1, [5, 4]) == 4  # det[b_s]
-    assert chain_exponent(3, 1, [2, 2, 2]) == 3  # det[2,2]
-    with pytest.raises(IndexError):
-        chain_exponent(3, 0, [2, 2, 2])
-    with pytest.raises(IndexError):
-        chain_exponent(3, 4, [2, 2, 2])
-
-
 def test_chain_exponent_matches_relation_recursion():
-    # gamma_i = gamma_s^{det[b_s..b_{i+1}]} iterates gamma_i^{b_i} =
-    # gamma_{i-1} gamma_{i+1}; check the recursion e_{i-1} = b_i e_i - e_{i+1}
-    # with e_{s+1} := 0.
+    # gamma_i = gamma_s^{det[b_{i+1}..b_s]}, the continuant of the suffix,
+    # iterates gamma_i^{b_i} = gamma_{i-1} gamma_{i+1}; check the recursion
+    # e_{i-1} = b_i e_i - e_{i+1} with e_{s+1} := 0 and e_s = det[] = 1.
     terms = [2, 3, 2, 4]
     s = len(terms)
-    exps = [chain_exponent(s, i, terms) for i in range(1, s + 1)] + [0]
+    exps = [hj_numerator(terms[i:]) for i in range(1, s + 1)] + [0]
+    assert exps[s - 1] == 1
     for i in range(s - 1, 0, -1):
         assert exps[i - 1] == terms[i] * exps[i] - exps[i + 1]
 

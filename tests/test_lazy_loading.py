@@ -106,22 +106,20 @@ def test_importing_the_package_loads_no_submodule():
 
 EXPORTS = [
     "ArcComponent", "ComponentKind", "Cone", "ConePosition", "ConjClasses", "CuspComponent",
-    "CuspError", "CuspLattice", "CuspSequence", "DltKind", "DltModel", "EdgeTorus",
-    "FiniteGroup", "GraphError", "HomotopyKind", "HomotopyType", "InoueError", "InputError",
-    "Mat2", "OrbifoldPoint", "PlumbingGraph", "QuadNum", "Quaternion", "RealForm",
-    "SeifertWord", "Shape", "ShapeClass", "SingClass", "SingKind", "Vertex",
-    "builtin_generators", "canonical_label", "chain_exponent", "check_duality",
-    "classify_shape", "cone_position", "conjugacy_classes", "cyclic_quotient_components",
-    "dual_sequence", "enumerate_components", "enumerate_cusp_components", "group_closure",
-    "hj_expand", "hj_numerator", "inoue_cross_check", "intersection_matrix",
-    "is_negative_definite", "mckay_report", "minimal_dlt_model", "minimal_log_resolution",
-    "mono_product", "monodromy", "parse_plumbing", "real_A_catalog_entry", "recover_sequence",
-    "reduce_mod_monodromy", "singularity_class", "v_sequence",
+    "CuspError", "CuspLattice", "CuspSequence", "DltKind", "DltModel", "EdgeTorus", "FiniteGroup",
+    "GraphError", "HomotopyKind", "HomotopyType", "InoueError", "InputError", "Mat2",
+    "OrbifoldPoint", "PlumbingGraph", "QuadNum", "Quaternion", "SeifertWord", "Shape", "ShapeClass",
+    "SingClass", "SingKind", "Vertex", "builtin_generators", "check_duality", "classify_shape",
+    "cone_position", "conjugacy_classes", "cyclic_quotient_components", "dual_sequence",
+    "enumerate_components", "enumerate_cusp_components", "group_closure", "hj_expand",
+    "hj_numerator", "inoue_cross_check", "intersection_matrix", "is_negative_definite",
+    "mckay_report", "minimal_dlt_model", "minimal_log_resolution", "mono_product", "monodromy",
+    "parse_plumbing", "recover_sequence", "reduce_mod_monodromy", "singularity_class", "v_sequence",
 ]
 
 
 def test_the_namespace_exports_the_same_names():
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 54
     assert sorted(arclink.__all__) == EXPORTS
 
 

@@ -15,7 +15,6 @@ from arclink.quotient import (
     ClosureError,
     CyclicComponentLabel,
     Quaternion,
-    RealForm,
     binary_dihedral_generators,
     builtin_generators,
     conjugacy_classes,
@@ -25,7 +24,6 @@ from arclink.quotient import (
     mckay_report,
     parse_group_file,
     rational_matrix,
-    real_A_catalog_entry,
 )
 
 
@@ -348,23 +346,6 @@ def test_label_validation():
         cyclic_quotient_components(5, 0, 1)
     with pytest.raises(ValueError):
         cyclic_quotient_components(1, 1, 1)
-
-
-# -- real catalog --------------------------------------------------------------------
-
-
-def test_real_catalog_values():
-    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 5).count == 1
-    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 4).count == 2
-    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 3).count == 6
-    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 2).count == 2
-
-
-def test_real_catalog_status_labels():
-    assert real_A_catalog_entry(RealForm.SUM_OF_SQUARES, 3).status == "shown"
-    assert real_A_catalog_entry(RealForm.HYPERBOLIC, 4).status == "suggested"
-    with pytest.raises(ValueError):
-        real_A_catalog_entry(RealForm.HYPERBOLIC, 1)
 
 
 # -- group files -----------------------------------------------------------------------
