@@ -347,9 +347,6 @@ def test_criterion_11_real_catalog():
         entry = real_A_catalog_entry(RealForm.HYPERBOLIC, m)
         assert entry.count == 4 * m - 6
         assert entry.status == "suggested"
-    assert repr(real_A_catalog_entry(RealForm.HYPERBOLIC, 3)) == (
-        "RealCatalogEntry(form=<RealForm.HYPERBOLIC: 'hyperbolic'>, exponent=3, count=6, status='suggested')"
-    )
     _report(11, "counts (1, 2, 4m-6) reproduced; hyperbolic family marked suggested")
 
 

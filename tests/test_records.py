@@ -34,6 +34,7 @@ from arclink.quotient import (
     group_closure,
     mckay_report,
 )
+from test_acceptance import RealForm, real_A_catalog_entry
 
 GENERAL_TEXT = """
 graph gen
@@ -114,6 +115,10 @@ RECORDS = {
     "FiniteGroup": (_group, lambda: _group(4)),
     "ConjClasses": (lambda: conjugacy_classes(_group()), lambda: conjugacy_classes(_group(4))),
     "McKayReport": (lambda: mckay_report(_group()), lambda: mckay_report(_group(4))),
+    "RealCatalogEntry": (
+        lambda: real_A_catalog_entry(RealForm.HYPERBOLIC, 3),
+        lambda: real_A_catalog_entry(RealForm.HYPERBOLIC, 4),
+    ),
     "CheckResult": (lambda: CheckResult("x", True), lambda: CheckResult("x", False)),
     "InoueReport": (
         lambda: InoueReport(5, Mat2(1, 1, 1, 2), (3,), (CheckResult("x", True),)),
@@ -185,6 +190,9 @@ REPRS = {
     "McKayReport": (
         "McKayReport(group_order=3, class_count=3, nontrivial_classes=2, family='A2', "
         "expected_exceptional_curves=2, matches=True)"
+    ),
+    "RealCatalogEntry": (
+        "RealCatalogEntry(form=<RealForm.HYPERBOLIC: 'hyperbolic'>, exponent=3, count=6, status='suggested')"
     ),
     "CheckResult": "CheckResult(name='x', passed=True, detail='')",
     "InoueReport": (
