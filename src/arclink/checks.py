@@ -592,12 +592,14 @@ def sweep_quotient_detection(max_alpha: int = 8):
 
 @_sweep("inoue cross-check")
 def sweep_inoue():
-    """The two standard field examples pass the full cross-check."""
+    """The two standard field examples pass the full cross-check, the golden
+    one also with u^-1 < 1, whose own orbit window would be empty."""
     one = QuadNum.of(1)
     omega = QuadNum.of(Fraction(1, 2), Fraction(1, 2), 5)
     u5 = QuadNum.of(Fraction(3, 2), Fraction(1, 2), 5)
-    rep5 = inoue_cross_check(5, (one, omega), u5, 3)
-    yield None if rep5.passed and rep5.sequence == (3,) else rep5.render()
+    for u in (u5, u5.inverse()):
+        rep5 = inoue_cross_check(5, (one, omega), u, 3)
+        yield None if rep5.passed and rep5.sequence == (3,) else rep5.render()
     sqrt2 = QuadNum.of(0, 1, 2)
     rep2 = inoue_cross_check(2, (one, sqrt2), QuadNum.of(3, 2, 2), 3)
     yield None if rep2.passed else rep2.render()

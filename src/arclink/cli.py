@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -519,6 +520,7 @@ def main(argv=None) -> int:
             print(json.dumps(report, indent=2))
         elif not args.quiet:
             text()
+        sys.stdout.flush()
         if failure is not None:
             raise Falsified(failure)
         return 0
@@ -528,6 +530,12 @@ def main(argv=None) -> int:
     except Falsified as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so the
+        # flush at interpreter exit cannot fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

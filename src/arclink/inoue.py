@@ -4,11 +4,15 @@ A rank-2 lattice H in K = Q(sqrt(d)) together with a totally positive
 unit u with uH = H realizes the cusp monodromy as multiplication by u.
 Short arcs on the two cusps correspond to the four sign cones of (m, m');
 everything here verifies that correspondence exactly, orbit by orbit.
+Rows are integer coordinate vectors in the given basis; field arithmetic
+(QuadNum) enters only at the input and in the two checks that compare
+field products with M_u.
 """
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .cusp import (
@@ -22,7 +26,7 @@ from .cusp import (
 )
 from .hjcf import Mat2, mono_product
 from .inputs import InputError, numbered_lines
-from .quadratic import QuadNum, parse_quad_token
+from .quadratic import QuadNum, parse_quad_token, quadint_sign
 
 Vec = tuple[int, int]
 
@@ -89,7 +93,7 @@ def quad_mult_matrix(u: QuadNum, basis: tuple[QuadNum, QuadNum]) -> Mat2:
     return m
 
 
-# -- sign cones ---------------------------------------------------------------
+# -- sign cones and orbits, on integer coordinates ------------------------------
 
 
 class SignCone(Enum):
@@ -99,38 +103,56 @@ class SignCone(Enum):
     MINUS_MINUS = "this_cusp_reversed"      # m < 0, m' < 0
 
 
-def sign_cone(m: QuadNum) -> SignCone:
-    """Exact classification of (sign m, sign m') into the four cones."""
-    if m.is_zero():
+class LatticeForms(NamedTuple):
+    """The basis as b_i = (alpha_i + beta_i*sqrt(d)) / den over one den > 0: the
+    element with coordinates c is m = (alpha.c + (beta.c)*sqrt(d)) / den, so
+    m' = (alpha.c - (beta.c)*sqrt(d)) / den and m - m' = 2*(beta.c)*sqrt(d) / den."""
+
+    d: int
+    alpha: Vec
+    beta: Vec
+
+    @staticmethod
+    def of(basis: tuple[QuadNum, QuadNum]) -> "LatticeForms":
+        b1, b2 = basis
+        den = lcm(b1.a.denominator, b1.b.denominator, b2.a.denominator, b2.b.denominator)
+        alpha, beta = (int(b1.a * den), int(b2.a * den)), (int(b1.b * den), int(b2.b * den))
+        return LatticeForms(b1.d or b2.d, alpha, beta)
+
+
+def _dot(form: Vec, c: Vec) -> int:
+    return form[0] * c[0] + form[1] * c[1]
+
+
+def sign_cone(c: Vec, forms: LatticeForms) -> SignCone:
+    """Exact classification of (sign m, sign m') for the element with coordinates c."""
+    a, b = _dot(forms.alpha, c), _dot(forms.beta, c)
+    if a == 0 and b == 0:
         raise InoueError("the zero element has no sign cone")
-    s, s_conj = m.sign(), m.conjugate().sign()
-    assert s != 0 and s_conj != 0
+    s, s_conj = quadint_sign(a, b, forms.d), quadint_sign(a, -b, forms.d)
     if s > 0:
         return SignCone.PLUS_PLUS if s_conj > 0 else SignCone.PLUS_MINUS
     return SignCone.MINUS_PLUS if s_conj > 0 else SignCone.MINUS_MINUS
 
 
-def reduce_by_unit(m: QuadNum, u: QuadNum) -> tuple[QuadNum, int]:
-    """Canonical representative of the u-orbit of a totally positive m.
+def reduce_by_unit(c: Vec, forms: LatticeForms, m_v: Mat2) -> tuple[Vec, int]:
+    """Canonical representative M_v^l * c of the orbit of a totally positive element, and l.
 
-    Multiplication by u scales the ratio m/m' by u^2 > 1; the half-open
-    window 1 <= m/m' < u^2 meets every orbit exactly once.
+    M_v multiplies by v = max(u, 1/u) > 1: M_u if the sqrt(d) part of u is
+    positive, else M_u^-1.  As v' = 1/v, it scales m/m' by v^2, so the
+    half-open window 1 <= m/m' < v^2 meets every orbit exactly once; on
+    coordinates it reads beta.c >= 0 > beta.(M_v^-1 c).
     """
-    if sign_cone(m) is not SignCone.PLUS_PLUS:
+    if sign_cone(c, forms) is not SignCone.PLUS_PLUS:
         raise InoueError("orbit reduction applies to totally positive elements")
-    u2 = u * u
+    beta, m_inv = forms.beta, m_v.inverse()
     ell = 0
-    ratio = m / m.conjugate()
-    one = QuadNum.of(1)
-    while ratio < one:
-        m = m * u
-        ell += 1
-        ratio = m / m.conjugate()
-    while ratio >= u2:
-        m = m / u
-        ell -= 1
-        ratio = m / m.conjugate()
-    return m, ell
+    while _dot(beta, c) < 0:
+        c, ell = m_v.apply(c), ell + 1
+    down = m_inv.apply(c)
+    while _dot(beta, down) >= 0:
+        c, down, ell = down, m_inv.apply(down), ell - 1
+    return c, ell
 
 
 # -- the cross-check -----------------------------------------------------------
@@ -166,24 +188,21 @@ class InoueReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _grid_elements(basis):
-    for c1 in range(-4, 5):
-        for c2 in range(-4, 5):
-            if c1 or c2:
-                yield (c1, c2), from_coordinates((c1, c2), basis)
-
+# Coordinates of the nonzero lattice elements c1*b1 + c2*b2 with |c1|, |c2| <= 4.
+_GRID = tuple((c1, c2) for c1 in range(-4, 5) for c2 in range(-4, 5) if c1 or c2)
 
 _S_FLIP = Mat2(0, 1, 1, 0)
 
 
-def _oriented_frame(m_u: Mat2, grid) -> tuple[CuspSequence, Mat2, Mat2, bool]:
+def _oriented_frame(m_u: Mat2, positive: Vec | None) -> tuple[CuspSequence, Mat2, Mat2, bool]:
     """A cusp frame in which totally positive elements hit the principal cone.
 
     The lattice identification underlying the cusp picture is canonical
     only up to the unit action and the orientation of the basis; an
     orientation-reversed basis shows the complementary cone instead, and
     is repaired by reading coordinates through S = ((0,1),(1,0)).
-    ``grid`` holds the (coordinates, element) pairs of the lattice grid.
+    ``positive`` holds the coordinates of one totally positive element
+    (None if the grid has none, and then no orientation is found).
     Returns (sequence, conjugator P, coordinate transform C, flipped);
     coordinates enter the cusp frame as P^-1 * C * coords.
     """
@@ -191,12 +210,7 @@ def _oriented_frame(m_u: Mat2, grid) -> tuple[CuspSequence, Mat2, Mat2, bool]:
         mat = _S_FLIP * m_u * _S_FLIP if flip else m_u
         seq, p = recover_with_conjugator(mat)
         transform = _S_FLIP if flip else Mat2.identity()
-        p_inv = p.inverse()
-        principal: Cone | None = None
-        for coords, elt in grid:
-            if sign_cone(elt) is SignCone.PLUS_PLUS:
-                principal = cone_position(p_inv.apply(transform.apply(coords)), seq).cone
-                break
+        principal = positive and cone_position(p.inverse().apply(transform.apply(positive)), seq).cone
         if principal is Cone.CONE_MINUS:
             p = -p
             principal = Cone.CONE
@@ -215,82 +229,68 @@ def inoue_cross_check(
     on coordinates; the four sign cones match the four eigen-cones; the
     enumerated components pull back to totally positive elements lying in
     pairwise distinct u-orbits that exhaust the fundamental domain.
+
+    Each row's sign cone is read off the basis's integer forms, and its
+    orbit is reduced by M_v into the window 1 <= m/m' < v^2 of
+    v = max(u, 1/u) (see ``reduce_by_unit``), so a unit u < 1 works too.
     """
     checks: list[CheckResult] = []
     m_u = quad_mult_matrix(u, basis)
-    grid = list(_grid_elements(basis))
+    forms = LatticeForms.of(basis)
+    grid_cone = {c: sign_cone(c, forms) for c in _GRID}
 
     # Multiplication by u realizes M_u on coordinates.
-    bad = None
-    for coords, elt in grid:
-        if coordinates(u * elt, basis) != m_u.apply(coords):
-            bad = coords
-            break
-    checks.append(
-        CheckResult("coordinate action of u equals M_u", bad is None, detail=str(bad or ""))
+    bad = next(
+        (c for c in _GRID if coordinates(u * from_coordinates(c, basis), basis) != m_u.apply(c)), None
     )
+    checks.append(CheckResult("coordinate action of u equals M_u", bad is None, str(bad or "")))
 
     # The four sign cones and the four eigen-cones of M_u match up as
     # partitions (the eigen-cone labels of a conjugate carry no canonical
     # orientation, so only the bijection is asserted here).
     mapping: dict[SignCone, Cone] = {}
-    consistent = True
     witness = ""
-    for coords, elt in grid:
-        sc = sign_cone(elt)
+    for coords, sc in grid_cone.items():
         ec = four_cone(m_u, coords)
-        if sc in mapping and mapping[sc] is not ec:
-            consistent = False
+        if mapping.setdefault(sc, ec) is not ec:
             witness = f"{coords}: {sc.name} saw {mapping[sc].name} and {ec.name}"
             break
-        mapping[sc] = ec
-    if consistent and len(set(mapping.values())) != len(mapping):
-        consistent = False
+    if not witness and len(set(mapping.values())) != len(mapping):
         witness = "sign classes collapsed onto one eigen-cone"
-    checks.append(CheckResult("sign cones biject with eigen-cones", consistent, witness))
+    checks.append(CheckResult("sign cones biject with eigen-cones", not witness, witness))
 
     # Orient the identification and verify the conjugation exactly.
-    seq, p, transform, flipped = _oriented_frame(m_u, grid)
-    framed = transform * m_u * transform.inverse()
+    positive = [c for c, sc in grid_cone.items() if sc is SignCone.PLUS_PLUS]
+    seq, p, transform, flipped = _oriented_frame(m_u, positive[0] if positive else None)
+    conjugate = p * mono_product(seq.b) == transform * m_u * transform.inverse() * p
     checks.append(
-        CheckResult(
-            "recovered sequence conjugate to M_u",
-            p * mono_product(seq.b) == framed * p,
-            f"basis orientation reversed: {flipped}",
-        )
+        CheckResult("recovered sequence conjugate to M_u", conjugate, f"basis orientation reversed: {flipped}")
     )
-
-    def to_cusp_frame(coords: Vec) -> Vec:
-        return p.inverse().apply(transform.apply(coords))
+    # Cusp-frame vectors pull back to coordinates by one matrix, built once.
+    back = transform.inverse() * p
+    to_frame = back.inverse()
 
     # Every totally positive grid element lands in the principal cone.
-    off = next((coords for coords, elt in grid if sign_cone(elt) is SignCone.PLUS_PLUS
-                and cone_position(to_cusp_frame(coords), seq).cone is not Cone.CONE), None)
+    off = next((c for c in positive if cone_position(to_frame.apply(c), seq).cone is not Cone.CONE),
+               None)
     checks.append(CheckResult("totally positive class is the principal cone", off is None, str(off or "")))
 
-    def from_cusp_frame(vec: Vec) -> QuadNum:
-        return from_coordinates(transform.inverse().apply(p.apply(vec)), basis)
-
-    # Pull the enumerated components back to the field.
+    # Pull the enumerated components back to the lattice.
     comps = enumerate_cusp_components(seq, bound)
-    pulled = [(comp, from_cusp_frame(comp.vector)) for comp in comps]
-    cones = {sign_cone(elt) for _, elt in pulled}
-    checks.append(
-        CheckResult(
-            "components pull back totally positive",
-            cones == {SignCone.PLUS_PLUS},
-            ", ".join(sorted(c.name for c in cones)),
-        )
-    )
+    pulled = [back.apply(comp.vector) for comp in comps]
+    cones = [sign_cone(c, forms) for c in pulled]
+    seen = set(cones)
+    names = ", ".join(sorted(c.name for c in seen))
+    checks.append(CheckResult("components pull back totally positive", seen == {SignCone.PLUS_PLUS}, names))
 
     # Multiplication by u matches the monodromy action on components.
     action_bad = ""
     monod = mono_product(seq.b)
-    for comp, elt in pulled[: 4 * bound]:
-        if sign_cone(elt) is not SignCone.PLUS_PLUS:
+    for comp, c, sc in zip(comps[: 4 * bound], pulled, cones):
+        if sc is not SignCone.PLUS_PLUS:
             continue
-        moved = coordinates(u * elt, basis)
-        if to_cusp_frame(moved) != monod.apply(comp.vector):
+        moved = coordinates(u * from_coordinates(c, basis), basis)
+        if to_frame.apply(moved) != monod.apply(comp.vector):
             action_bad = f"component {comp.vector}"
             break
     checks.append(
@@ -298,23 +298,20 @@ def inoue_cross_check(
     )
 
     # Fundamental-domain points fall in pairwise distinct u-orbits.
+    m_v = m_u if u.b > 0 else m_u.inverse()
     reps = {}
     collision = ""
-    for comp, elt in pulled:
-        if sign_cone(elt) is not SignCone.PLUS_PLUS:
+    for comp, c, sc in zip(comps, pulled, cones):
+        if sc is not SignCone.PLUS_PLUS:
             continue
-        rep, _ = reduce_by_unit(elt, u)
-        key = (rep.a, rep.b)
-        if key in reps:
-            collision = f"{reps[key].vector} and {comp.vector} share a u-orbit"
+        rep, _ = reduce_by_unit(c, forms, m_v)
+        if rep in reps:
+            collision = f"{reps[rep].vector} and {comp.vector} share a u-orbit"
             break
-        reps[key] = comp
+        reps[rep] = comp
+    bijective = not collision and len(reps) == len(comps)
     checks.append(
-        CheckResult(
-            "orbit representatives biject with fundamental-domain points",
-            not collision and len(reps) == len(comps),
-            collision,
-        )
+        CheckResult("orbit representatives biject with fundamental-domain points", bijective, collision)
     )
 
     # Window completeness: any totally positive lattice element with
@@ -322,17 +319,17 @@ def inoue_cross_check(
     # hit an enumerated component.
     vectors = {comp.vector for comp in comps}
     missing = ""
-    for coords, elt in grid:
-        if max(abs(coords[0]), abs(coords[1])) > 3 or sign_cone(elt) is not SignCone.PLUS_PLUS:
+    for c in positive:
+        if max(abs(c[0]), abs(c[1])) > 3:
             continue
-        y = to_cusp_frame(coords)
+        y = to_frame.apply(c)
         pos = cone_position(y, seq)
         if pos.cone is not Cone.CONE:
-            missing = f"{coords}: pulled-back vector left the principal cone"
+            missing = f"{c}: pulled-back vector left the principal cone"
             break
         rep_vec, _ = reduce_mod_monodromy(y, seq)
         if sum(cone_position(rep_vec, seq).coeffs) <= bound and rep_vec not in vectors:
-            missing = f"{coords}: reduced vector {rep_vec} not enumerated"
+            missing = f"{c}: reduced vector {rep_vec} not enumerated"
             break
     checks.append(CheckResult("window completeness of the enumeration", not missing, missing))
 

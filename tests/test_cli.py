@@ -202,7 +202,7 @@ CHECK_SWEEPS = [
     ("seifert vs components (sigma(2,3,7))", 1),
     ("chain quotient agreement", 5460),
     ("quotient detection", 343),
-    ("inoue cross-check", 2),
+    ("inoue cross-check", 3),
 ]
 
 
@@ -326,11 +326,40 @@ _MINUS_THREE_CYCLE_12K = "".join(
 )
 
 
-def _run_subprocess(*argv) -> subprocess.CompletedProcess:
+def _subprocess_env() -> dict[str, str]:
     src = str(Path(arclink.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "arclink.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _run_subprocess(*argv, timeout: int = 120) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "arclink.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_inverse_unit_field_finishes(graph_file):
+    # u^-1 = (3 - sqrt5)/2 < 1 once looped for good in the orbit reduction
+    path = graph_file("d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2-1/2*sqrt\n", "u-inverse.field")
+    proc = _run_subprocess("inoue", "--field", path, "--bound", "3", timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.count("[ok]") == 8 and "recovered cusp sequence: 3" in proc.stdout
+
+
+def test_closed_stdout_gives_one_error_line():
+    # `cusp --seq 3,3,3 --bound 200 | head -1`: 60,300 rows, far more than
+    # the pipe holds, so the writer meets the closed end.
+    proc = subprocess.Popen([sys.executable, "-m", "arclink.cli", "cusp", "--seq", "3,3,3", "--bound", "200"],
+                            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    with proc:
+        try:
+            assert proc.stdout.readline().startswith("monodromy ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    lines = [ln for ln in err.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 @pytest.mark.parametrize(

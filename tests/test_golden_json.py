@@ -197,11 +197,11 @@ CLI_GOLDEN = {
     ),
     "check_text": (
         ["check"],
-        "a1443b5c09e6171c9307f0037159bcd0a2d6f8cd2721ef0cb9e5d9dff58c1a03",
+        "e676a17ad1eae70c6d3e7584217f88be296b6d10c1076ede3f7bb5d35d34e45a",
     ),
     "check_json": (
         ["check", "--json"],
-        "1c2184a8f5e35bfe9472da3aa9442fe57889e990e39724a6e260573e20c7d81a",
+        "2744ac04d51e37703a6bc38bd777939a52db723427c8cb02d2e642207fffd121",
     ),
 }
 

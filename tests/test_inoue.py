@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from arclink.cusp import four_cone
 from arclink.hjcf import Mat2
 from arclink.inoue import (
     InoueError,
+    LatticeForms,
     SignCone,
     coordinates,
     from_coordinates,
@@ -25,6 +29,22 @@ OMEGA = QuadNum.of(Fraction(1, 2), Fraction(1, 2), 5)  # (1 + sqrt5)/2
 U5 = QuadNum.of(Fraction(3, 2), Fraction(1, 2), 5)  # (3 + sqrt5)/2
 SQRT2 = QuadNum.of(0, 1, 2)
 U2 = QuadNum.of(3, 2, 2)  # 3 + 2*sqrt2
+GOLDEN = (ONE, OMEGA)
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- multiplication matrices -----------------------------------------------------
@@ -87,23 +107,45 @@ def test_coordinate_action_of_u_random():
 # -- sign cones --------------------------------------------------------------------
 
 
+def test_lattice_forms_of_the_golden_basis():
+    # 1 = (2 + 0*sqrt5)/2 and omega = (1 + 1*sqrt5)/2
+    assert LatticeForms.of(GOLDEN) == LatticeForms(5, (2, 1), (0, 1))
+    assert LatticeForms.of((SQRT2, ONE)) == LatticeForms(2, (0, 1), (1, 0))
+
+
 def test_sign_cone_examples():
-    assert sign_cone(ONE) is SignCone.PLUS_PLUS
-    assert sign_cone(QuadNum.of(1, -1, 5)) is SignCone.MINUS_PLUS  # 1 - sqrt5
-    assert sign_cone(QuadNum.of(0, 1, 5)) is SignCone.PLUS_MINUS  # sqrt5
-    assert sign_cone(-ONE) is SignCone.MINUS_MINUS
+    forms = LatticeForms.of((ONE, QuadNum.of(0, 1, 5)))  # coordinates in (1, sqrt5)
+    assert sign_cone((1, 0), forms) is SignCone.PLUS_PLUS
+    assert sign_cone((1, -1), forms) is SignCone.MINUS_PLUS  # 1 - sqrt5
+    assert sign_cone((0, 1), forms) is SignCone.PLUS_MINUS  # sqrt5
+    assert sign_cone((-1, 0), forms) is SignCone.MINUS_MINUS
     with pytest.raises(InoueError):
-        sign_cone(QuadNum.of(0))
+        sign_cone((0, 0), forms)
 
 
 def test_sign_cones_invariant_under_u():
+    forms = LatticeForms.of(GOLDEN)
     rng = random.Random(4)
     for _ in range(200):
         v = (rng.randint(-9, 9), rng.randint(-9, 9))
         if v == (0, 0):
             continue
-        elt = from_coordinates(v, (ONE, OMEGA))
-        assert sign_cone(elt) is sign_cone(U5 * elt)
+        moved = coordinates(U5 * from_coordinates(v, GOLDEN), GOLDEN)
+        assert sign_cone(v, forms) is sign_cone(moved, forms)
+
+
+def test_sign_cones_agree_with_field_signs():
+    want = {(1, 1): SignCone.PLUS_PLUS, (1, -1): SignCone.PLUS_MINUS,
+            (-1, 1): SignCone.MINUS_PLUS, (-1, -1): SignCone.MINUS_MINUS}
+    rng = random.Random(6)
+    # the third basis has denominators 3 and 5 in its two elements
+    for basis in (GOLDEN, (SQRT2, ONE), (QuadNum.of(Fraction(1, 3), 2, 2), QuadNum.of(-1, Fraction(1, 5), 2))):
+        forms = LatticeForms.of(basis)
+        for _ in range(100):
+            v = (rng.randint(-30, 30), rng.randint(-30, 30))
+            if v != (0, 0):
+                elt = from_coordinates(v, basis)
+                assert sign_cone(v, forms) is want[elt.sign(), elt.conjugate().sign()]
 
 
 def test_eigen_cones_unchanged_by_squaring():
@@ -116,13 +158,44 @@ def test_eigen_cones_unchanged_by_squaring():
 
 
 def test_reduce_by_unit_canonical():
-    m = OMEGA * OMEGA  # totally positive? omega^2 = omega + 1 > 0, conj also
-    assert sign_cone(m) is SignCone.PLUS_PLUS
-    rep, ell = reduce_by_unit(m, U5)
-    rep2, ell2 = reduce_by_unit(m * U5 * U5 * U5, U5)
+    forms = LatticeForms.of(GOLDEN)
+    m_u = quad_mult_matrix(U5, GOLDEN)
+    m = (1, 1)  # omega^2 = omega + 1: totally positive
+    assert sign_cone(m, forms) is SignCone.PLUS_PLUS
+    rep, ell = reduce_by_unit(m, forms, m_u)
+    rep2, ell2 = reduce_by_unit((m_u ** 3).apply(m), forms, m_u)
     assert rep == rep2 and ell2 == ell - 3
     with pytest.raises(InoueError):
-        reduce_by_unit(QuadNum.of(0, 1, 5), U5)
+        reduce_by_unit((-1, 2), forms, m_u)  # sqrt5 = 2*omega - 1
+
+
+_UNIT_CASES = [
+    pytest.param(GOLDEN, U5, id="sqrt5-u"),
+    pytest.param(GOLDEN, U5.inverse(), id="sqrt5-u-inverse"),
+    pytest.param((ONE, SQRT2), U2, id="sqrt2-u"),
+    pytest.param((ONE, SQRT2), U2.inverse(), id="sqrt2-u-inverse"),
+]
+
+
+@pytest.mark.parametrize("basis, u", _UNIT_CASES)
+@given(c=st.tuples(st.integers(-60, 60), st.integers(-60, 60)), shift=st.integers(-4, 4))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+def test_reduce_by_unit_lands_in_the_field_window(basis, u, c, shift):
+    elt = from_coordinates(c, basis)
+    assume(elt.norm() > 0)  # totally positive or totally negative
+    if elt < 0:
+        c, elt = (-c[0], -c[1]), -elt
+    v = max(u, u.inverse())  # the unit above 1
+    m_u = quad_mult_matrix(u, basis)
+    m_v = quad_mult_matrix(v, basis)
+    # the rule the cross-check follows: M_u when u > 1, else M_u^-1
+    assert m_v == (m_u if u.b > 0 else m_u.inverse())
+    forms = LatticeForms.of(basis)
+    rep, ell = reduce_by_unit(c, forms, m_v)
+    assert rep == (m_v ** ell).apply(c)
+    ratio = from_coordinates(rep, basis) / from_coordinates(rep, basis).conjugate()
+    assert 1 <= ratio < v * v
+    assert reduce_by_unit((m_v ** shift).apply(c), forms, m_v) == (rep, ell - shift)
 
 
 # -- the cross-check ------------------------------------------------------------------
@@ -141,6 +214,15 @@ def test_cross_check_sqrt2():
     assert report.matrix == Mat2(3, 4, 2, 3)
 
 
+def test_cross_check_inverse_unit_terminates():
+    # u^-1 = (3 - sqrt5)/2 < 1: the orbit window of u^-1 itself would be empty
+    with _deadline(10):
+        report = inoue_cross_check(5, GOLDEN, U5.inverse(), 3)
+    assert report.passed, report.render()
+    assert report.matrix == Mat2(1, 1, 1, 2).inverse()
+    assert report.sequence == (3,)
+
+
 def test_cross_check_u_squared():
     report = inoue_cross_check(5, (ONE, OMEGA), U5 * U5, 3)
     assert report.passed
@@ -155,8 +237,8 @@ def test_principal_cone_check_catches_a_negated_conjugator(monkeypatch, d, basis
 
     frame = inoue_mod._oriented_frame
 
-    def negated(m_u, grid):
-        seq, p, transform, flipped = frame(m_u, grid)
+    def negated(m_u, positive):
+        seq, p, transform, flipped = frame(m_u, positive)
         return seq, -p, transform, flipped
 
     monkeypatch.setattr(inoue_mod, "_oriented_frame", negated)
@@ -165,6 +247,16 @@ def test_principal_cone_check_catches_a_negated_conjugator(monkeypatch, d, basis
     assert not principal.passed and principal.detail.startswith("(")
     # conjugation alone cannot see the sign of the conjugator
     assert checks["recovered sequence conjugate to M_u"].passed
+
+
+def test_grid_without_a_totally_positive_element_is_refused():
+    # A basis of Z[sqrt2] whose totally positive cone misses every
+    # coordinate vector with entries in [-4, 4].
+    basis = (QuadNum.of(-1, 5, 2), SQRT2)
+    grid = [from_coordinates((x, y), basis) for x in range(-4, 5) for y in range(-4, 5)]
+    assert not any(elt > 0 and elt.conjugate() > 0 for elt in grid)
+    with pytest.raises(InoueError, match="no orientation matches the principal cone"):
+        inoue_cross_check(2, basis, U2, 3)
 
 
 def test_cross_check_orbit_scaling():
