@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import wraps
-from itertools import product
+from functools import lru_cache, wraps
+from itertools import product, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -71,11 +71,12 @@ def _sweep(name: str):
     """Run the decorated generator of case witnesses as the sweep ``name``.
 
     The SweepResult counts the cases up to the first witness.  A library
-    error (every one is a ValueError) falsifies too, with the cases
-    completed before it: the sweep builds only valid inputs, so the
-    library has rejected one of its own results.  So does an
-    ArithmeticError, such as a division by a zero that exact arithmetic
-    should never meet.
+    error (every one is a ValueError) falsifies too: the sweep builds only
+    valid inputs, so the library has rejected one of its own results.  So
+    does an ArithmeticError, such as a division by a zero that exact
+    arithmetic should never meet.  Inside a ``witness`` function wrapped
+    by ``_naming_case`` the error is that case's witness and names it;
+    anywhere else it ends the sweep with the cases completed before it.
     """
     def decorate(cases):
         @wraps(cases)
@@ -93,6 +94,17 @@ def _sweep(name: str):
     return decorate
 
 
+def _naming_case(witness):
+    """Wrap a sweep's ``witness(*case)`` so that a library error raised on
+    a case becomes that case's witness, naming it."""
+    def named(*case):
+        try:
+            return witness(*case)
+        except (ValueError, ArithmeticError) as exc:
+            return f"raised {type(exc).__name__}: {exc} at {', '.join(map(str, case))}"
+    return named
+
+
 def _valid_sequences(max_k: int, max_b: int):
     for k in range(1, max_k + 1):
         for bs in product(range(2, max_b + 1), repeat=k):
@@ -107,6 +119,7 @@ def sweep_duality(max_k: int = 6, max_b: int = 6):
     The trace is read from the monodromy of the rotation that
     check_duality uses: rotation conjugates M and keeps its trace.
     """
+    @_naming_case
     def witness(bs):
         report = check_duality(CuspSequence(bs))
         if report.m.trace() < 3:
@@ -121,6 +134,7 @@ def sweep_duality(max_k: int = 6, max_b: int = 6):
 @_sweep("dual involution")
 def sweep_dual_involution(max_k: int = 5, max_b: int = 5):
     """dual(dual(b)) is a rotation of b and traces agree."""
+    @_naming_case
     def witness(bs):
         c = CuspSequence(bs)
         dual = dual_sequence(c)
@@ -163,6 +177,7 @@ def sweep_recover_roundtrip(samples: int = 500, max_k: int = 8, max_b: int = 9, 
     whose fixed point has a pre-period, and checks the returned
     conjugator with ``_mul``, not with the library's own verification.
     """
+    @_naming_case
     def witness(bs, pm):
         c = CuspSequence(bs)
         rec = recover_sequence(monodromy(c))
@@ -261,10 +276,20 @@ def sweep_mckay():
         yield None if ok else name if order is None else f"{name}: order {g.order}, classes {cc.count}"
 
 
+@lru_cache(maxsize=None)
+def _curve(i: int, b: int) -> Vertex:
+    """The rational curve v_i of self-intersection -b.  A Vertex is
+    immutable, so the sweeps' graphs share one per (i, b)."""
+    return Vertex(f"v{i}", -b, 0)
+
+
+@lru_cache(maxsize=None)
+def _path_edges(k: int) -> tuple[tuple[str, str], ...]:
+    return tuple((f"v{i}", f"v{i+1}") for i in range(k - 1))
+
+
 def _chain_graph(bs) -> PlumbingGraph:
-    vs = tuple(Vertex(f"v{i}", -b, 0) for i, b in enumerate(bs))
-    es = tuple((f"v{i}", f"v{i+1}") for i in range(len(bs) - 1))
-    return PlumbingGraph(vs, es, "chain")
+    return PlumbingGraph(tuple(map(_curve, range(len(bs)), bs)), _path_edges(len(bs)), "chain")
 
 
 def _cycle_graph(bs) -> PlumbingGraph:
@@ -401,23 +426,26 @@ def sweep_negative_definite(max_chain: int = 8, samples: int = 400, seed: int = 
     (plain LDL); on seeded random multigraphs, then on seeded chain-heavy
     ones, then on seeded graphs on the definiteness boundary, both tests
     agree with Sylvester."""
-    def definite(g) -> bool:
-        return is_negative_definite(intersection_matrix(g)) and is_negative_definite_graph(g)
+    @_naming_case
+    def rejected(g, label):
+        definite = is_negative_definite(intersection_matrix(g)) and is_negative_definite_graph(g)
+        return None if definite else f"{label} rejected"
 
+    @_naming_case
     def witness(g):
         mat = intersection_matrix(g)
         want = sylvester_negative_definite(mat)
         agree = is_negative_definite(mat) == want and is_negative_definite_graph(g) == want
         return None if agree else f"{g.vertices} {g.edges}: Sylvester says {want}"
 
-    yield None if definite(e8_graph()) else "E8 rejected"
+    yield rejected(e8_graph(), "E8")
     for n in range(1, max_chain + 1):
-        yield None if definite(_chain_graph([2] * n)) else f"A{n} rejected"
+        yield rejected(_chain_graph([2] * n), f"A{n}")
     plus_one = PlumbingGraph((Vertex("v0", 1),), (), "plus_one")
     accepted = is_negative_definite([[1]]) or is_negative_definite_graph(plus_one)
     yield "+1 vertex accepted" if accepted else None
     for bs in _valid_sequences(4, 4):
-        yield None if definite(_cycle_graph(bs)) else f"cusp cycle {bs} rejected"
+        yield rejected(_cycle_graph(bs), f"cusp cycle {bs}")
     rng = random.Random(seed)
     for _ in range(samples):
         yield witness(_random_multigraph(rng))
@@ -525,20 +553,38 @@ def sweep_seifert_vs_components(bound: int = 6):
     yield None if ok else f"{len(comp_labels)} vs {len(seif_labels)} labels"
 
 
+def _label_oracle(m: int, q: int, bound: int) -> list[tuple]:
+    """The label rows of 1/m(q, 1) as plain tuples (m, center, m1, c).
+
+    q^-1 is found by search, not by the library's ``pow``, and c = a*q^-1
+    mod m, so c*q = a mod m, which the assertion restates on the period
+    a = 1..m.  Every row condition holds there: m, m1 = a, the center on
+    the curve exactly when m divides a, 0 <= c < m and c*q = a mod m.
+    Each depends on a only through a mod m, so it holds on every later
+    period, which repeats the first with a shifted by m."""
+    q_inv = next(x for x in range(m) if (x * q - 1) % m == 0)
+    cs = [a * q_inv % m for a in range(1, m + 1)]
+    assert all((c * q - a) % m == 0 for a, c in enumerate(cs, start=1))
+    centers = [ArcCenter.AT_ORIGIN] * (m - 1) + [ArcCenter.ON_CURVE]
+    return list(zip(repeat(m), centers * bound, range(1, bound * m + 1), cs * bound))
+
+
 @_sweep("chain quotient agreement")
 def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int = 2):
     """Chains route to SelfDlt cyclic quotients 1/m(q, 1) whose chain the
     expansion of m/q gives back, and whose labels a/m (1 <= a <= bound*m)
     carry the model arc (a, c) with c*q = a mod m.  A label row holds
     ints and its label is m1/m, so label a/m is the row's m equal to m
-    and its m1 equal to a.  For m <= 16 the label count is also bound
-    times the class count of the closed cyclic group of order m.  The
-    label list is a function of (m, q) alone, so it is checked on the
-    first chain that routes to each pair; a chain and its reverse share
-    the pair."""
+    and its m1 equal to a.  The whole label list is compared once with
+    ``_label_oracle``'s, which states every row condition.  For m <= 16
+    the label count is also bound times the class count of the closed
+    cyclic group of order m.  The label list is a function of (m, q)
+    alone, so it is checked on the first chain that routes to each pair;
+    a chain and its reverse share the pair."""
     class_counts: dict[int, int] = {}  # one closure per distinct m
     checked: set[tuple[int, int]] = set()  # one label list per distinct (m, q)
 
+    @_naming_case
     def witness(bs):
         model = minimal_dlt_model(_chain_graph(bs))
         if model.kind is not DltKind.SELF_DLT:
@@ -562,15 +608,10 @@ def sweep_chain_quotient_agreement(max_len: int = 6, max_b: int = 5, bound: int 
                 class_counts[m] = conjugacy_classes(group_closure(builtin_generators(f"cyclic:{m}"))).count
             if len(labels) != bound * class_counts[m]:
                 return f"{bs}: {len(labels)} labels, {class_counts[m]} classes in Z/{m}"
-        for a, r in enumerate(labels, start=1):
-            r_m, center, m1, c = r
-            if (
-                r_m != m or m1 != a  # label m1/r_m == a/m
-                or (center is ArcCenter.ON_CURVE) != (a % m == 0)
-                or not 0 <= c < m
-                or (c * q - a) % m
-            ):
-                return f"{bs}: label {a}/{m} is {r}"
+        want = _label_oracle(m, q, bound)
+        if labels != want:
+            a = next(i for i, (r, w) in enumerate(zip(labels, want), start=1) if r != w)
+            return f"{bs}: label {a}/{m} is {labels[a - 1]}"
         return None
 
     for k in range(1, max_len + 1):

@@ -282,39 +282,37 @@ _DUAL_CEILING = 100_000
 def _construction_rotation(c: CuspSequence) -> CuspSequence:
     """Smallest rotation with last entry >= 3 (always exists).
 
-    The rotation by s ends in b[s - 1], so one scan finds the shift.
+    The rotation by s ends in b[s - 1], so one scan finds the shift; the
+    rotation by 0 is c itself.
     """
     b = c.b
-    for shift in range(c.k):
+    if b[-1] >= 3:
+        return c
+    for shift in range(1, c.k):
         if b[shift - 1] >= 3:
             return CuspSequence(b[shift:] + b[:shift])
     raise CuspError("no entry >= 3; invalid cusp sequence")  # pragma: no cover
 
 
-def _parse_blocks(b: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Write b as 2^{k1*-1}, k1+2, 2^{k2*-1}, k2+2, ..., returning (ki*, ki)."""
-    blocks = []
-    run = 0
-    for x in b:
-        if x == 2:
-            run += 1
-        else:
-            blocks.append((run + 1, x - 2))
-            run = 0
-    assert run == 0, "sequence must end with an entry >= 3"
-    return blocks
-
-
 def dual_construction(c: CuspSequence) -> tuple[CuspSequence, CuspSequence]:
-    """(rotated input, dual sequence) with matching cut conventions."""
+    """(rotated input, dual sequence) with matching cut conventions.
+
+    The rotation ends in an entry >= 3, so it reads as blocks
+    2^{k1*-1}, k1+2, 2^{k2*-1}, k2+2, ... with every ki*, ki >= 1; block i
+    gives the dual entries ki* + 2 and then ki - 1 twos, in one pass."""
     length = sum(c.b) - 2 * c.k
     if length > _DUAL_CEILING:
         raise CuspError(f"the dual would have sum(b_i - 2) = {length} entries, more than {_DUAL_CEILING}")
     rot = _construction_rotation(c)
     dual: list[int] = []
-    for k_star, k_plain in _parse_blocks(rot.b):
-        dual.append(k_star + 2)
-        dual.extend([2] * (k_plain - 1))
+    run = 0  # the twos before the next entry >= 3: k* - 1
+    for x in rot.b:
+        if x == 2:
+            run += 1
+        else:
+            dual.append(run + 3)
+            dual += [2] * (x - 3)
+            run = 0
     return rot, CuspSequence(tuple(dual))
 
 
@@ -344,17 +342,31 @@ class DualityReport(NamedTuple):
 
 
 def check_duality(c: CuspSequence) -> DualityReport:
-    """Verify M T = T M* and trace equality for the dual pair, exactly."""
+    """Verify M T = T M* and trace equality for the dual pair, exactly.
+
+    The identity is tested entry by entry on the ints of M = ((p, q),
+    (r, s)), M* = ((p*, q*), (r*, s*)) and T, with no product matrix
+    built.  For T = ((-1, -1), (1, 2)) it reads
+    q - p = -(p* + r*), 2q - p = -(q* + s*), s - r = p* + 2r* and
+    2s - r = q* + 2s*.  T is read from ``T_MATRIX`` at each call."""
     rot, dual = dual_construction(c)
     m = monodromy(rot)
     m_star = monodromy(dual)
+    p, q, r, s = m.p, m.q, m.r, m.s
+    ps, qs, rs, ss = m_star.p, m_star.q, m_star.r, m_star.s
+    tp, tq, tr, ts = T_MATRIX.p, T_MATRIX.q, T_MATRIX.r, T_MATRIX.s
     return DualityReport(
         sequence=rot.b,
         dual=dual.b,
         m=m,
         m_star=m_star,
-        t_identity_holds=(m * T_MATRIX) == (T_MATRIX * m_star),
-        traces_equal=m.trace() == m_star.trace(),
+        t_identity_holds=(
+            p * tp + q * tr == tp * ps + tq * rs
+            and p * tq + q * ts == tp * qs + tq * ss
+            and r * tp + s * tr == tr * ps + ts * rs
+            and r * tq + s * ts == tr * qs + ts * ss
+        ),
+        traces_equal=p + s == ps + ss,
     )
 
 

@@ -33,18 +33,20 @@ class Vertex(Record):
         object.__setattr__(self, "genus", genus)
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
-
-
 class _Incidence:
-    """One vertex's entry in the adjacency index of a PlumbingGraph."""
+    """One vertex's entry in the adjacency index of a PlumbingGraph.
 
-    __slots__ = ("mult", "loops")
+    ``ends`` is the vertex's degree, its number of edge-ends (a loop
+    counts twice), kept up to date as the graph's constructor adds edges,
+    so the walks and the chain-vertex test read it instead of summing
+    ``mult``."""
 
-    def __init__(self, mult: dict[str, int] | None = None, loops: int = 0) -> None:
-        self.mult = {} if mult is None else mult  # neighbor -> edge count, loops excluded
-        self.loops = loops
+    __slots__ = ("mult", "loops", "ends")
+
+    def __init__(self) -> None:
+        self.mult: dict[str, int] = {}  # neighbor -> edge count, loops excluded
+        self.loops = 0
+        self.ends = 0
 
 
 _NO_INCIDENCE = _Incidence()
@@ -72,16 +74,19 @@ class PlumbingGraph(Record):
             by_id[v.id] = v
         adj = {vid: _Incidence() for vid in by_id}
         for u, v in edges:
-            for end in (u, v):
-                if end not in by_id:
-                    raise GraphError(f"edge ({u}, {v}) references unknown vertex {end!r}")
+            if u not in adj or v not in adj:
+                end = u if u not in adj else v
+                raise GraphError(f"edge ({u}, {v}) references unknown vertex {end!r}")
+            iu, iv = adj[u], adj[v]
+            iu.ends += 1
+            iv.ends += 1
             if u == v:
-                adj[u].loops += 1
+                iu.loops += 1
             else:
-                adj[u].mult[v] = adj[u].mult.get(v, 0) + 1
-                adj[v].mult[u] = adj[v].mult.get(u, 0) + 1
+                iu.mult[v] = iu.mult.get(v, 0) + 1
+                iv.mult[u] = iv.mult.get(u, 0) + 1
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(sorted(_norm_edge(u, v) for u, v in edges)))
+        object.__setattr__(self, "edges", tuple(sorted([(u, v) if u <= v else (v, u) for u, v in edges])))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", adj)
@@ -105,8 +110,7 @@ class PlumbingGraph(Record):
 
     def degree(self, vid: str) -> int:
         """Number of incident edge-ends; a loop counts twice."""
-        inc = self._adj.get(vid, _NO_INCIDENCE)
-        return sum(inc.mult.values()) + 2 * inc.loops
+        return self._adj.get(vid, _NO_INCIDENCE).ends
 
     def neighbors(self, vid: str) -> list[str]:
         """Distinct neighbors, loops excluded, sorted."""
@@ -292,8 +296,8 @@ def is_negative_definite_graph(g: PlumbingGraph) -> bool:
     *A calculus for plumbing* (1981).
     """
     adj, by_id = g._adj, g._by_id
-    chain = {vid for vid, inc in adj.items()
-             if not inc.loops and len(inc.mult) == 2 and sum(inc.mult.values()) == 2}
+    # two edge-ends at two distinct neighbours: no loop and one edge to each
+    chain = {vid for vid, inc in adj.items() if inc.ends == 2 and len(inc.mult) == 2}
     index: dict[str, int] = {}  # node -> row of the compressed matrix
     diag: list[tuple[int, int]] = []
     rows: list[dict[int, tuple[int, int]]] = []
@@ -465,12 +469,15 @@ def walk(g: PlumbingGraph, prev: str | None, start: str) -> Iterator[str]:
     while True:
         yield cur
         inc = g._adj[cur]
-        if sum(inc.mult.values()) + 2 * inc.loops - (prev is not None) != 1:
+        if inc.ends - (prev is not None) != 1:
             return
         if inc.loops:  # arrived by one end of the loop, leave by the other
             nxt = cur
-        else:
-            nxt = next(w for w, m in inc.mult.items() if w != prev or m > 1)
+        elif len(inc.mult) == 1:  # the one end left, or back along a double edge
+            nxt = next(iter(inc.mult))
+        else:  # two single edges, one of them to prev
+            u, w = inc.mult
+            nxt = w if u == prev else u
         prev, cur = cur, nxt
 
 

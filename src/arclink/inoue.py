@@ -233,7 +233,16 @@ def inoue_cross_check(
     Each row's sign cone is read off the basis's integer forms, and its
     orbit is reduced by M_v into the window 1 <= m/m' < v^2 of
     v = max(u, 1/u) (see ``reduce_by_unit``), so a unit u < 1 works too.
+
+    ``d`` must be the field of the basis and u, which is the d of their
+    irrational elements; a rational element fits every field.  If all
+    three are rational, ``quad_mult_matrix`` refuses them: a rational u of
+    norm 1 and trace >= 3 does not exist.
     """
+    fields = sorted({x.d for x in (*basis, u)} - {0})
+    if fields and fields != [d]:
+        named = " and ".join(f"Q(sqrt({f}))" for f in fields)
+        raise InoueError(f"d={d}, but the basis and u lie in {named}")
     checks: list[CheckResult] = []
     m_u = quad_mult_matrix(u, basis)
     forms = LatticeForms.of(basis)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -517,7 +518,14 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     """Labels a/m for 1 <= a <= bound*m; integer labels sit on the curve.
     Each row holds the ints (m, m1 = a, c) and no ``Fraction``; its
     ``label`` property is m1/m.  More rows than ``inputs.ROWS_CEILING``
-    are refused before any is built."""
+    are refused before any is built.
+
+    The rows are periodic in a: the center depends only on whether m
+    divides a, and c = a*q^-1 mod m only on a mod m, since a + m gives
+    (a + m)*q^-1 = a*q^-1 + m*q^-1.  So the centers and the c of one period
+    a = 1..m are computed once, repeated ``bound`` times, and zipped with
+    m and a = 1..bound*m; ``tuple.__new__`` makes each zipped 4-tuple a
+    row without a Python call per row."""
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
@@ -531,11 +539,10 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     if rows > ROWS_CEILING:
         raise InputError(f"the enumeration would have B*m = {rows} rows, more than {ROWS_CEILING}")
     q_inv = pow(q, -1, m) if m > 1 else 0
-    on_curve, at_origin = ArcCenter.ON_CURVE, ArcCenter.AT_ORIGIN
-    return [
-        CyclicComponentLabel(m, at_origin if a % m else on_curve, a, a * q_inv % m)
-        for a in range(1, bound * m + 1)
-    ]
+    centers = [ArcCenter.AT_ORIGIN] * (m - 1) + [ArcCenter.ON_CURVE]
+    cs = [a * q_inv % m for a in range(1, m + 1)]
+    fields = zip(repeat(m), centers * bound, range(1, rows + 1), cs * bound)
+    return list(map(tuple.__new__, repeat(CyclicComponentLabel), fields))
 
 
 # -- group files --------------------------------------------------------------------

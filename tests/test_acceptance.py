@@ -232,6 +232,28 @@ def test_chain_quotient_sweep_catches_a_row_with_a_wrong_int(monkeypatch, field,
     assert f"{field}={wrong}, " in result.witness
 
 
+@pytest.mark.parametrize("field, wrong", [
+    ("c", 0),                       # 8*3 = 4 mod 5, not 0
+    ("center", ArcCenter.ON_CURVE),  # 5 does not divide 8
+    ("m1", 9),                      # label 9/5, not 8/5
+])
+def test_chain_quotient_sweep_catches_a_planted_row_in_a_later_period(monkeypatch, field, wrong):
+    # Row a = 8 of 1/5(2, 1) at bound 2 lies in the second period of the
+    # rows; the sweep compares the whole list, not one period of it.
+    real = checks.cyclic_quotient_components
+
+    def planted(m, q, bound):
+        rows = real(m, q, bound)
+        if (m, q) == (5, 2):
+            rows[7] = rows[7]._replace(**{field: wrong})
+        return rows
+
+    monkeypatch.setattr(checks, "cyclic_quotient_components", planted)
+    result = sweep_chain_quotient_agreement(max_len=2, max_b=3, bound=2)
+    assert not result.passed and result.witness.startswith("(2, 3): label 8/5 is "), result.witness
+    assert f"{field}={wrong!r}" in result.witness
+
+
 def test_mckay_sweep_computes_the_classes_once(monkeypatch):
     # mckay_report gets the classes the sweep holds; recomputing them
     # inside it would call this.
@@ -372,19 +394,24 @@ def test_criterion_12_negative_definiteness_gate():
 
 def test_criterion_12_sweep_falsifies_a_division_by_zero(monkeypatch):
     # A run compressed at P_k = 0 puts a zero denominator in the node
-    # matrix; the division that follows is a falsification, not a crash,
-    # counted after the 626 cases before the first boundary graph.
+    # matrix; the division that follows is a falsification, not a crash.
+    # It is the witness of the first boundary graph, case 627 after the
+    # 626 before it, and names that graph, so no seeded generator has to
+    # be replayed to rebuild it.
     real = checks.is_negative_definite_graph
+    first = []
 
     def planted(g):
         if g.name == "boundary":
+            first.append(g)
             raise ZeroDivisionError("integer division or modulo by zero")
         return real(g)
 
     monkeypatch.setattr(checks, "is_negative_definite_graph", planted)
     result = sweep_negative_definite()
-    assert not result.passed and result.cases == 626
-    assert result.witness == "raised ZeroDivisionError: integer division or modulo by zero"
+    assert not result.passed and result.cases == 627
+    assert result.witness == f"raised ZeroDivisionError: integer division or modulo by zero at {first[0]}"
+    assert "name='boundary'" in result.witness
 
 
 def test_criterion_12_sweep_runs_the_fixed_families_through_the_graph_test(monkeypatch):

@@ -223,6 +223,33 @@ def test_check_goes_red_under_seeded_mutation(capsys, monkeypatch):
     assert main(["check", "--quiet"]) == 2
 
 
+def test_check_names_the_case_a_library_error_falls_on(capsys, monkeypatch):
+    # A library error inside a sweep's witness is that case's witness and
+    # names the case; the sweeps after it still run and pass.
+    import arclink.checks as checks_mod
+    from arclink.cusp import CuspError
+
+    real = checks_mod.dual_sequence
+
+    def planted(c):
+        if c.b == (2, 4):
+            raise CuspError("planted")
+        return real(c)
+
+    monkeypatch.setattr(checks_mod, "dual_sequence", planted)
+    code, out = run(capsys, "check", "--json")
+    assert code == 2
+    sweeps = json.loads(out)["sweeps"]
+    case = list(checks_mod._valid_sequences(5, 5)).index((2, 4)) + 1
+    assert sweeps[1] == {
+        "name": "dual involution", "passed": False, "cases": case,
+        "witness": "raised CuspError: planted at (2, 4)",
+    }
+    assert all(s["passed"] for i, s in enumerate(sweeps) if i != 1)
+    assert main(["check"]) == 2
+    assert f"[FALSIFIED] dual involution ({case} cases): raised CuspError: planted at (2, 4)\n" in capsys.readouterr().out
+
+
 def test_check_goes_red_under_a_planted_continuant(capsys, monkeypatch):
     # The ordinary (plus) continuant in place of the minus one: the
     # duality sweep must falsify, and the sweeps the wrong matrices make

@@ -433,6 +433,45 @@ def test_duality_exhaustive_small():
             assert r.t_identity_holds and r.traces_equal, bs
 
 
+@pytest.mark.parametrize("entry", ["p", "q", "r", "s"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_perturbed_dual_monodromy_breaks_the_identity(monkeypatch, entry, delta):
+    # check_duality builds M, then M*; one entry of M* off by one must
+    # fail M T = T M*, which fixes M* = T^-1 M T.
+    real = cusp_mod.monodromy
+    for bs in [(3,), (2, 3), (3, 3, 3), (2, 2, 3, 4), (5, 2, 6)]:
+        calls = []
+
+        def perturbed(c):
+            m = real(c)
+            calls.append(c)
+            if len(calls) == 1:
+                return m
+            fields = {f: getattr(m, f) for f in "pqrs"}
+            fields[entry] += delta
+            return Mat2(**fields)
+
+        monkeypatch.setattr(cusp_mod, "monodromy", perturbed)
+        r = check_duality(CuspSequence(bs))
+        assert len(calls) == 2 and not r.t_identity_holds, bs
+        assert r.m * T_MATRIX != T_MATRIX * r.m_star, bs
+
+
+def test_duality_identity_agrees_with_the_matrix_products():
+    # The int test against the two Mat2 products it replaces, also for a
+    # wrong bridge matrix, where both must say False.
+    for t in (T_MATRIX, Mat2(-1, -1, 1, 3), Mat2(2, 1, 1, 1)):
+        for k in range(1, 5):
+            for bs in product(range(2, 5), repeat=k):
+                if all(b == 2 for b in bs):
+                    continue
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(cusp_mod, "T_MATRIX", t)
+                    r = check_duality(CuspSequence(bs))
+                assert r.t_identity_holds == (r.m * t == t * r.m_star), (t, bs)
+                assert r.t_identity_holds == (t is T_MATRIX), (t, bs)
+
+
 @given(_sequences)
 @settings(max_examples=80)
 def test_dual_is_involution(bs):

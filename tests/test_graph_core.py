@@ -414,3 +414,31 @@ def test_walk_turns_back_along_a_double_edge_to_its_node():
 def test_walk_stops_at_a_node_and_star_legs(e8):
     assert list(walk(e8, None, "d4")) == ["d4", "d3", "d2", "d1", "c"]
     assert star_legs(e8, "c") == [["a1"], ["b1", "b2"], ["d1", "d2", "d3", "d4"]]
+
+
+def _reference_walk(g, prev, start, steps):
+    """``walk`` read off the edge list: each edge-end at the current vertex
+    names the vertex across it (a loop gives two ends back to it), the end
+    arrived by is dropped, and the walk goes on while exactly one is left."""
+    out, cur = [], start
+    while len(out) < steps:
+        out.append(cur)
+        ends = [b if a == cur else a for a, b in g.edges if cur in (a, b) for _ in range(1 + (a == b))]
+        if prev is not None:
+            ends.remove(prev)
+        if len(ends) != 1:
+            break
+        prev, cur = cur, ends[0]
+    return out
+
+
+@given(_random_graph)
+@settings(max_examples=200)
+def test_walk_matches_the_edge_list(g):
+    # The walker reads each vertex's stored degree and its neighbour
+    # counts; the reference counts edge-ends in the edge list instead.
+    steps = len(g.vertices) + 3
+    for v in g.vertex_ids():
+        starts = [(None, v)] + [(w, v) for w in g.neighbors(v)] + [(v, v)] * bool(g.loops_at(v))
+        for prev, start in starts:
+            assert list(islice(walk(g, prev, start), steps)) == _reference_walk(g, prev, start, steps)

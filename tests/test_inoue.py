@@ -223,6 +223,20 @@ def test_cross_check_inverse_unit_terminates():
     assert report.sequence == (3,)
 
 
+def test_cross_check_refuses_a_d_other_than_the_field():
+    # The report's d must be the field of the basis and u: the golden
+    # basis and unit lie in Q(sqrt5), not Q(sqrt3).
+    with pytest.raises(InoueError, match=r"d=3, but the basis and u lie in Q\(sqrt\(5\)\)"):
+        inoue_cross_check(3, GOLDEN, U5, 3)
+    with pytest.raises(InoueError, match=r"lie in Q\(sqrt\(2\)\) and Q\(sqrt\(5\)\)"):
+        inoue_cross_check(5, (ONE, SQRT2), U5, 3)
+    # A rational element fits every field, so (1, sqrt2) with d = 2 is
+    # accepted; all three rational is refused by the matrix step, as before.
+    assert inoue_cross_check(2, (ONE, SQRT2), U2, 3).d == 2
+    with pytest.raises(InoueError, match="linearly dependent"):
+        inoue_cross_check(5, (ONE, QuadNum.of(2)), QuadNum.of(1), 3)
+
+
 def test_cross_check_u_squared():
     report = inoue_cross_check(5, (ONE, OMEGA), U5 * U5, 3)
     assert report.passed

@@ -326,6 +326,29 @@ def test_label_text_matches_the_fraction_on_a_grid():
                 assert _fraction_text(r.m1, r.m) == str(r.label) == str(Fraction(a, m))
 
 
+def _rows_one_by_one(m, q, bound):
+    """The rows from the per-row formula: c = a*q^-1 mod m, on the curve
+    exactly when m divides a."""
+    q_inv = pow(q, -1, m) if m > 1 else 0
+    return [
+        (m, ArcCenter.AT_ORIGIN if a % m else ArcCenter.ON_CURVE, a, a * q_inv % m)
+        for a in range(1, bound * m + 1)
+    ]
+
+
+def test_periodic_rows_equal_the_per_row_formula():
+    # The builder repeats one period of centers and c; every m <= 40 with
+    # every coprime q, the smooth case, and the largest list under the
+    # row ceiling.
+    cases = [(1, 0, b) for b in (1, 2, 3, 4)]
+    cases += [(m, q, b) for m in range(2, 41) for q in range(1, m) if gcd(m, q) == 1 for b in (1, 2, 3, 4)]
+    cases.append((3, 1, 66_666))
+    for m, q, bound in cases:
+        rows = cyclic_quotient_components(m, q, bound)
+        assert rows == _rows_one_by_one(m, q, bound), (m, q, bound)
+        assert {type(r) for r in rows} == {CyclicComponentLabel}
+
+
 def test_label_count_is_bound_times_m():
     for m, q in [(2, 1), (5, 2), (7, 3), (12, 5)]:
         for bound in (1, 2, 3):
