@@ -521,11 +521,11 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
     are refused before any is built.
 
     The rows are periodic in a: the center depends only on whether m
-    divides a, and c = a*q^-1 mod m only on a mod m, since a + m gives
-    (a + m)*q^-1 = a*q^-1 + m*q^-1.  So the centers and the c of one period
-    a = 1..m are computed once, repeated ``bound`` times, and zipped with
-    m and a = 1..bound*m; ``tuple.__new__`` makes each zipped 4-tuple a
-    row without a Python call per row."""
+    divides a, and c = a*q^-1 mod m only on a mod m, since
+    (a + m)*q^-1 = a*q^-1 + m*q^-1 = a*q^-1 mod m.  So the centers and
+    the c of one period a = 1..m are computed once, repeated ``bound``
+    times, and zipped with m and a = 1..bound*m; ``tuple.__new__`` makes
+    each zipped 4-tuple a row without a Python call per row."""
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
