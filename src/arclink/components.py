@@ -47,18 +47,11 @@ class EdgeTorus(NamedTuple):
     chain: EdgeInstance
     vector: tuple[int, int]
 
-    def render(self) -> str:
-        (u, v, _), (mu, mv) = self.chain, self.vector
-        return f"gamma[{u}]^{mu} gamma[{v}]^{mv}"
-
 
 class CuspLattice(NamedTuple):
     """Lattice vector in the canonical pi_1(T) = Z^2 basis of a cusp."""
 
     vector: Vec
-
-    def render(self) -> str:
-        return f"({self.vector[0]},{self.vector[1]})"
 
 
 WindingClass = SeifertWord | EdgeTorus | CuspLattice

@@ -13,7 +13,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .hjcf import Mat2, mono_product
-from .inputs import ROWS_CEILING, InputError, Record
+from .inputs import DUAL_CEILING, ROWS_CEILING, InputError, Record
 from .quadratic import quadint_sign
 
 Vec = tuple[int, int]
@@ -273,53 +273,49 @@ def enumerate_cusp_components(c: CuspSequence, bound: int) -> list[CuspComponent
 
 T_MATRIX = Mat2(-1, -1, 1, 2)
 
-# The dual has sum(b_i - 2) entries; a longer one is refused before any
-# list is built.  Construction and canonical rotation are linear in the
-# length, so at this ceiling `dual` and `cusp` finish in well under 1 s.
-_DUAL_CEILING = 100_000
-
-
-def _construction_rotation(c: CuspSequence) -> CuspSequence:
-    """Smallest rotation with last entry >= 3 (always exists).
+def _construction_rotation(b: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest rotation of a cusp sequence with last entry >= 3 (always exists).
 
     The rotation by s ends in b[s - 1], so one scan finds the shift; the
-    rotation by 0 is c itself.
+    rotation by 0 is b itself.
     """
-    b = c.b
     if b[-1] >= 3:
-        return c
-    for shift in range(1, c.k):
+        return b
+    for shift in range(1, len(b)):
         if b[shift - 1] >= 3:
-            return CuspSequence(b[shift:] + b[:shift])
+            return b[shift:] + b[:shift]
     raise CuspError("no entry >= 3; invalid cusp sequence")  # pragma: no cover
 
 
-def dual_construction(c: CuspSequence) -> tuple[CuspSequence, CuspSequence]:
+def dual_construction(c: CuspSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(rotated input, dual sequence) with matching cut conventions.
 
     The rotation ends in an entry >= 3, so it reads as blocks
     2^{k1*-1}, k1+2, 2^{k2*-1}, k2+2, ... with every ki*, ki >= 1; block i
-    gives the dual entries ki* + 2 and then ki - 1 twos, in one pass."""
+    gives the dual entries ki* + 2 and then ki - 1 twos, in one pass.
+    Both come back as plain tuples: every dual entry is >= 2 and the first
+    is >= 3, so the dual is a cusp sequence without a second validation.
+    A dual longer than ``inputs.DUAL_CEILING`` is refused before it is built."""
     length = sum(c.b) - 2 * c.k
-    if length > _DUAL_CEILING:
-        raise CuspError(f"the dual would have sum(b_i - 2) = {length} entries, more than {_DUAL_CEILING}")
-    rot = _construction_rotation(c)
+    if length > DUAL_CEILING:
+        raise CuspError(f"the dual would have sum(b_i - 2) = {length} entries, more than {DUAL_CEILING}")
+    rot = _construction_rotation(c.b)
     dual: list[int] = []
     run = 0  # the twos before the next entry >= 3: k* - 1
-    for x in rot.b:
+    for x in rot:
         if x == 2:
             run += 1
         else:
             dual.append(run + 3)
             dual += [2] * (x - 3)
             run = 0
-    return rot, CuspSequence(tuple(dual))
+    return rot, tuple(dual)
 
 
 def dual_sequence(c: CuspSequence) -> CuspSequence:
     """The dual cusp's b-sequence, canonically rotated."""
     _, dual = dual_construction(c)
-    return dual.canonical()
+    return CuspSequence(dual).canonical()
 
 
 class DualityReport(NamedTuple):
@@ -350,14 +346,14 @@ def check_duality(c: CuspSequence) -> DualityReport:
     q - p = -(p* + r*), 2q - p = -(q* + s*), s - r = p* + 2r* and
     2s - r = q* + 2s*.  T is read from ``T_MATRIX`` at each call."""
     rot, dual = dual_construction(c)
-    m = monodromy(rot)
-    m_star = monodromy(dual)
+    m = mono_product(rot)
+    m_star = mono_product(dual)
     p, q, r, s = m.p, m.q, m.r, m.s
     ps, qs, rs, ss = m_star.p, m_star.q, m_star.r, m_star.s
     tp, tq, tr, ts = T_MATRIX.p, T_MATRIX.q, T_MATRIX.r, T_MATRIX.s
     return DualityReport(
-        sequence=rot.b,
-        dual=dual.b,
+        sequence=rot,
+        dual=dual,
         m=m,
         m_star=m_star,
         t_identity_holds=(

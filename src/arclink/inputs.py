@@ -1,4 +1,4 @@
-"""The library's one refusal type, its row ceiling, the line reader of its
+"""The library's one refusal type, its ceilings, the line reader of its
 text formats and the base of its slotted records."""
 from operator import attrgetter
 
@@ -9,6 +9,17 @@ from operator import attrgetter
 # the ceiling (bound 364); `inoue --quiet` on the golden field (k = 1) takes
 # 2.4 s and 134 MB at 199,396 rows (bound 631).
 ROWS_CEILING = 200_000
+
+# Bound on a group's order.  The Cayley table has order^2 cells, so 1024
+# elements mean about 10^6 table entries (some 8 MB), and a cyclic:1024
+# decodes to 1024 matrices that share 1024 distinct rows.
+CLOSURE_CEILING = 1024
+
+# Bound on the length of a dual cusp sequence, sum(b_i - 2); a longer one is
+# refused before any list is built.  Construction and canonical rotation are
+# linear in the length, so at this ceiling `dual` and `cusp` finish in well
+# under 1 s.
+DUAL_CEILING = 100_000
 
 
 class InputError(ValueError):

@@ -13,7 +13,7 @@ from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .inputs import ROWS_CEILING, InputError, Record, numbered_lines
+from .inputs import CLOSURE_CEILING, ROWS_CEILING, InputError, Record, numbered_lines
 from .quadratic import QuadNum, parse_quad_token
 
 # -- elements ---------------------------------------------------------------
@@ -73,12 +73,6 @@ def rational_matrix(rows) -> Matrix:
 
 # -- closure and conjugacy ----------------------------------------------------
 
-# Bound on the group order.  The Cayley table has order^2 cells, so
-# 1024 elements mean about 10^6 table entries (some 8 MB), and a cyclic:1024
-# decodes to 1024 matrices that share 1024 distinct rows.
-_CEILING = 1024
-
-
 class ClosureError(InputError):
     """Element ceiling exceeded, or a generator that is not invertible, not
     of the common size, or not over the common field."""
@@ -103,18 +97,6 @@ class FiniteGroup(NamedTuple):
             x = self.table[x][i]
             n += 1
         return n
-
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(
-            self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i + 1, n)
-        )
-
-    def is_cyclic(self) -> bool:
-        return any(self.element_order(i) == self.order for i in range(self.order))
-
-    def involution_count(self) -> int:
-        return sum(1 for i in range(self.order) if self.element_order(i) == 2)
 
 
 # Closure multiplies and hashes integer keys, never element objects.  A
@@ -257,9 +239,10 @@ def group_closure(generators) -> FiniteGroup:
     """Breadth-first closure under multiplication plus the Cayley table.
 
     Unit quaternions over one field Q(sqrt(d)), or invertible square
-    rational matrices of one size.  Products run on integer keys; elements
-    are decoded to Quaternion or Matrix once.  A group with more than
-    _CEILING (1024) elements raises ClosureError before its table is built.
+    rational matrices of one size.  Products run on integer keys, exactly
+    order * len(generators) of them; elements are decoded to Quaternion or
+    Matrix once.  A group with more than CLOSURE_CEILING (1024) elements
+    raises ClosureError before its table is built.
     """
     if not generators:
         raise ClosureError("need at least one generator")
@@ -267,45 +250,29 @@ def group_closure(generators) -> FiniteGroup:
     mul, identity, gens, decode = kernel(generators)
     elements = [identity]
     index = {identity: 0}
-    parents: list[tuple[int, int] | None] = [None]  # (z, gen column): e = e_z * e_gcol
-    gen_cols: list[int] = []  # column of identity * g, read off the first step
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for xi in frontier:
-            for j, g in enumerate(gens):
-                y = mul(elements[xi], g)
-                if xi == 0:
-                    gen_cols.append(index.get(y, len(elements)))
-                if y not in index:
-                    if len(elements) >= _CEILING:
-                        raise ClosureError(
-                            f"closure exceeded {_CEILING} elements; the group is likely infinite, "
-                            "or too large for its Cayley table"
-                        )
-                    index[y] = len(elements)
-                    elements.append(y)
-                    parents.append((xi, gen_cols[j]))
-                    nxt.append(index[y])
-        frontier = nxt
-    # Cayley table: real products for generator columns, then associativity
-    # x * (z * g) = (x * z) * g fills the rest in BFS column order.
-    n = len(elements)
-    table = [[0] * n for _ in range(n)]
-    filled = [False] * n
-    for i in range(n):
-        table[i][0] = i
-    filled[0] = True
-    for col in range(1, n):
-        z, gcol = parents[col]
-        if z == 0 or not filled[z] or not filled[gcol]:
-            for i in range(n):
-                table[i][col] = index[mul(elements[i], elements[col])]
-        else:
-            for i in range(n):
-                table[i][col] = table[table[i][z]][gcol]
-        filled[col] = True
-    return FiniteGroup(decode(elements), 0, tuple(tuple(row) for row in table))
+    right: list[list[int]] = [[] for _ in gens]  # right[j][x]: the index of e_x * g_j
+    parents: list[tuple[int, int]] = []  # (x, j) with e_c = e_x * g_j, for c = 1, 2, ...
+    for x, e in enumerate(elements):  # reads the elements it appends: a FIFO queue
+        for j, g in enumerate(gens):
+            y = mul(e, g)
+            c = index.get(y)
+            if c is None:
+                if len(elements) >= CLOSURE_CEILING:
+                    raise ClosureError(
+                        f"closure exceeded {CLOSURE_CEILING} elements; the group is likely infinite, "
+                        "or too large for its Cayley table"
+                    )
+                c = index[y] = len(elements)
+                elements.append(y)
+                parents.append((x, j))
+            right[j].append(c)
+    # Column c of the table holds e_t * e_c over t.  For e_c = e_x * g_j,
+    # e_t * e_c = (e_t * e_x) * g_j, read off column x and the products
+    # above; x < c, so column x is already there.
+    columns = [range(len(elements))]
+    for x, j in parents:
+        columns.append([right[j][t] for t in columns[x]])
+    return FiniteGroup(decode(elements), 0, tuple(zip(*columns)))
 
 
 class ConjClasses(NamedTuple):
@@ -318,7 +285,9 @@ class ConjClasses(NamedTuple):
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjClasses:
-    """Brute-force orbit partition under conjugation."""
+    """Brute-force orbit partition under conjugation.  Each orbit is taken
+    from the least element not yet seen, so the classes come in the order
+    of their least elements."""
     n = group.order
     inverses = [group.inverse_index(i) for i in range(n)]
     unseen = set(range(n))
@@ -328,7 +297,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClasses:
         orbit = {group.table[group.table[g][x]][inverses[g]] for g in range(n)}
         classes.append(tuple(sorted(orbit)))
         unseen -= orbit
-    classes.sort(key=lambda cl: cl[0])
     return ConjClasses(tuple(classes), tuple(cl[0] for cl in classes))
 
 
@@ -363,12 +331,14 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
     if classes is None:
         classes = conjugacy_classes(group)
     order, count = group.order, classes.count
-    if group.is_abelian():
-        if not group.is_cyclic():
+    table, e = group.table, group.identity_index
+    if table == tuple(zip(*table)):  # abelian: the table is its own transpose
+        if not any(group.element_order(i) == order for i in range(order)):
             raise InputError("abelian but not cyclic: no free SL(2) action exists")
         family, expected = f"A{order - 1}", order - 1
     else:
-        if group.involution_count() != 1:
+        # The diagonal holds x * x: it is 1 for the identity and each involution.
+        if sum(row[i] == e for i, row in enumerate(table)) != 2:
             raise InputError("a finite SL(2) subgroup has a unique involution")
         if order == 24 and count == 7:
             family, expected = "E6", 6
@@ -459,8 +429,8 @@ def cyclic_permutation_generators(m: int) -> list[Matrix]:
     """Z/m as the m-by-m cyclic shift matrix, with int entries 0 and 1."""
     if m < 1:
         raise InputError("m must be positive")
-    if m > _CEILING:
-        raise ClosureError(f"Z/{m} has more than the {_CEILING} elements a closure accepts")
+    if m > CLOSURE_CEILING:
+        raise ClosureError(f"Z/{m} has more than the {CLOSURE_CEILING} elements a closure accepts")
     return [tuple(tuple(int(j == (i + 1) % m) for j in range(m)) for i in range(m))]
 
 

@@ -50,8 +50,8 @@ def test_duality_product_identity():
             if all(b == 2 for b in bs):
                 continue
             rot, dual = dual_construction(CuspSequence(bs))
-            m = monodromy(rot)
-            m_star_rev = mono_product(dual.b[::-1])
+            m = mono_product(rot)
+            m_star_rev = mono_product(dual[::-1])
             assert m12 * m * m12 * m_star_rev == -Mat2.identity(), bs
 
 

@@ -27,6 +27,7 @@ from arclink.cusp import (
     v_sequence,
 )
 from arclink.hjcf import Mat2, mono_product
+from arclink.inputs import DUAL_CEILING
 from arclink.quadratic import quadint_sign
 
 _sequences = st.lists(st.integers(2, 6), min_size=1, max_size=6).filter(
@@ -438,20 +439,20 @@ def test_duality_exhaustive_small():
 def test_a_perturbed_dual_monodromy_breaks_the_identity(monkeypatch, entry, delta):
     # check_duality builds M, then M*; one entry of M* off by one must
     # fail M T = T M*, which fixes M* = T^-1 M T.
-    real = cusp_mod.monodromy
+    real = cusp_mod.mono_product
     for bs in [(3,), (2, 3), (3, 3, 3), (2, 2, 3, 4), (5, 2, 6)]:
         calls = []
 
-        def perturbed(c):
-            m = real(c)
-            calls.append(c)
+        def perturbed(b):
+            m = real(b)
+            calls.append(b)
             if len(calls) == 1:
                 return m
             fields = {f: getattr(m, f) for f in "pqrs"}
             fields[entry] += delta
             return Mat2(**fields)
 
-        monkeypatch.setattr(cusp_mod, "monodromy", perturbed)
+        monkeypatch.setattr(cusp_mod, "mono_product", perturbed)
         r = check_duality(CuspSequence(bs))
         assert len(calls) == 2 and not r.t_identity_holds, bs
         assert r.m * T_MATRIX != T_MATRIX * r.m_star, bs
@@ -482,21 +483,21 @@ def test_dual_is_involution(bs):
 
 def test_dual_construction_rotates_to_big_last():
     rot, dual = dual_construction(CuspSequence((4, 2, 2)))
-    assert rot.b[-1] >= 3
-    assert CuspSequence(dual.b).is_rotation_of(dual_sequence(CuspSequence((4, 2, 2))))
+    assert rot[-1] >= 3
+    assert CuspSequence(dual).is_rotation_of(dual_sequence(CuspSequence((4, 2, 2))))
 
 
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=12).filter(lambda bs: any(b > 2 for b in bs)))
 def test_construction_rotation_is_the_first_rotation_ending_big(bs):
     b = tuple(bs)
     brute = next(b[s:] + b[:s] for s in range(len(b)) if (b[s:] + b[:s])[-1] >= 3)
-    assert cusp_mod._construction_rotation(CuspSequence(b)).b == brute
+    assert cusp_mod._construction_rotation(b) == brute
 
 
 def test_dual_length_is_bounded_before_it_is_built():
-    ceiling = cusp_mod._DUAL_CEILING
+    ceiling = DUAL_CEILING
     _, dual = dual_construction(CuspSequence((ceiling + 2,)))
-    assert dual.k == ceiling
+    assert len(dual) == ceiling
     for bs in [(ceiling + 3,), (10**23, 3), (3,) * (ceiling + 1)]:
         with pytest.raises(CuspError, match="sum"):
             dual_construction(CuspSequence(bs))

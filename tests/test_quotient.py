@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import arclink.quotient as quotient_mod
 from arclink.cli import _fraction_text
 from arclink.inputs import ROWS_CEILING, InputError
 from arclink.quadratic import QuadNum
@@ -124,6 +125,21 @@ def test_table_and_elements_are_pinned(name):
     g = group_closure(_pinned_generators(name))
     digest = hashlib.sha256(repr((g.table, [str(e) for e in g.elements])).encode()).hexdigest()
     assert digest == TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["Q8", "2I", "signed-S3", "cyclic:16"])
+def test_closure_takes_one_key_product_per_element_and_generator(name, monkeypatch):
+    # The table's columns come from the closure's own products e_x * g_j,
+    # so no column costs a product of its own.
+    calls = []
+    for kernel in ("_quaternion_kernel", "_matrix_kernel"):
+        def counting(generators, real=getattr(quotient_mod, kernel)):
+            mul, identity, gens, decode = real(generators)
+            return (lambda x, y: calls.append(None) or mul(x, y)), identity, gens, decode
+        monkeypatch.setattr(quotient_mod, kernel, counting)
+    gens = _pinned_generators(name)
+    g = group_closure(gens)
+    assert len(calls) == g.order * len(gens)
 
 
 def _dense_product(x, y):
@@ -267,7 +283,7 @@ def test_mckay_rejects_noncatalog_groups():
         rational_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
         rational_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
     ]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unique involution"):
         mckay_report(group_closure(s3))
     # Klein four group: abelian but not cyclic.
     klein = [
