@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, takewhile
 from math import gcd
 from typing import NamedTuple
@@ -27,7 +28,7 @@ from .graph_core import (
     star_legs,
     walk,
 )
-from .hjcf import hj_pair
+from .hjcf import hj_pair, mono_product
 from .inputs import InputError, Record
 
 
@@ -152,7 +153,7 @@ def _check_definite(g: PlumbingGraph) -> None:
     """The precondition of every stage below: connected, negative definite."""
     if not g.is_connected():
         raise GraphError("graph must be connected")
-    if not is_negative_definite_graph(g):
+    if not is_negative_definite_graph(g, connected=True):
         raise GraphError("graph is not negative definite")
 
 
@@ -265,12 +266,11 @@ def _classify(g: PlumbingGraph) -> SingClass:
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=1, q=0)
     shape = connected_shape(g)
     if shape.kind is Shape.CHAIN:
-        order = _chain_order(g)
-        bs = [-g.vertex(v).euler for v in order]
-        m_f, q_f = hj_pair(bs)
-        m_b, q_b = hj_pair(bs[::-1])
-        assert m_f == m_b
-        return SingClass(SingKind.CYCLIC_QUOTIENT, m=m_f, q=min(q_f, q_b))
+        # One product of ((b, 1), (-1, 0)) along the chain: p = [b_1..b_k],
+        # q = [b_1..b_{k-1}] and -r = [b_2..b_k], the second numerators of
+        # the chain read from either end.
+        mono = mono_product(-g.vertex(v).euler for v in _chain_order(g))
+        return SingClass(SingKind.CYCLIC_QUOTIENT, m=mono.p, q=min(mono.q, -mono.r))
     if shape.kind is Shape.CYCLE:
         order = cycle_order(g)
         bs = [-g.vertex(v).euler for v in order]
@@ -294,6 +294,13 @@ def _classify(g: PlumbingGraph) -> SingClass:
 # -- minimal dlt model -----------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _empty_graph(name: str) -> PlumbingGraph:
+    """The residual of a SelfDlt model.  A graph is immutable, so the
+    models of one name share one."""
+    return PlumbingGraph((), (), name)
+
+
 def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     """The minimal dlt model of a connected negative-definite graph: check
     it once, resolve it once, then contract the maximal rational chain
@@ -306,8 +313,7 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     g = _resolve(g)
     cls = _classify(g)
     if cls.is_quotient():
-        empty = PlumbingGraph((), (), g.name)
-        return DltModel(DltKind.SELF_DLT, empty, (), cls, g)
+        return DltModel(DltKind.SELF_DLT, _empty_graph(g.name), (), cls, g)
     if cls.kind is SingKind.CUSP:
         return DltModel(DltKind.MODEL, g, (), cls, g)
     # Each maximal rational chain meeting the rest at one point is read

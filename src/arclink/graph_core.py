@@ -265,12 +265,30 @@ def is_negative_definite(mat: Sequence[Sequence[int]]) -> bool:
     return _positive_definite_ldl(diag, rows)
 
 
-def is_negative_definite_graph(g: PlumbingGraph) -> bool:
+def is_negative_definite_graph(g: PlumbingGraph, *, connected: bool | None = None) -> bool:
     """``is_negative_definite(intersection_matrix(g))`` without the n x n
-    matrix, with every run of chain vertices compressed first.
+    matrix: a diagonal-dominance certificate first, and otherwise every run
+    of chain vertices compressed.  ``connected`` is the caller's known
+    value of ``g.is_connected()``; None scans for it when needed.
 
-    A chain vertex has no loop and two distinct neighbours, each joined by
-    one edge; every other vertex is a node.  Let B = -A and let a maximal
+    Certificate.  Row v of B = -A has diagonal B_vv = -(e_v + 2*loops(v))
+    and off-diagonal entries -#edges(v, u), whose absolute values sum to
+    ends(v) - 2*loops(v), the count of v's non-loop edge-ends.  If
+      1. every row has B_vv >= ends(v) - 2*loops(v), that is -e_v >= ends(v),
+      2. some row meets this strictly, and
+      3. the graph is connected (B is irreducible),
+    then B is irreducibly diagonally dominant, hence nonsingular (Taussky,
+    *A recurring theorem on determinants*, 1949).  Its diagonal is
+    positive (each row of a connected graph on two or more vertices has a
+    non-loop end, and a lone vertex is the strict row), so by Gershgorin
+    every eigenvalue of the symmetric B is >= 0, and none is 0: B is
+    positive definite.  The test is one scan of plain ints.  It covers
+    chains and nodeless cycles with every b_i >= 2 and some b_i >= 3, but
+    not a -1 curve between two others, a Laplacian (dominant with no
+    strict row) or a disconnected graph; those go on to the compression.
+
+    Compression.  A chain vertex has no loop and two distinct neighbours,
+    each joined by one edge; every other vertex is a node.  Let a maximal
     run v_1..v_k of chain vertices (diagonal b_1..b_k of B) join the nodes
     u (next to v_1) and w (next to v_k).
 
@@ -295,6 +313,8 @@ def is_negative_definite_graph(g: PlumbingGraph) -> bool:
     Chains of rational curves and their continued fractions: Neumann,
     *A calculus for plumbing* (1981).
     """
+    if _diagonally_dominant(g) and (g.is_connected() if connected is None else connected):
+        return True
     adj, by_id = g._adj, g._by_id
     # two edge-ends at two distinct neighbours: no loop and one edge to each
     chain = {vid for vid, inc in adj.items() if inc.ends == 2 and len(inc.mult) == 2}
@@ -348,6 +368,19 @@ def is_negative_definite_graph(g: PlumbingGraph) -> bool:
             if not compress(v.id, next(iter(adj[v.id].mult))):
                 return False
     return _positive_definite_ldl(diag, rows)
+
+
+def _diagonally_dominant(g: PlumbingGraph) -> bool:
+    """Conditions 1 and 2 of the certificate: -e_v >= ends(v) at every
+    vertex, strictly at one."""
+    adj = g._adj
+    strict = False
+    for v in g.vertices:
+        slack = -v.euler - adj[v.id].ends
+        if slack < 0:
+            return False
+        strict = strict or slack > 0
+    return strict
 
 
 def _positive_definite_ldl(diag: list[tuple[int, int]], rows: list[dict[int, tuple[int, int]]]) -> bool:

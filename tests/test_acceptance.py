@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import pytest
 
-from arclink import checks
+from arclink import checks, graph_core
 from arclink.calculus import DltModel, minimal_dlt_model
 from arclink.checks import (
     seifert_data,
@@ -425,3 +425,25 @@ def test_criterion_12_sweep_runs_the_fixed_families_through_the_graph_test(monke
     result = sweep_negative_definite()
     assert not result.passed and result.cases == 10
     assert result.witness == "+1 vertex accepted"
+
+
+def test_criterion_12_sweep_catches_a_certificate_without_a_strict_row(monkeypatch):
+    # A certificate that accepts weak dominance, with no strict row, takes
+    # Laplacians for definite.  The sweep's first Laplacian is the random
+    # one-vertex graph of weight 0, at case 182, where -A = [0].  Planted on
+    # the boundary graphs alone it is caught on the first of them, case
+    # 627: -2 runs from u to w, each node weighted by its degree.
+    real = graph_core._diagonally_dominant
+
+    def weak(g):
+        return all(-v.euler >= g.degree(v.id) for v in g.vertices)
+
+    monkeypatch.setattr(graph_core, "_diagonally_dominant", weak)
+    result = sweep_negative_definite()
+    assert not result.passed and result.cases == 182
+    assert result.witness == "(Vertex(id='v0', euler=0, genus=0),) (): Sylvester says False"
+    monkeypatch.setattr(graph_core, "_diagonally_dominant", lambda g: (weak if g.name == "boundary" else real)(g))
+    result = sweep_negative_definite()
+    assert not result.passed and result.cases == 627
+    assert "Vertex(id='u', euler=-3, genus=0), Vertex(id='w', euler=-3, genus=0)" in result.witness
+    assert result.witness.endswith("('u', 'w')): Sylvester says False")

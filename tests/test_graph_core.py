@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -12,6 +14,7 @@ from arclink.graph_core import (
     PlumbingGraph,
     Shape,
     Vertex,
+    _diagonally_dominant,
     classify_shape,
     intersection_matrix,
     is_negative_definite,
@@ -322,6 +325,66 @@ def test_compressed_runs_agree_with_sylvester(text):
     g = _graph(text)
     mat = intersection_matrix(g)
     assert is_negative_definite_graph(g) == is_negative_definite(mat) == sylvester_negative_definite(mat)
+
+
+# -- the diagonal-dominance certificate -------------------------------------
+
+
+def _laplacian_part(rng: random.Random, prefix: str, strict: int) -> tuple[list[Vertex], list[tuple[str, str]]]:
+    """A connected multigraph of one to eight curves (a random spanning
+    tree, then extra edges that may be loops or parallel copies) weighted
+    so that -A is its Laplacian: every row weakly dominant, none strictly.
+    ``strict`` of its vertices then lose one or two more."""
+    ids = [f"{prefix}{i}" for i in range(rng.randint(1, 8))]
+    es = [(ids[rng.randrange(i)], ids[i]) for i in range(1, len(ids))]
+    es += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, len(ids)))]
+    ends = Counter(x for e in es for x in e)  # a loop counts twice
+    lowered = set(rng.sample(ids, strict))
+    return [Vertex(v, -ends[v] - (rng.randint(1, 2) if v in lowered else 0)) for v in ids], es
+
+
+def _agree_with_sylvester(g: PlumbingGraph) -> bool:
+    want = sylvester_negative_definite(intersection_matrix(g))
+    assert is_negative_definite_graph(g) == want
+    return want
+
+
+def test_certificate_at_the_dominance_boundary():
+    rng = random.Random(25)
+    loops = parallel = 0
+    for _ in range(300):
+        # weak dominance everywhere: a Laplacian, singular on (1, ..., 1)
+        vs, es = _laplacian_part(rng, "v", 0)
+        g = PlumbingGraph(tuple(vs), tuple(es), "laplacian")
+        assert not _diagonally_dominant(g) and not _agree_with_sylvester(g)
+        loops += any(u == w for u, w in g.edges)
+        parallel += len(set(g.edges)) < len(g.edges)
+        # exactly one strict vertex: the certificate holds
+        vs, es = _laplacian_part(rng, "v", 1)
+        g = PlumbingGraph(tuple(vs), tuple(es), "one strict")
+        assert _diagonally_dominant(g) and _agree_with_sylvester(g)
+        # one strict vertex and one short of dominance: the compression decides
+        vs, es = _laplacian_part(rng, "v", 1)
+        low = rng.choice([v for v in vs if v.euler < 0])
+        vs = [Vertex(v.id, v.euler + 1) if v is low else v for v in vs]
+        g = PlumbingGraph(tuple(vs), tuple(es), "one short")
+        _agree_with_sylvester(g)
+    assert loops > 50 and parallel > 50
+
+
+def test_certificate_needs_a_connected_graph():
+    # A strict component beside a Laplacian one is dominant with a strict
+    # row, but the union is singular: a certificate that skipped the
+    # connectivity condition would accept it.  Two strict components are
+    # definite, which the compression finds.
+    rng = random.Random(26)
+    for _ in range(200):
+        vs, es = _laplacian_part(rng, "a", 1)
+        for strict, want in ((0, False), (1, True)):
+            ws, fs = _laplacian_part(rng, "b", strict)
+            g = PlumbingGraph(tuple(vs + ws), tuple(es + fs), "union")
+            assert _diagonally_dominant(g) and not g.is_connected()
+            assert _agree_with_sylvester(g) is want
 
 
 # -- adjacency index ------------------------------------------------------
