@@ -363,7 +363,8 @@ def test_certificate_at_the_dominance_boundary():
         vs, es = _laplacian_part(rng, "v", 1)
         g = PlumbingGraph(tuple(vs), tuple(es), "one strict")
         assert _diagonally_dominant(g) and _agree_with_sylvester(g)
-        # one strict vertex and one short of dominance: the compression decides
+        # one vertex raised by one: mostly a row short of dominance, which
+        # leaves the decision to the compression
         vs, es = _laplacian_part(rng, "v", 1)
         low = rng.choice([v for v in vs if v.euler < 0])
         vs = [Vertex(v.id, v.euler + 1) if v is low else v for v in vs]
