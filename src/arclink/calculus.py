@@ -13,7 +13,6 @@ import heapq
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, takewhile
 from math import gcd
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ from .graph_core import (
     GraphError,
     PlumbingGraph,
     Shape,
+    ShapeClass,
     Vertex,
     connected_shape,
     is_negative_definite_graph,
@@ -139,16 +139,6 @@ class DltModel(Record):
 # -- minimal log resolution ---------------------------------------------
 
 
-def _contractible(g: PlumbingGraph, vid: str) -> bool:
-    v = g.vertex(vid)
-    return (
-        v.euler == -1
-        and v.genus == 0
-        and g.loops_at(vid) == 0
-        and g.degree(vid) <= 2
-    )
-
-
 def _check_definite(g: PlumbingGraph) -> None:
     """The precondition of every stage below: connected, negative definite."""
     if not g.is_connected():
@@ -168,14 +158,17 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
     negative definite.  A blow-down splits the lattice as L = L' + <-1>,
     so every intermediate graph stays negative definite.
 
-    The smallest contractible id goes first.  Only the ends of a blown-down
-    vertex change, so they are the only new candidates for the heap.  Each
-    blow-down updates one working copy (euler numbers, neighbor
-    multiplicities, loop counts), and one graph is built at the end.
+    The smallest contractible id goes first.  Every -1 curve is a first
+    candidate, and a graph with none comes back as it is, with nothing
+    copied.  Only the ends of a blown-down vertex change, so they are the
+    only new candidates for the heap.  Each blow-down updates one working
+    copy (euler numbers, neighbor multiplicities, loop counts), and one
+    graph is built at the end, unless nothing was blown down.
     """
-    heap = sorted(vid for vid in g.vertex_ids() if _contractible(g, vid))
+    heap = [v.id for v in g.vertices if v.euler == -1]
     if not heap:
         return g
+    heapq.heapify(heap)
     euler = {v.id: v.euler for v in g.vertices}
     rational = {v.id for v in g.vertices if v.genus == 0}
     mult = {vid: g.multiplicities(vid) for vid in euler}
@@ -206,6 +199,8 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
         for u in nbrs:
             if contractible(u):
                 heapq.heappush(heap, u)
+    if len(euler) == len(g.vertices):
+        return g
     vs = tuple(
         v if v.euler == euler[v.id] else Vertex(v.id, euler[v.id], v.genus)
         for v in g.vertices
@@ -216,35 +211,7 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
     return PlumbingGraph(vs, tuple(es), g.name)
 
 
-# -- rational chain tails ------------------------------------------------
-
-
-def _chain_member(g: PlumbingGraph, vid: str) -> bool:
-    v = g.vertex(vid)
-    return (
-        v.genus == 0
-        and g.loops_at(vid) == 0
-        and g.degree(vid) <= 2
-        and all(g.edge_multiplicity(vid, w) == 1 for w in g.neighbors(vid))
-    )
-
-
 # -- singularity class ----------------------------------------------------
-
-
-def _chain_order(g: PlumbingGraph) -> list[str]:
-    """Vertex ids of a chain graph in path order, from its smaller end."""
-    return list(walk(g, None, min(v.id for v in g.vertices if g.degree(v.id) <= 1)))
-
-
-def cycle_order(g: PlumbingGraph) -> list[str]:
-    """Vertex ids of a cycle graph in traversal order, canonical start:
-    the smallest id, then its smaller neighbor."""
-    ids = sorted(g.vertex_ids())
-    if len(ids) == 1:
-        return ids
-    start = ids[0]
-    return list(islice(walk(g, g.neighbors(start)[-1], start), len(ids)))
 
 
 def singularity_class(g: PlumbingGraph) -> SingClass:
@@ -256,24 +223,21 @@ def singularity_class(g: PlumbingGraph) -> SingClass:
     quotients; everything else has infinite, non-cusp fundamental group.
     """
     _check_definite(g)
-    return _classify(_resolve(g))
+    g = _resolve(g)
+    return _classify(g, connected_shape(g))
 
 
-def _classify(g: PlumbingGraph) -> SingClass:
+def _classify(g: PlumbingGraph, shape: ShapeClass) -> SingClass:
     """The class of a minimal log resolution, already checked connected
-    and definite."""
-    if not g.vertices:
-        return SingClass(SingKind.CYCLIC_QUOTIENT, m=1, q=0)
-    shape = connected_shape(g)
+    and definite, from its shape."""
     if shape.kind is Shape.CHAIN:
         # One product of ((b, 1), (-1, 0)) along the chain: p = [b_1..b_k],
         # q = [b_1..b_{k-1}] and -r = [b_2..b_k], the second numerators of
-        # the chain read from either end.
-        mono = mono_product(-g.vertex(v).euler for v in _chain_order(g))
+        # the chain read from either end.  The empty chain gives m = 1, q = 0.
+        mono = mono_product(-g.vertex(v).euler for v in shape.order)
         return SingClass(SingKind.CYCLIC_QUOTIENT, m=mono.p, q=min(mono.q, -mono.r))
     if shape.kind is Shape.CYCLE:
-        order = cycle_order(g)
-        bs = [-g.vertex(v).euler for v in order]
+        bs = [-g.vertex(v).euler for v in shape.order]
         # least rotation of either direction; the definiteness gate makes bs a cusp sequence
         b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
         return SingClass(SingKind.CUSP, b_sequence=b_sequence)
@@ -311,31 +275,34 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     """
     _check_definite(g)
     g = _resolve(g)
-    cls = _classify(g)
+    shape = connected_shape(g)
+    cls = _classify(g, shape)
     if cls.is_quotient():
         return DltModel(DltKind.SELF_DLT, _empty_graph(g.name), (), cls, g)
     if cls.kind is SingKind.CUSP:
         return DltModel(DltKind.MODEL, g, (), cls, g)
-    # Each maximal rational chain meeting the rest at one point is read
-    # from its free end, so the attachment end comes last.  The class has
-    # already routed whole chains and cycles away, so every walk from a
-    # free end stops at a node.
-    tails = [
-        list(takewhile(lambda w: _chain_member(g, w), walk(g, None, v)))
-        for v in sorted(g.vertex_ids())
-        if g.degree(v) == 1 and _chain_member(g, v)
-    ]
+    # A tail is the walk from a non-node vertex of degree 1 up to the
+    # first node, its host.  Before that node each vertex on the walk has
+    # genus 0, one edge back and at most one edge on (valency <= 2, and a
+    # double edge or a loop would raise it to 3), so it is a rational chain
+    # vertex meeting the rest at one point.  The class has routed whole
+    # chains and cycles away, so the graph has a node, and a walk cannot
+    # end before one: it would then be a connected path, the whole graph.
+    nodes = {shape.center} if shape.kind is Shape.STAR else set(shape.nodes)
     points = []
     removed: set[str] = set()
-    for tail in tails:
-        attach = tail[-1]
-        hosts = [w for w in g.neighbors(attach) if w not in tail]
-        assert len(hosts) == 1
-        host = hosts[0]
+    for v in g.vertices:
+        if v.id in nodes or g.degree(v.id) != 1:
+            continue
+        tail = []
+        for host in walk(g, None, v.id):
+            if host in nodes:
+                break
+            tail.append(host)
         outward = tail[::-1]  # host-adjacent first, free end last
-        terms = tuple(-g.vertex(v).euler for v in outward)
+        terms = tuple(-g.vertex(w).euler for w in outward)
         m, omega = hj_pair(terms)
-        points.append(OrbifoldPoint(host, m, omega, leg=attach, terms=terms, tail_ids=tuple(outward)))
+        points.append(OrbifoldPoint(host, m, omega, leg=outward[0], terms=terms, tail_ids=tuple(outward)))
         removed.update(tail)
     residual = g.restricted_to(set(g.vertex_ids()) - removed)
     points.sort(key=lambda p: (p.host, p.leg))
@@ -344,7 +311,7 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
 
 def cusp_structure(g: PlumbingGraph) -> CuspStructure:
     """The cusp frame of a cycle graph, built in one pass over its cycle order."""
-    order = cycle_order(g)
+    order = connected_shape(g).order
     k = len(order)
     seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
     ray: dict[str, int] = {}

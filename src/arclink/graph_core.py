@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum
+from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -99,9 +100,6 @@ class PlumbingGraph(Record):
         except KeyError:
             raise GraphError(f"no vertex {vid!r}") from None
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
-
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
@@ -119,10 +117,6 @@ class PlumbingGraph(Record):
     def multiplicities(self, vid: str) -> dict[str, int]:
         """Neighbor -> number of edges to it, loops excluded, as a new dict."""
         return dict(self._adj.get(vid, _NO_INCIDENCE).mult)
-
-    def edge_multiplicity(self, u: str, v: str) -> int:
-        inc = self._adj.get(u, _NO_INCIDENCE)
-        return inc.loops if u == v else inc.mult.get(v, 0)
 
     def edge_instances(self) -> list[tuple[str, str, int]]:
         """Edges with a copy index distinguishing parallel edges."""
@@ -449,14 +443,19 @@ class Shape(Enum):
 
 
 class ShapeClass(NamedTuple):
+    """A connected graph's shape.
+
+    ``nodes`` lists a general graph's nodes (genus > 0 or valency >= 3),
+    sorted.  ``order`` lists a chain's vertices in path order from its
+    smaller end, and a cycle's in traversal order from its smallest id
+    towards that id's smaller neighbour; it is empty for a star, whose
+    legs ``star_legs`` reads, and for a general graph.
+    """
+
     kind: Shape
     center: str | None = None
     nodes: tuple[str, ...] = ()
-
-
-def graph_nodes(g: PlumbingGraph) -> list[str]:
-    """Vertices with genus > 0 or valency >= 3 (loops count twice)."""
-    return sorted(v.id for v in g.vertices if v.genus > 0 or g.degree(v.id) >= 3)
+    order: tuple[str, ...] = ()
 
 
 def classify_shape(g: PlumbingGraph) -> ShapeClass:
@@ -467,25 +466,38 @@ def classify_shape(g: PlumbingGraph) -> ShapeClass:
 
 
 def connected_shape(g: PlumbingGraph) -> ShapeClass:
-    """The shape of a graph already checked connected."""
-    if not g.vertices:
-        return ShapeClass(Shape.CHAIN)
-    nodes = graph_nodes(g)
-    n_vertices = len(g.vertices)
-    n_edges = len(g.edges)
+    """The shape of a graph already checked connected, with the order of
+    a chain or a cycle (see ``ShapeClass``).  One pass over the vertices
+    finds the nodes and a chain's smaller end; the order is one walk."""
+    adj = g._adj
+    nodes = []
+    end = None  # the smallest vertex of valency <= 1
+    for v in g.vertices:
+        ends = adj[v.id].ends
+        if v.genus > 0 or ends >= 3:
+            nodes.append(v.id)
+        elif ends <= 1 and (end is None or v.id < end):
+            end = v.id
     if not nodes:
-        # Every vertex has genus 0 and valency <= 2: a path or one cycle.
-        if n_edges == n_vertices and all(g.degree(v.id) == 2 for v in g.vertices):
-            return ShapeClass(Shape.CYCLE)
-        return ShapeClass(Shape.CHAIN)
-    if len(nodes) == 1 and n_edges == n_vertices - 1:
+        # Every vertex has genus 0 and valency <= 2: a path, or one cycle
+        # when no vertex has valency <= 1.
+        if end is not None:
+            return ShapeClass(Shape.CHAIN, order=tuple(walk(g, None, end)))
+        if not adj:
+            return ShapeClass(Shape.CHAIN)
+        start = min(adj)
+        # Entering start from its larger neighbour leaves it towards the
+        # smaller one; a loop has no neighbour, and the walk stops at once.
+        order = islice(walk(g, max(adj[start].mult, default=None), start), len(adj))
+        return ShapeClass(Shape.CYCLE, order=tuple(order))
+    if len(nodes) == 1 and len(g.edges) == len(adj) - 1:
         # A connected graph with n - 1 edges is a tree: no loops and no
         # parallel edges.  Every other vertex is not a node, so it has
         # genus 0 and valency <= 2, and a leg attached at an inner vertex
         # would give that vertex valency 3: the legs are chains hanging
         # off the center at one end.
         return ShapeClass(Shape.STAR, center=nodes[0])
-    return ShapeClass(Shape.GENERAL, nodes=tuple(nodes))
+    return ShapeClass(Shape.GENERAL, nodes=tuple(sorted(nodes)))
 
 
 def walk(g: PlumbingGraph, prev: str | None, start: str) -> Iterator[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from arclink.graph_core import PlumbingGraph, Vertex, parse_plumbing
 
@@ -62,6 +63,42 @@ def star_graph(center_euler: int, legs, genus: int = 0) -> PlumbingGraph:
             es.append((prev, vid))
             prev = vid
     return PlumbingGraph(tuple(vs), tuple(es), "star")
+
+
+@st.composite
+def definite_graphs(draw):
+    """Connected graphs that are negative definite by construction.
+
+    With -e_v >= valency (loops counting twice) at every vertex and strict
+    at one, -A is irreducibly diagonally dominant, hence positive definite.
+    Point and edge blow-ups then keep the lattice definite and give the
+    resolution something to blow down.
+    """
+    n = draw(st.integers(1, 7))
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    valency = dict.fromkeys(ids, 0)
+    for u, w in edges:
+        valency[u] += 1
+        valency[w] += 1
+    strict = draw(st.sampled_from(ids))
+    euler = {v: -valency[v] - draw(st.integers(0, 2)) - (v == strict) for v in ids}
+    genus = {v: draw(st.sampled_from((0, 0, 0, 1))) for v in ids}
+    for b in range(draw(st.integers(0, 3))):
+        new = f"e{b}"
+        if edges and draw(st.booleans()):  # an intersection point, or a loop's double point
+            u, w = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(u, new), (new, w)]
+            euler[w] -= 1
+        else:  # a general point of one curve
+            u = draw(st.sampled_from(ids))
+            edges.append((u, new))
+        euler[u] -= 1
+        ids.append(new)
+        euler[new], genus[new] = -1, 0
+    vs = tuple(Vertex(v, euler[v], genus[v]) for v in ids)
+    return PlumbingGraph(vs, tuple(edges), "definite")
 
 
 E8_TEXT = """

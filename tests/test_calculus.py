@@ -4,6 +4,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
 from arclink.calculus import (
     DltKind,
@@ -16,12 +17,13 @@ from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
     Vertex,
+    connected_shape,
     intersection_matrix,
     is_negative_definite,
     parse_plumbing,
 )
 from arclink.hjcf import hj_numerator
-from conftest import chain_graph, cycle_graph, star_graph
+from conftest import chain_graph, cycle_graph, definite_graphs, star_graph
 
 
 # -- minimal log resolution -------------------------------------------------
@@ -53,6 +55,18 @@ def test_double_edge_blowdown_creates_loop():
     assert r.vertex("b").euler == -3
     # The result is the k = 1 cusp cycle with b = 3.
     assert singularity_class(r).b_sequence == (3,)
+
+
+def test_resolution_without_a_minus_one_curve_copies_nothing(e8, cusp333, monkeypatch):
+    # With no -1 curve there is nothing to blow down: the input graph
+    # itself comes back, and no working copy of its adjacency is made.
+    calls = []
+    real = PlumbingGraph.multiplicities
+    monkeypatch.setattr(PlumbingGraph, "multiplicities", lambda g, v: calls.append(v) or real(g, v))
+    genus = parse_plumbing("vertex a euler=-3 genus=1\nvertex b euler=-2 genus=0\nedge a b")
+    for g in (e8, cusp333, cycle_graph([3]), chain_graph([4, 2, 3]), genus):
+        assert minimal_log_resolution(g) is g
+    assert calls == []
 
 
 def test_disconnected_rejected():
@@ -146,6 +160,115 @@ def test_genus_blocks_tail():
         "vertex n euler=-2 genus=1\nvertex t euler=-2 genus=1\nedge n t"
     )
     assert minimal_dlt_model(g).orbifold_points == ()
+
+
+def _tails_by_edge_scan(g: PlumbingGraph) -> list[tuple[str, tuple[str, ...]]]:
+    """(host, tail read from the host outward) for every rational tail of
+    a graph with a node, read off the edge list alone.  A tail member has
+    genus 0, no loop, at most two edge-ends and no parallel edge; a tail
+    starts at a member of degree 1 and runs over members to the first
+    vertex that is not one, its host."""
+    ends: dict[str, list[str]] = {v.id: [] for v in g.vertices}
+    for u, w in g.edges:
+        ends[u].append(w)
+        ends[w].append(u)
+
+    def member(v: str) -> bool:
+        nbrs = ends[v]
+        return g.vertex(v).genus == 0 and v not in nbrs and len(nbrs) <= 2 and len(set(nbrs)) == len(nbrs)
+
+    out = []
+    for v in sorted(ends):
+        if len(ends[v]) != 1 or not member(v):
+            continue
+        tail, prev = [v], None
+        while True:
+            (host,) = [w for w in ends[tail[-1]] if w != prev]
+            if not member(host):
+                break
+            prev = tail[-1]
+            tail.append(host)
+        out.append((host, tuple(tail[::-1])))
+    return sorted(out)
+
+
+def _assert_tails_match_edge_scan(g: PlumbingGraph) -> None:
+    model = minimal_dlt_model(g)
+    if model.kind is DltKind.SELF_DLT:
+        return
+    src = model.source
+    assert sorted((p.host, p.tail_ids) for p in model.orbifold_points) == _tails_by_edge_scan(src)
+    for p in model.orbifold_points:
+        assert p.leg == p.tail_ids[0]
+        assert p.terms == tuple(-src.vertex(v).euler for v in p.tail_ids)
+
+
+@given(definite_graphs())
+@settings(max_examples=300, deadline=None)
+def test_tails_match_an_edge_scan(g):
+    _assert_tails_match_edge_scan(g)
+
+
+def test_tails_stop_at_genus_double_edges_and_loops():
+    graphs = {
+        # the genus-1 curve h has degree 2 inside a leg: the tail t stops
+        # at it, and the -2 curve a between c and h survives
+        "genus_in_leg": "vertex c euler=-4 genus=0\nvertex x euler=-2 genus=0\nvertex y euler=-3 genus=0\n"
+        "vertex a euler=-2 genus=0\nvertex h euler=-3 genus=1\nvertex t euler=-2 genus=0\n"
+        "edge c x\nedge c y\nedge c a\nedge a h\nedge h t",
+        # the double edge u = w is one step from the leaf t
+        "double_edge": "vertex t euler=-2 genus=0\nvertex u euler=-4 genus=0\nvertex w euler=-4 genus=0\n"
+        "vertex s euler=-3 genus=0\nedge t u\nedge u w\nedge u w\nedge w s",
+        # the host h carries a loop
+        "loop_at_host": "vertex h euler=-4 genus=0\nvertex t euler=-2 genus=0\nvertex s euler=-3 genus=0\n"
+        "edge h h\nedge h t\nedge t s",
+    }
+    want = {
+        "genus_in_leg": [("c", ("x",)), ("c", ("y",)), ("h", ("t",))],
+        "double_edge": [("u", ("t",)), ("w", ("s",))],
+        "loop_at_host": [("h", ("t", "s"))],
+    }
+    for name, text in graphs.items():
+        g = parse_plumbing(text)
+        assert _tails_by_edge_scan(g) == want[name], name
+        _assert_tails_match_edge_scan(g)
+
+
+def _order_by_edge_scan(g: PlumbingGraph) -> list[str]:
+    """A chain's path from its smaller end, or a cycle's walk from its
+    smallest id towards that id's smaller neighbour, read off the edge list
+    by crossing each edge at most once."""
+    ids = [v.id for v in g.vertices]
+    unused = list(g.edges)
+    leaves = [v for v in ids if sum((a == v) + (b == v) for a, b in unused) <= 1]
+    order = [min(leaves or ids)]
+    while len(order) < len(ids):
+        cur = order[-1]
+        e = min((e for e in unused if cur in e), key=lambda e: e[0] if e[1] == cur else e[1])
+        unused.remove(e)
+        order.append(e[0] if e[1] == cur else e[1])
+    return order
+
+
+def test_shape_order_matches_an_edge_scan():
+    rng = random.Random(2606)
+    for case in range(300):
+        n = case // 2 % 12 + 1  # every length, the loop and the double edge among them
+        cycle = case % 2 == 1
+        if cycle:
+            g0 = cycle_graph([rng.randint(2, 5) for _ in range(n)])
+        else:
+            g0 = chain_graph([rng.randint(1, 5) for _ in range(n)])
+        fresh = {vid: f"x{k}" for vid, k in zip(g0.vertex_ids(), rng.sample(range(100), n))}
+        lines = [f"vertex {fresh[v.id]} euler={v.euler} genus=0" for v in g0.vertices]
+        rng.shuffle(lines)
+        edges = [(fresh[u], fresh[w]) for u, w in g0.edges]
+        rng.shuffle(edges)
+        lines += [f"edge {u} {w}" if rng.random() < 0.5 else f"edge {w} {u}" for u, w in edges]
+        g = parse_plumbing("\n".join(lines))
+        shape = connected_shape(g)
+        assert shape.kind.value == ("cycle" if cycle else "chain")
+        assert list(shape.order) == _order_by_edge_scan(g), (case, g)
 
 
 # -- singularity classes ---------------------------------------------------------
@@ -349,7 +472,7 @@ def blow_down(g: PlumbingGraph, vid: str) -> PlumbingGraph:
     v = g.vertex(vid)
     if v.euler != -1 or v.genus != 0 or g.loops_at(vid) or g.degree(vid) > 2:
         raise GraphError(f"vertex {vid!r} is not contractible")
-    ends = [w for w in g.neighbors(vid) for _ in range(g.edge_multiplicity(vid, w))]
+    ends = [w for w in g.neighbors(vid) for _ in range(g.multiplicities(vid).get(w, 0))]
     vs = tuple(
         Vertex(v.id, v.euler + ends.count(v.id), v.genus) if v.id in ends else v
         for v in g.vertices

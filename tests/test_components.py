@@ -13,7 +13,6 @@ from arclink.calculus import (
     DltModel,
     EdgeInstance,
     SelfDltError,
-    cycle_order,
     minimal_dlt_model,
     minimal_log_resolution,
 )
@@ -34,10 +33,10 @@ from arclink.components import (
 )
 from arclink.cli import analysis_report
 from arclink.cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy
-from arclink.graph_core import GraphError, PlumbingGraph, Vertex, parse_plumbing
+from arclink.graph_core import GraphError, PlumbingGraph, Vertex, connected_shape, parse_plumbing
 from arclink.hjcf import hj_numerator
 from arclink.inputs import ROWS_CEILING, InputError
-from conftest import SIGMA_237_TEXT, cycle_graph, star_graph
+from conftest import SIGMA_237_TEXT, cycle_graph, definite_graphs, star_graph
 
 
 # -- the label oracle --------------------------------------------------------------
@@ -89,7 +88,7 @@ def _reduce_leg_power(pt, exponent: int):
 
 
 def _vertex_label(model: DltModel, vid: str, m: int):
-    if model.residual.has_vertex(vid):
+    if vid in model.residual.vertex_ids():
         return ("curve_interior", vid, m)
     pt, pos = _tail_position(model, vid)
     if pt is None:
@@ -100,7 +99,7 @@ def _vertex_label(model: DltModel, vid: str, m: int):
 def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
     u, v, idx = chain
     res = model.residual
-    if res.has_vertex(u) and res.has_vertex(v):
+    if u in res.vertex_ids() and v in res.vertex_ids():
         if chain not in res.edge_instances():
             raise GraphError(f"edge instance {chain} is not part of the model")
         return ("node_point", *chain, mu, mv)
@@ -248,7 +247,7 @@ def test_cusp_delegation_matches_lattice(cusp333):
     # carries v_i.  The lattice enumeration is the independent side.
     for bs in ([3], [2, 3], [3, 3, 3], [2, 2, 3, 4]):
         model = minimal_dlt_model(cycle_graph(bs))
-        order = cycle_order(model.residual)
+        order = connected_shape(model.residual).order
         seq = CuspSequence(tuple(-model.residual.vertex(v).euler for v in order))
         for bound in (1, 2, 3, 4):
             ours = sorted(
@@ -647,42 +646,6 @@ def test_chain_system_finds_constructed_solutions():
 # -- relabelling invariance of the whole pipeline ----------------------------------
 
 
-@st.composite
-def _definite_graphs(draw):
-    """Connected graphs that are negative definite by construction.
-
-    With -e_v >= valency (loops counting twice) at every vertex and strict
-    at one, -A is irreducibly diagonally dominant, hence positive definite.
-    Point and edge blow-ups then keep the lattice definite and give the
-    resolution something to blow down.
-    """
-    n = draw(st.integers(1, 7))
-    ids = [f"v{i}" for i in range(n)]
-    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
-    edges += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
-    valency = dict.fromkeys(ids, 0)
-    for u, w in edges:
-        valency[u] += 1
-        valency[w] += 1
-    strict = draw(st.sampled_from(ids))
-    euler = {v: -valency[v] - draw(st.integers(0, 2)) - (v == strict) for v in ids}
-    genus = {v: draw(st.sampled_from((0, 0, 0, 1))) for v in ids}
-    for b in range(draw(st.integers(0, 3))):
-        new = f"e{b}"
-        if edges and draw(st.booleans()):  # an intersection point, or a loop's double point
-            u, w = edges.pop(draw(st.integers(0, len(edges) - 1)))
-            edges += [(u, new), (new, w)]
-            euler[w] -= 1
-        else:  # a general point of one curve
-            u = draw(st.sampled_from(ids))
-            edges.append((u, new))
-        euler[u] -= 1
-        ids.append(new)
-        euler[new], genus[new] = -1, 0
-    vs = tuple(Vertex(v, euler[v], genus[v]) for v in ids)
-    return PlumbingGraph(vs, tuple(edges), "definite")
-
-
 def _pipeline_summary(g: PlumbingGraph):
     model = minimal_dlt_model(minimal_log_resolution(g))
     shape = (
@@ -695,7 +658,7 @@ def _pipeline_summary(g: PlumbingGraph):
     return model.sing_class, shape, count
 
 
-@given(_definite_graphs(), st.randoms(use_true_random=False))
+@given(definite_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_pipeline_invariant_under_relabelling_and_reordering(g, rnd):
     ids = list(g.vertex_ids())

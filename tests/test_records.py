@@ -140,7 +140,7 @@ REPRS = {
         "PlumbingGraph(vertices=(Vertex(id='a', euler=-2, genus=0), Vertex(id='b', euler=-3, genus=0)), "
         "edges=(('a', 'b'),), name='g')"
     ),
-    "ShapeClass": "ShapeClass(kind=<Shape.STAR: 'star'>, center='c', nodes=())",
+    "ShapeClass": "ShapeClass(kind=<Shape.STAR: 'star'>, center='c', nodes=(), order=())",
     "SingClass": (
         "SingClass(kind=<SingKind.CYCLIC_QUOTIENT: 'cyclic_quotient'>, m=5, q=2, alphas=None, b_sequence=None)"
     ),
