@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .calculus import (
@@ -125,11 +124,6 @@ class ArcComponent(Record):
         if self.kind is ComponentKind.ORBIFOLD_POINT:
             return (self.kind.value, *self.location, *self.multiplicities, self.denominator)
         return (self.kind.value, *self.location, *self.multiplicities)
-
-    def intersection_number(self) -> Fraction | None:
-        if self.kind is ComponentKind.ORBIFOLD_POINT:
-            return Fraction(self.multiplicities[0], self.denominator)
-        return None
 
 
 # -- windings ---------------------------------------------------------------

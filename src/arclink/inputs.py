@@ -10,9 +10,9 @@ from operator import attrgetter
 # 2.4 s and 134 MB at 199,396 rows (bound 631).
 ROWS_CEILING = 200_000
 
-# Bound on a group's order.  The Cayley table has order^2 cells, so 1024
-# elements mean about 10^6 table entries (some 8 MB), and a cyclic:1024
-# decodes to 1024 matrices that share 1024 distinct rows.
+# Bound on a group's order.  The closure returns the group as its Cayley
+# table, of order^2 cells, so 1024 elements mean about 10^6 table entries
+# (some 8 MB).
 CLOSURE_CEILING = 1024
 
 # Bound on the length of a dual cusp sequence, sum(b_i - 2); a longer one is

@@ -45,20 +45,12 @@ class Quaternion(Record):
             a1 * e2 + b1 * c2 - c1 * b2 + e1 * a2,
         )
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.e)
-
     def norm(self) -> QuadNum:
         return self.a * self.a + self.b * self.b + self.c * self.c + self.e * self.e
 
     def is_unit(self) -> bool:
         n = self.norm()
         return n.b == 0 and n.a == 1
-
-    def inverse(self) -> "Quaternion":
-        if not self.is_unit():
-            raise ValueError("only unit quaternions are inverted here")
-        return self.conjugate()
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c}, {self.e})"
@@ -79,21 +71,21 @@ class ClosureError(InputError):
 
 
 class FiniteGroup(NamedTuple):
-    elements: tuple
-    identity_index: int
+    """A group as its Cayley table: table[x][y] is the index of e_x * e_y,
+    and index 0 is the identity."""
+
     table: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.table)
 
     def inverse_index(self, i: int) -> int:
-        row = self.table[i]
-        return row.index(self.identity_index)
+        return self.table[i].index(0)
 
     def element_order(self, i: int) -> int:
         n, x = 1, i
-        while x != self.identity_index:
+        while x != 0:
             x = self.table[x][i]
             n += 1
         return n
@@ -109,7 +101,7 @@ class FiniteGroup(NamedTuple):
 
 def _quaternion_kernel(generators):
     """Check unit quaternions over one field; return the key product, the
-    identity key, the generator keys and the decoder."""
+    identity key and the generator keys."""
     d = 0
     for g in generators:
         if not isinstance(g, Quaternion):
@@ -144,13 +136,7 @@ def _quaternion_kernel(generators):
         den = lcm(*(x.denominator for x in parts))  # lcm of reduced fractions: normalised
         return (den, *(x.numerator * (den // x.denominator) for x in parts))
 
-    def decode(keys) -> tuple:
-        return tuple(
-            Quaternion(*(QuadNum(Fraction(k[i], k[0]), Fraction(k[i + 1], k[0]), d) for i in (1, 3, 5, 7)))
-            for k in keys
-        )
-
-    return product, (1, 1, 0, 0, 0, 0, 0, 0, 0), [key(g) for g in generators], decode
+    return product, (1, 1, 0, 0, 0, 0, 0, 0, 0), [key(g) for g in generators]
 
 
 def _matrix_product(x, y):
@@ -200,7 +186,7 @@ def _is_invertible(rows) -> bool:
 
 def _matrix_kernel(generators):
     """Check square invertible matrices of one size; return the key
-    product, the identity key, the generator keys and the decoder."""
+    product, the identity key and the generator keys."""
     n = len(generators[0])
     keys = []
     for g in generators:
@@ -214,40 +200,25 @@ def _matrix_kernel(generators):
             raise ClosureError("non-invertible generator")
         keys.append((den, rows))
 
-    def decode(keys) -> tuple:
-        zero = Fraction(0)
-        dense: dict[tuple, tuple] = {}  # one decoded row per distinct (den, row)
-        out = []
-        for den, rows in keys:
-            element = []
-            for r in rows:
-                row = dense.get((den, r))
-                if row is None:
-                    entries = [zero] * n
-                    for j, v in r:
-                        entries[j] = Fraction(v, den)
-                    row = dense[den, r] = tuple(entries)
-                element.append(row)
-            out.append(tuple(element))
-        return tuple(out)
-
     identity = (1, tuple(((i, 1),) for i in range(n)))
-    return _matrix_product, identity, keys, decode
+    return _matrix_product, identity, keys
 
 
 def group_closure(generators) -> FiniteGroup:
-    """Breadth-first closure under multiplication plus the Cayley table.
+    """Breadth-first closure under multiplication; the group comes back as
+    its Cayley table, with the identity at index 0 and the other elements
+    in the order the closure meets them.
 
     Unit quaternions over one field Q(sqrt(d)), or invertible square
     rational matrices of one size.  Products run on integer keys, exactly
-    order * len(generators) of them; elements are decoded to Quaternion or
-    Matrix once.  A group with more than CLOSURE_CEILING (1024) elements
-    raises ClosureError before its table is built.
+    order * len(generators) of them.  A group with more than
+    CLOSURE_CEILING (1024) elements raises ClosureError before its table
+    is built.
     """
     if not generators:
         raise ClosureError("need at least one generator")
     kernel = _quaternion_kernel if isinstance(generators[0], Quaternion) else _matrix_kernel
-    mul, identity, gens, decode = kernel(generators)
+    mul, identity, gens = kernel(generators)
     elements = [identity]
     index = {identity: 0}
     right: list[list[int]] = [[] for _ in gens]  # right[j][x]: the index of e_x * g_j
@@ -272,12 +243,11 @@ def group_closure(generators) -> FiniteGroup:
     columns = [range(len(elements))]
     for x, j in parents:
         columns.append([right[j][t] for t in columns[x]])
-    return FiniteGroup(decode(elements), 0, tuple(zip(*columns)))
+    return FiniteGroup(tuple(zip(*columns)))
 
 
 class ConjClasses(NamedTuple):
     classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
 
     @property
     def count(self) -> int:  # shadows tuple.count, which no caller needs
@@ -297,7 +267,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClasses:
         orbit = {group.table[group.table[g][x]][inverses[g]] for g in range(n)}
         classes.append(tuple(sorted(orbit)))
         unseen -= orbit
-    return ConjClasses(tuple(classes), tuple(cl[0] for cl in classes))
+    return ConjClasses(tuple(classes))
 
 
 # -- McKay ---------------------------------------------------------------------
@@ -331,14 +301,14 @@ def mckay_report(group: FiniteGroup, classes: ConjClasses | None = None) -> McKa
     if classes is None:
         classes = conjugacy_classes(group)
     order, count = group.order, classes.count
-    table, e = group.table, group.identity_index
+    table = group.table
     if table == tuple(zip(*table)):  # abelian: the table is its own transpose
         if not any(group.element_order(i) == order for i in range(order)):
             raise InputError("abelian but not cyclic: no free SL(2) action exists")
         family, expected = f"A{order - 1}", order - 1
     else:
         # The diagonal holds x * x: it is 1 for the identity and each involution.
-        if sum(row[i] == e for i, row in enumerate(table)) != 2:
+        if sum(row[i] == 0 for i, row in enumerate(table)) != 2:
             raise InputError("a finite SL(2) subgroup has a unique involution")
         if order == 24 and count == 7:
             family, expected = "E6", 6

@@ -186,7 +186,7 @@ REPRS = {
         "b=QuadNum(a=Fraction(2, 1), b=Fraction(0, 1), d=0), c=QuadNum(a=Fraction(0, 1), b=Fraction(0, 1), d=0), "
         "e=QuadNum(a=Fraction(0, 1), b=Fraction(0, 1), d=0))"
     ),
-    "ConjClasses": "ConjClasses(classes=((0,), (1,), (2,)), representatives=(0, 1, 2))",
+    "ConjClasses": "ConjClasses(classes=((0,), (1,), (2,)))",
     "McKayReport": (
         "McKayReport(group_order=3, class_count=3, nontrivial_classes=2, family='A2', "
         "expected_exceptional_curves=2, matches=True)"
