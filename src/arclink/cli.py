@@ -106,20 +106,6 @@ def _winding_json(w) -> dict:
     return {"type": "cusp_lattice", "vector": list(w.vector)}
 
 
-def _component_json(c: ArcComponent) -> dict:
-    out = {
-        "kind": c.kind.value,
-        "location": [str(x) for x in c.location],
-        "multiplicities": list(c.multiplicities),
-    }
-    if c.denominator is not None:
-        out["denominator"] = c.denominator
-        out["intersection_number"] = _fraction_text(c.multiplicities[0], c.denominator)
-    out["winding"] = _winding_json(c.winding)
-    out["homotopy"] = {"type": c.homotopy.kind.value, "description": c.homotopy.render()}
-    return out
-
-
 def _sing_json(cls) -> dict:
     from .calculus import SingKind
 
@@ -157,8 +143,10 @@ def write_dot(g: PlumbingGraph, path: str) -> None:
 # -- analysis report ------------------------------------------------------------
 
 
-def analysis_report(g: PlumbingGraph, bound: int) -> dict:
-    """The ``analyze`` report, read off the one minimal dlt model of ``g``."""
+def analysis_report(g: PlumbingGraph, bound: int, rows: bool = True) -> dict:
+    """The ``analyze`` report, read off the one minimal dlt model of ``g``.
+    With ``rows`` False its ``components`` is the row count alone: nothing
+    prints the rows, but the row ceiling and the duality check still hold."""
     from .calculus import SingKind, minimal_dlt_model
     from .cusp import CuspSequence, check_duality
 
@@ -180,7 +168,7 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
         },
         "bound": bound,
     }
-    report["components"] = _model_components_json(model, bound)
+    report["components"] = _model_components_json(model, bound, rows)
     if cls.kind is SingKind.CUSP:
         dual = check_duality(CuspSequence(cls.b_sequence))
         dual_sequence, auto_dual = dual.canonical_dual()
@@ -195,17 +183,22 @@ def analysis_report(g: PlumbingGraph, bound: int) -> dict:
     return report
 
 
-def _model_components_json(model: DltModel, bound: int) -> list | dict:
+def _model_components_json(model: DltModel, bound: int, rows: bool = True) -> list | dict | int:
+    """The report's component rows; with ``rows`` False only their count,
+    refused past the row ceiling as the enumeration would refuse it."""
     from .calculus import DltKind, SingKind
-    from .components import enumerate_components
+    from .components import checked_component_count, enumerate_components
 
     cls = model.sing_class
     if model.kind is DltKind.MODEL:
-        return [_component_json(c) for c in enumerate_components(model, bound)]
+        if not rows:
+            return checked_component_count(model, bound)
+        return _arc_rows_json(enumerate_components(model, bound))
     if cls.kind is SingKind.CYCLIC_QUOTIENT:
-        from .quotient import cyclic_quotient_components
+        from .quotient import checked_label_count, cyclic_quotient_components
 
-        rows = cyclic_quotient_components(cls.m, cls.q, bound)
+        if not rows:
+            return checked_label_count(cls.m, bound)
         return [
             {
                 "kind": "cyclic_quotient_label",
@@ -213,7 +206,7 @@ def _model_components_json(model: DltModel, bound: int) -> list | dict:
                 "center": r.center.value,
                 "model_arc": {"m1": r.m1, "c": r.c},
             }
-            for r in rows
+            for r in cyclic_quotient_components(cls.m, cls.q, bound)
         ]
     return {
         "note": (
@@ -221,6 +214,33 @@ def _model_components_json(model: DltModel, bound: int) -> list | dict:
             "of the finite local fundamental group; see the quotient subcommand"
         )
     }
+
+
+def _arc_rows_json(comps: list[ArcComponent]) -> list[dict]:
+    """One dict per component.  A location's rows are consecutive and share
+    its location tuple, and most share their kind and homotopy type, so the
+    strings of each are made once per run of rows that share the object;
+    every row still gets its own dict and lists."""
+    out = []
+    location = kind = homotopy = None
+    for c in comps:
+        if c.kind is not kind:
+            kind = c.kind
+            kind_text = kind.value
+        if c.location is not location:
+            location = c.location
+            location_text = [str(x) for x in location]
+        if c.homotopy is not homotopy:
+            homotopy = c.homotopy
+            homotopy_type, homotopy_text = homotopy.kind.value, homotopy.render()
+        row = {"kind": kind_text, "location": location_text.copy(), "multiplicities": list(c.multiplicities)}
+        if c.denominator is not None:
+            row["denominator"] = c.denominator
+            row["intersection_number"] = _fraction_text(c.multiplicities[0], c.denominator)
+        row["winding"] = _winding_json(c.winding)
+        row["homotopy"] = {"type": homotopy_type, "description": homotopy_text}
+        out.append(row)
+    return out
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -277,7 +297,8 @@ def cmd_analyze(args):
     from .graph_core import parse_plumbing
 
     g = parse_plumbing(_read(args.graph))
-    report = analysis_report(g, args.bound)
+    # --quiet without --json prints nothing, so no row is built
+    report = analysis_report(g, args.bound, rows=args.json or not args.quiet)
     if args.json:  # the text form prints no winding
         _refuse_unprintable_windings(report["components"])
     if args.dot:
@@ -289,9 +310,10 @@ def cmd_components(args):
     from .graph_core import parse_plumbing
 
     g = parse_plumbing(_read(args.graph))
-    report = analysis_report(g, args.bound)
+    rows = args.json or not args.quiet  # --quiet alone prints nothing
+    report = analysis_report(g, args.bound, rows=rows)
     comps = report["components"]
-    if args.json or not args.quiet:
+    if rows:
         _refuse_unprintable_windings(comps)
     out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound, "components": comps}
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 from .calculus import (
-    CuspStructure,
     DltKind,
     DltModel,
     EdgeInstance,
@@ -24,7 +24,7 @@ from .calculus import (
 )
 from .cusp import Vec
 from .graph_core import GraphError
-from .inputs import ROWS_CEILING, InputError, Record
+from .inputs import ROWS_CEILING, InputError
 
 
 # -- winding classes -------------------------------------------------------
@@ -96,72 +96,42 @@ class ComponentKind(Enum):
     ORBIFOLD_POINT = "orbifold_point"
 
 
-class ArcComponent(Record):
-    __slots__ = ("kind", "location", "multiplicities", "denominator", "winding", "homotopy")
+class _ArcComponentFields(NamedTuple):
+    kind: ComponentKind
+    location: tuple
+    multiplicities: tuple[int, ...]
+    denominator: int | None
+    winding: WindingClass
+    homotopy: HomotopyType
 
-    def __init__(
-        self,
+
+class ArcComponent(_ArcComponentFields):
+    """One component: a tuple record whose constructor refuses a
+    nonpositive multiplicity, and an orbifold point without an order or
+    with a numerator divisible by it."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         kind: ComponentKind,
         location: tuple,
         multiplicities: tuple[int, ...],
         denominator: int | None,
         winding: WindingClass,
         homotopy: HomotopyType,
-    ) -> None:
-        if any(m <= 0 for m in multiplicities):
+    ) -> "ArcComponent":
+        if min(multiplicities, default=1) <= 0:
             raise ValueError("multiplicities must be strictly positive")
         if kind is ComponentKind.ORBIFOLD_POINT:
             if denominator is None or multiplicities[0] % denominator == 0:
                 raise ValueError("orbifold numerator must not be divisible by m")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "location", location)
-        object.__setattr__(self, "multiplicities", multiplicities)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "winding", winding)
-        object.__setattr__(self, "homotopy", homotopy)
+        return tuple.__new__(cls, (kind, location, multiplicities, denominator, winding, homotopy))
 
     def label(self) -> tuple:
         if self.kind is ComponentKind.ORBIFOLD_POINT:
             return (self.kind.value, *self.location, *self.multiplicities, self.denominator)
         return (self.kind.value, *self.location, *self.multiplicities)
-
-
-# -- windings ---------------------------------------------------------------
-
-
-def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[int, ...]) -> Vec:
-    """Lattice vector of gamma_v^m (location (v,)) or of an edge class
-    (location an edge instance, multiplicities in its (u, v) order)."""
-    if len(location) == 1:
-        (vid,) = location
-        if vid not in frame.ray:
-            raise GraphError(f"curve {vid!r} is not part of the model")
-        (m,) = multiplicities
-        x, y = frame.fan[frame.ray[vid]]
-        return (m * x, m * y)
-    if location not in frame.sector:
-        raise GraphError(f"edge instance {location} is not part of the model")
-    i, first = frame.sector[location]
-    mu, mv = multiplicities
-    if location[0] != first:
-        mu, mv = mv, mu
-    vi, vi1 = frame.fan[i], frame.fan[i + 1]
-    return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
-
-
-def _winding(
-    frame: CuspStructure | None, kind: ComponentKind, location: tuple, multiplicities: tuple[int, ...]
-) -> WindingClass:
-    """A lattice vector in a cusp frame; otherwise the fiber power, the
-    edge class or the leg power of the component."""
-    if frame is not None:
-        return CuspLattice(_cusp_vector(frame, location, multiplicities))
-    if kind is ComponentKind.CURVE_INTERIOR:
-        return gamma_power(location[0], multiplicities[0])
-    if kind is ComponentKind.NODE_POINT:
-        return EdgeTorus(location, multiplicities)
-    host, leg = location
-    return SeifertWord(piece=host, terms=((_leg_generator(host, leg), multiplicities[0]),))
 
 
 def _leg_generator(host: str, leg: str) -> str:
@@ -190,6 +160,18 @@ def component_count(model: DltModel, bound: int) -> int:
     )
 
 
+def checked_component_count(model: DltModel, bound: int) -> int:
+    """``component_count(model, bound)``, refused with an InputError that
+    names it when it passes ``inputs.ROWS_CEILING``."""
+    rows = component_count(model, bound)
+    if rows > ROWS_CEILING:
+        raise InputError(
+            f"the enumeration would have B*V + B*(B-1)/2*E + sum(B - B//m) = {rows} rows, "
+            f"more than {ROWS_CEILING}"
+        )
+    return rows
+
+
 def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     """All short-arc components with multiplicity data bounded by ``bound``.
 
@@ -204,43 +186,86 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     points by (host, leg); within each location the multiplicities rise
     lexicographically.  Copy indices compare as strings (1, 10, 11, 2, ...)
     because the JSON locations are strings.
+
+    Each location's parts are made once: its location tuple, its homotopy
+    type, its generator name, and in a cusp frame its ray or its two sector
+    vectors.  A lattice winding is its predecessor's plus the ray, or plus
+    the sector's second vector, so a row costs one addition per coordinate.
     """
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
     if bound < 1:
         raise ValueError("bound must be positive")
-    rows = component_count(model, bound)
-    if rows > ROWS_CEILING:
-        raise InputError(
-            f"the enumeration would have B*V + B*(B-1)/2*E + sum(B - B//m) = {rows} rows, "
-            f"more than {ROWS_CEILING}"
-        )
+    checked_component_count(model, bound)
     frame = model.frame
+    singles = [(m,) for m in range(1, bound + 1)]
     out: list[ArcComponent] = []
-
-    def add(kind, location, multiplicities, denominator, homotopy) -> None:
-        winding = _winding(frame, kind, location, multiplicities)
-        out.append(ArcComponent(kind, location, multiplicities, denominator, winding, homotopy))
+    append = out.append
 
     g = model.residual
     points_at = Counter(pt.host for pt in model.orbifold_points)
+    curve = ComponentKind.CURVE_INTERIOR
     for vid in sorted(g.vertex_ids()):
         v = g.vertex(vid)
+        location = (vid,)
+        if frame is None:
+            windings = [gamma_power(vid, m) for m in range(1, bound + 1)]
+        else:
+            windings = _lattice_run((0, 0), frame.fan[frame.ray[vid]], bound)
         branches = g.degree(vid) + points_at[vid]
-        wedge = HomotopyType(HomotopyKind.CIRCLE_TIMES_WEDGE, wedge_count=2 * v.genus + branches - 1)
-        for m in range(1, bound + 1):
-            homotopy = wedge
-            if not branches:  # a closed curve: the circle bundle of Chern number m * (-e_v)
-                homotopy = HomotopyType(HomotopyKind.CIRCLE_BUNDLE, genus=v.genus, chern=m * (-v.euler))
-            add(ComponentKind.CURVE_INTERIOR, (vid,), (m,), None, homotopy)
+        if branches:
+            wedge = HomotopyType(HomotopyKind.CIRCLE_TIMES_WEDGE, wedge_count=2 * v.genus + branches - 1)
+            homotopies = repeat(wedge)
+        else:  # a closed curve: the circle bundle of Chern number m * (-e_v)
+            homotopies = [
+                HomotopyType(HomotopyKind.CIRCLE_BUNDLE, genus=v.genus, chern=m * (-v.euler))
+                for m in range(1, bound + 1)
+            ]
+        for mults, winding, homotopy in zip(singles, windings, homotopies):
+            append(ArcComponent(curve, location, mults, None, winding, homotopy))
+
+    node = ComponentKind.NODE_POINT
     torus = HomotopyType(HomotopyKind.TWO_TORUS)
+    pairs = [[(mu, mv) for mv in range(1, bound - mu + 1)] for mu in range(1, bound)]
     for inst in sorted(g.edge_instances(), key=lambda e: (e[0], e[1], str(e[2]))):
-        for mu in range(1, bound):
-            for mv in range(1, bound - mu + 1):
-                add(ComponentKind.NODE_POINT, inst, (mu, mv), None, torus)
+        if frame is not None:
+            i, first = frame.sector[inst]
+            a, b = frame.fan[i], frame.fan[i + 1]
+            if inst[0] != first:  # the multiplicities are in the instance's (u, v) order
+                a, b = b, a
+            x = y = 0  # m_u * a
+        for run in pairs:
+            if frame is None:
+                windings = [EdgeTorus(inst, mults) for mults in run]
+            else:
+                x, y = x + a[0], y + a[1]
+                windings = _lattice_run((x, y), b, len(run))
+            for mults, winding in zip(run, windings):
+                append(ArcComponent(node, inst, mults, None, winding, torus))
+
+    orbifold = ComponentKind.ORBIFOLD_POINT
     circle = HomotopyType(HomotopyKind.CIRCLE)
     for pt in sorted(model.orbifold_points, key=lambda p: (p.host, p.leg)):
-        for a in range(1, bound + 1):
-            if a % pt.m:
-                add(ComponentKind.ORBIFOLD_POINT, (pt.host, pt.leg), (a,), pt.m, circle)
+        location = (pt.host, pt.leg)
+        if frame is not None:
+            raise GraphError(f"orbifold point {location} has no winding in the cusp frame")
+        generator = _leg_generator(pt.host, pt.leg)
+        for mults in singles:
+            if mults[0] % pt.m:
+                winding = SeifertWord(piece=pt.host, terms=((generator, mults[0]),))
+                append(ArcComponent(orbifold, location, mults, pt.m, winding, circle))
+    return out
+
+
+def _lattice_run(start: Vec, step: Vec, n: int) -> list[CuspLattice]:
+    """The n windings start + step, start + 2*step, ...: one addition per
+    coordinate each, where the closed form m*v_i or m_u*v_i + m_v*v_{i+1}
+    takes two products and a sum."""
+    x, y = start
+    dx, dy = step
+    out = []
+    for _ in range(n):
+        x += dx
+        y += dy
+        out.append(CuspLattice((x, y)))
     return out

@@ -454,6 +454,15 @@ class CyclicComponentLabel(NamedTuple):
         return Fraction(self.m1, self.m)
 
 
+def checked_label_count(m: int, bound: int) -> int:
+    """The B*m rows of ``cyclic_quotient_components(m, q, bound)``, refused
+    with an InputError that names them past ``inputs.ROWS_CEILING``."""
+    rows = bound * m
+    if rows > ROWS_CEILING:
+        raise InputError(f"the enumeration would have B*m = {rows} rows, more than {ROWS_CEILING}")
+    return rows
+
+
 def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicComponentLabel]:
     """Labels a/m for 1 <= a <= bound*m; integer labels sit on the curve.
     Each row holds the ints (m, m1 = a, c) and no ``Fraction``; its
@@ -475,9 +484,7 @@ def cyclic_quotient_components(m: int, q: int, bound: int) -> list[CyclicCompone
         raise ValueError(f"need 0 < q < m coprime, got q={q}, m={m}")
     if bound < 1:
         raise ValueError("bound must be positive")
-    rows = bound * m
-    if rows > ROWS_CEILING:
-        raise InputError(f"the enumeration would have B*m = {rows} rows, more than {ROWS_CEILING}")
+    rows = checked_label_count(m, bound)
     q_inv = pow(q, -1, m) if m > 1 else 0
     centers = [ArcCenter.AT_ORIGIN] * (m - 1) + [ArcCenter.ON_CURVE]
     cs = [a * q_inv % m for a in range(1, m + 1)]

@@ -510,3 +510,33 @@ def test_help_exits_zero(capsys):
         main(["cusp", "--help"])
     assert exc.value.code == 0
     assert "--seq" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sub", ["analyze", "components"])
+def test_quiet_builds_no_rows(graph_file, capsys, monkeypatch, sub):
+    # --quiet without --json prints nothing, so no row is built; the row
+    # ceiling is still refused from the count, with the enumeration's message.
+    import arclink.components as components_mod
+    import arclink.quotient as quotient_mod
+
+    double = graph_file(DOUBLE_EDGE_TEXT, "double.graph")
+    curve = graph_file("vertex a euler=-3 genus=0\n", "curve.graph")
+    cases = [(double, 446), (curve, 66666)]  # the last bounds under the ceiling
+    refusals = []
+    for path, bound in cases:
+        assert main([sub, path, "--bound", str(bound + 1)]) == 1
+        refusals.append(capsys.readouterr().err)
+
+    def build_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(components_mod, "enumerate_components", build_rows)
+    monkeypatch.setattr(quotient_mod, "cyclic_quotient_components", build_rows)
+    for (path, bound), refusal in zip(cases, refusals):
+        assert run(capsys, sub, path, "--bound", str(bound), "--quiet") == (0, "")
+        assert main([sub, path, "--bound", str(bound + 1), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == refusal
+        assert refusal.startswith("error: the enumeration would have") and refusal.count("\n") == 1
+        with pytest.raises(AssertionError, match="a row was built"):
+            main([sub, path, "--bound", "2", "--quiet", "--json"])

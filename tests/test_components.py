@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -23,9 +26,9 @@ from arclink.components import (
     CuspLattice,
     EdgeTorus,
     HomotopyKind,
+    HomotopyType,
     SeifertWord,
     WindingClass,
-    _cusp_vector,
     _leg_generator,
     component_count,
     enumerate_components,
@@ -37,6 +40,7 @@ from arclink.graph_core import GraphError, PlumbingGraph, Vertex, connected_shap
 from arclink.hjcf import hj_numerator
 from arclink.inputs import ROWS_CEILING, InputError
 from conftest import SIGMA_237_TEXT, cycle_graph, definite_graphs, star_graph
+from test_golden_json import GOLDEN
 
 
 # -- the label oracle --------------------------------------------------------------
@@ -118,6 +122,27 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
     if pt is None or pt.host != host_id or pos != 1:
         raise GraphError(f"({u}, {v}) is not an edge of the source graph")
     return _reduce_leg_power(pt, host_m * pt.m + tail_m * hj_numerator(pt.terms[1:]))
+
+
+def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[int, ...]):
+    """Lattice vector of gamma_v^m (location (v,)) or of an edge class
+    (location an edge instance, multiplicities in its (u, v) order), from
+    the closed forms m*v_i and m_u*v_i + m_v*v_{i+1}."""
+    if len(location) == 1:
+        (vid,) = location
+        if vid not in frame.ray:
+            raise GraphError(f"curve {vid!r} is not part of the model")
+        (m,) = multiplicities
+        x, y = frame.fan[frame.ray[vid]]
+        return (m * x, m * y)
+    if location not in frame.sector:
+        raise GraphError(f"edge instance {location} is not part of the model")
+    i, first = frame.sector[location]
+    mu, mv = multiplicities
+    if location[0] != first:
+        mu, mv = mv, mu
+    vi, vi1 = frame.fan[i], frame.fan[i + 1]
+    return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
 
 
 def _cusp_label(frame: CuspStructure, w: WindingClass):
@@ -322,6 +347,109 @@ def test_row_order_is_pinned():
     assert comps == sorted(comps, key=row_key)
     rows = analysis_report(model.source, 3)["components"]
     assert [(r["kind"], r["location"]) for r in rows] == [(k, [str(x) for x in loc]) for k, loc, _ in want]
+
+
+def test_arc_component_refuses_a_nonpositive_multiplicity_and_a_central_numerator():
+    torus, circle = HomotopyType(HomotopyKind.TWO_TORUS), HomotopyType(HomotopyKind.CIRCLE)
+    for mults in [(0, 1), (2, -1)]:
+        with pytest.raises(ValueError, match="strictly positive"):
+            ArcComponent(ComponentKind.NODE_POINT, ("a", "b", 0), mults, None, EdgeTorus(("a", "b", 0), mults), torus)
+    with pytest.raises(ValueError, match="strictly positive"):
+        ArcComponent(ComponentKind.CURVE_INTERIOR, ("a",), (0,), None, gamma_power("a", 0), circle)
+    word = SeifertWord("c", (("g[c/b]", 6),))
+    for denominator in (3, 2, 1, None):
+        with pytest.raises(ValueError, match="divisible by m"):
+            ArcComponent(ComponentKind.ORBIFOLD_POINT, ("c", "b"), (6,), denominator, word, circle)
+    row = ArcComponent(ComponentKind.ORBIFOLD_POINT, ("c", "b"), (6,), 4, word, circle)
+    assert row.label() == ("orbifold_point", "c", "b", 6, 4)
+    assert row == (ComponentKind.ORBIFOLD_POINT, ("c", "b"), (6,), 4, word, circle)
+
+
+# Vertex ids with "/" and "\" test the leg generator's escapes; the pool is
+# sampled, so ids differ between the graphs.
+_IDS = ("a", "b/c", "d\\e", "f/", "g", "h/i/j", "k", "l\\/m")
+
+
+def _seeded_graph(rng: random.Random) -> PlumbingGraph:
+    """A connected graph, negative definite by diagonal dominance: a random
+    tree, then up to three more edges (loops and parallel edges among them);
+    or a cycle of rational curves, a cusp, with ids from the same pool."""
+    if rng.random() < 0.3:
+        k = rng.randint(1, 6)
+        bs = [rng.randint(2, 5) for _ in range(k)]
+        bs[rng.randrange(k)] = max(bs[0], 3)
+        return cycle_graph(bs, prefix=rng.choice(("v", "w/", "x\\")))
+    n = rng.randint(1, 6)
+    ids = rng.sample(_IDS, n)
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3))]
+    valency = Counter(v for e in edges for v in e)
+    strict = rng.choice(ids)
+    vs = tuple(
+        Vertex(v, -valency[v] - rng.randint(0, 2) - (v == strict), rng.choice((0, 0, 0, 1, 2))) for v in ids
+    )
+    return PlumbingGraph(vs, tuple(edges), "seeded")
+
+
+def _closed_form_winding(model: DltModel, c: ArcComponent) -> WindingClass:
+    """The winding of a row from its location and multiplicities alone:
+    the closed-form lattice vector in a cusp frame, otherwise the fiber
+    power, the edge class or the leg power."""
+    if model.frame is not None:
+        return CuspLattice(_cusp_vector(model.frame, c.location, c.multiplicities))
+    if c.kind is ComponentKind.CURVE_INTERIOR:
+        return gamma_power(c.location[0], c.multiplicities[0])
+    if c.kind is ComponentKind.NODE_POINT:
+        return EdgeTorus(c.location, c.multiplicities)
+    host, leg = c.location
+    return SeifertWord(host, ((_leg_generator(host, leg), c.multiplicities[0]),))
+
+
+def _component_json(c: ArcComponent) -> dict:
+    """One row of the report built from that row alone, as the CLI built
+    every row before it shared each location's strings."""
+    out = {
+        "kind": c.kind.value,
+        "location": [str(x) for x in c.location],
+        "multiplicities": list(c.multiplicities),
+    }
+    if c.denominator is not None:
+        out["denominator"] = c.denominator
+        out["intersection_number"] = str(Fraction(c.multiplicities[0], c.denominator))
+    w = c.winding
+    if isinstance(w, SeifertWord):
+        out["winding"] = {"type": "seifert_word", "piece": w.piece, "word": w.render()}
+    elif isinstance(w, EdgeTorus):
+        out["winding"] = {"type": "edge_torus", "chain": list(w.chain), "vector": list(w.vector)}
+    else:
+        out["winding"] = {"type": "cusp_lattice", "vector": list(w.vector)}
+    out["homotopy"] = {"type": c.homotopy.kind.value, "description": c.homotopy.render()}
+    return out
+
+
+def _report_graphs() -> list[PlumbingGraph]:
+    rng = random.Random(28)
+    golden = [parse_plumbing(text) for text, _ in GOLDEN.values()]
+    return golden + [_seeded_graph(rng) for _ in range(150)]
+
+
+def test_report_rows_equal_rows_built_one_by_one():
+    seen = Counter()
+    for g in _report_graphs():
+        model = minimal_dlt_model(g)
+        if model.kind is not DltKind.MODEL:
+            continue
+        for bound in range(1, 5):
+            comps = enumerate_components(model, bound)
+            assert [c.winding for c in comps] == [_closed_form_winding(model, c) for c in comps]
+            rows = analysis_report(g, bound)["components"]
+            assert json.dumps(rows) == json.dumps([_component_json(c) for c in comps])
+        seen["cusp frame" if model.frame else model.sing_class.kind.value] += 1
+        seen["closed curve"] += any(not model.residual.degree(v) for v in model.residual.vertex_ids())
+        seen["loop"] += any(u == v for u, v in model.residual.edges)
+        seen["parallel edges"] += len(set(model.residual.edges)) < len(model.residual.edges)
+        seen["'/' in an orbifold id"] += any("/" in p.host + p.leg for p in model.orbifold_points)
+    assert min(seen.values()) >= 3, seen
 
 
 # -- winding classes -----------------------------------------------------------------

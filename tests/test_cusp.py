@@ -364,6 +364,28 @@ def test_cusp_component_record_contract():
     assert comp == ("ray", 0, (1,), (0, 1))
 
 
+def test_rows_are_the_closed_forms():
+    # Each row's vector is built from its predecessor by one addition; the
+    # closed forms m*v_i and m_i*v_i + m_{i+1}*v_{i+1} are read off v_sequence.
+    rng = random.Random(28)
+    for t in range(40):
+        k = 64 if t == 0 else rng.randint(1, 64)
+        bs = [rng.choice((2, 2, 3, 4, 9)) for _ in range(k)]
+        bs[rng.randrange(k)] = 3
+        c = CuspSequence(tuple(bs))
+        vs = v_sequence(c, 0, k)
+        for bound in range(1, 8):
+            want = [("ray", i, (m,), (m * x, m * y)) for i, (x, y) in enumerate(vs[:k])
+                    for m in range(1, bound + 1)]
+            want += [
+                ("sector", i, (mi, mj), (mi * vs[i][0] + mj * vs[i + 1][0], mi * vs[i][1] + mj * vs[i + 1][1]))
+                for i in range(k) for mi in range(1, bound) for mj in range(1, bound - mi + 1)
+            ]
+            comps = enumerate_cusp_components(c, bound)
+            assert comps == want
+            assert {type(x) for x in comps} == {CuspComponent}
+
+
 def test_enumeration_is_refused_past_the_row_ceiling():
     # k*B*(B+1)/2 is 199,290 at k = 3, B = 364 and 200,385 at B = 365, the
     # first bound past the ceiling of 2*10^5 rows.
