@@ -188,8 +188,9 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     because the JSON locations are strings.
 
     Each location's parts are made once: its location tuple, its homotopy
-    type, its generator name, and in a cusp frame its ray or its two sector
-    vectors.  A lattice winding is its predecessor's plus the ray, or plus
+    type (but a closed curve's, whose Chern number grows with m), an
+    orbifold point's leg generator, and in a cusp frame its ray or its two
+    sector vectors.  A lattice winding is its predecessor's plus the ray, or plus
     the sector's second vector, so a row costs one addition per coordinate.
     """
     if model.kind is not DltKind.MODEL:
