@@ -365,8 +365,8 @@ def test_arc_component_refuses_a_nonpositive_multiplicity_and_a_central_numerato
     assert row == (ComponentKind.ORBIFOLD_POINT, ("c", "b"), (6,), 4, word, circle)
 
 
-# Vertex ids with "/" and "\" test the leg generator's escapes; the pool is
-# sampled, so ids differ between the graphs.
+# Vertex ids with "/" and a backslash test the leg generator's escapes; each
+# graph samples its distinct ids from this pool.
 _IDS = ("a", "b/c", "d\\e", "f/", "g", "h/i/j", "k", "l\\/m")
 
 
@@ -377,7 +377,7 @@ def _seeded_graph(rng: random.Random) -> PlumbingGraph:
     if rng.random() < 0.3:
         k = rng.randint(1, 6)
         bs = [rng.randint(2, 5) for _ in range(k)]
-        bs[rng.randrange(k)] = max(bs[0], 3)
+        bs[rng.randrange(k)] = rng.randint(3, 5)  # an entry of at least 3: a cusp
         return cycle_graph(bs, prefix=rng.choice(("v", "w/", "x\\")))
     n = rng.randint(1, 6)
     ids = rng.sample(_IDS, n)
