@@ -21,11 +21,9 @@ from .graph_core import (
     GraphError,
     PlumbingGraph,
     Shape,
-    ShapeClass,
     Vertex,
     connected_shape,
     is_negative_definite_graph,
-    star_legs,
     walk,
 )
 from .hjcf import hj_pair, mono_product
@@ -211,51 +209,13 @@ def _resolve(g: PlumbingGraph) -> PlumbingGraph:
     return PlumbingGraph(vs, tuple(es), g.name)
 
 
-# -- singularity class ----------------------------------------------------
+# -- minimal dlt model and singularity class ------------------------------
 
 
 def singularity_class(g: PlumbingGraph) -> SingClass:
-    """Classify a connected negative-definite graph by its minimal log
-    resolution.
-
-    Chains give cyclic quotients, genus-0 cycles give cusps, three-legged
-    genus-0 stars with 1/a1 + 1/a2 + 1/a3 > 1 give the finite noncyclic
-    quotients; everything else has infinite, non-cusp fundamental group.
-    """
-    _check_definite(g)
-    g = _resolve(g)
-    return _classify(g, connected_shape(g))
-
-
-def _classify(g: PlumbingGraph, shape: ShapeClass) -> SingClass:
-    """The class of a minimal log resolution, already checked connected
-    and definite, from its shape."""
-    if shape.kind is Shape.CHAIN:
-        # One product of ((b, 1), (-1, 0)) along the chain: p = [b_1..b_k],
-        # q = [b_1..b_{k-1}] and -r = [b_2..b_k], the second numerators of
-        # the chain read from either end.  The empty chain gives m = 1, q = 0.
-        mono = mono_product(-g.vertex(v).euler for v in shape.order)
-        return SingClass(SingKind.CYCLIC_QUOTIENT, m=mono.p, q=min(mono.q, -mono.r))
-    if shape.kind is Shape.CYCLE:
-        bs = [-g.vertex(v).euler for v in shape.order]
-        # least rotation of either direction; the definiteness gate makes bs a cusp sequence
-        b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
-        return SingClass(SingKind.CUSP, b_sequence=b_sequence)
-    if shape.kind is Shape.STAR:
-        center = shape.center
-        cv = g.vertex(center)
-        legs = star_legs(g, center)
-        if cv.genus == 0 and len(legs) == 3:
-            alphas = []
-            for leg in legs:
-                bs = [-g.vertex(v).euler for v in leg]
-                alphas.append(hj_pair(bs)[0])
-            if sum(Fraction(1, a) for a in alphas) > 1:
-                return SingClass(SingKind.NONCYCLIC_QUOTIENT, alphas=tuple(sorted(alphas)))
-    return SingClass(SingKind.GENERAL)
-
-
-# -- minimal dlt model -----------------------------------------------------
+    """The class of a connected negative-definite graph: the class of its
+    minimal dlt model (see ``minimal_dlt_model``)."""
+    return minimal_dlt_model(g).sing_class
 
 
 @lru_cache(maxsize=16)
@@ -266,29 +226,44 @@ def _empty_graph(name: str) -> PlumbingGraph:
 
 
 def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
-    """The minimal dlt model of a connected negative-definite graph: check
-    it once, resolve it once, then contract the maximal rational chain
-    tails of the resolution.
+    """The minimal dlt model of a connected negative-definite graph and its
+    class: check it once, resolve it once, then dispatch on the shape of
+    the resolution.
 
-    Quotient singularities are their own minimal dlt modification and come
-    back as SelfDlt with an empty residual graph.
+    A chain is a cyclic quotient and a genus-0 cycle a cusp, whose model is
+    the cycle itself.  Every other graph has its maximal rational chain
+    tails contracted into orbifold points.  A star's legs are its tails,
+    each read from the centre outward, so the point's m is the leg's
+    Seifert alpha: a genus-0 star with three legs and 1/a1 + 1/a2 + 1/a3 > 1
+    is a finite noncyclic quotient, and everything else has infinite,
+    non-cusp fundamental group.  Quotient singularities are their own
+    minimal dlt modification and come back as SelfDlt with an empty
+    residual graph.
     """
     _check_definite(g)
     g = _resolve(g)
     shape = connected_shape(g)
-    cls = _classify(g, shape)
-    if cls.is_quotient():
+    if shape.kind is Shape.CHAIN:
+        # One product of ((b, 1), (-1, 0)) along the chain: p = [b_1..b_k],
+        # q = [b_1..b_{k-1}] and -r = [b_2..b_k], the second numerators of
+        # the chain read from either end.  The empty chain gives m = 1, q = 0.
+        mono = mono_product(-g.vertex(v).euler for v in shape.order)
+        cls = SingClass(SingKind.CYCLIC_QUOTIENT, m=mono.p, q=min(mono.q, -mono.r))
         return DltModel(DltKind.SELF_DLT, _empty_graph(g.name), (), cls, g)
-    if cls.kind is SingKind.CUSP:
-        return DltModel(DltKind.MODEL, g, (), cls, g)
+    if shape.kind is Shape.CYCLE:
+        bs = [-g.vertex(v).euler for v in shape.order]
+        # least rotation of either direction; the definiteness gate makes bs a cusp sequence
+        b_sequence = min(CuspSequence(bs).canonical().b, CuspSequence(bs[::-1]).canonical().b)
+        return DltModel(DltKind.MODEL, g, (), SingClass(SingKind.CUSP, b_sequence=b_sequence), g)
     # A tail is the walk from a non-node vertex of degree 1 up to the
     # first node, its host.  Before that node each vertex on the walk has
     # genus 0, one edge back and at most one edge on (valency <= 2, and a
     # double edge or a loop would raise it to 3), so it is a rational chain
-    # vertex meeting the rest at one point.  The class has routed whole
-    # chains and cycles away, so the graph has a node, and a walk cannot
-    # end before one: it would then be a connected path, the whole graph.
-    nodes = {shape.center} if shape.kind is Shape.STAR else set(shape.nodes)
+    # vertex meeting the rest at one point.  Chains and cycles are routed
+    # away above, so the graph has a node, and a walk cannot end before
+    # one: it would then be a connected path, the whole graph.
+    star = shape.kind is Shape.STAR
+    nodes = {shape.center} if star else set(shape.nodes)
     points = []
     removed: set[str] = set()
     for v in g.vertices:
@@ -304,9 +279,14 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
         m, omega = hj_pair(terms)
         points.append(OrbifoldPoint(host, m, omega, leg=outward[0], terms=terms, tail_ids=tuple(outward)))
         removed.update(tail)
+    if star and g.vertex(shape.center).genus == 0 and len(points) == 3:
+        alphas = sorted(p.m for p in points)
+        if sum(Fraction(1, a) for a in alphas) > 1:
+            cls = SingClass(SingKind.NONCYCLIC_QUOTIENT, alphas=tuple(alphas))
+            return DltModel(DltKind.SELF_DLT, _empty_graph(g.name), (), cls, g)
     residual = g.restricted_to(set(g.vertex_ids()) - removed)
     points.sort(key=lambda p: (p.host, p.leg))
-    return DltModel(DltKind.MODEL, residual, tuple(points), cls, g)
+    return DltModel(DltKind.MODEL, residual, tuple(points), SingClass(SingKind.GENERAL), g)
 
 
 def cusp_structure(g: PlumbingGraph) -> CuspStructure:

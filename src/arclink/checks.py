@@ -39,7 +39,7 @@ from .graph_core import (
     intersection_matrix,
     is_negative_definite,
     is_negative_definite_graph,
-    star_legs,
+    walk,
 )
 from .hjcf import Mat2, hj_expand, hj_numerator, hj_pair
 from .inoue import inoue_cross_check
@@ -490,6 +490,11 @@ class SeifertData(NamedTuple):
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((leg.alpha, leg.omega) for leg in self.legs)
+
+
+def star_legs(g: PlumbingGraph, center: str) -> list[list[str]]:
+    """Legs of a star, each listed from the center outward."""
+    return sorted(list(walk(g, center, first)) for first in g.neighbors(center))
 
 
 def seifert_data(g: PlumbingGraph) -> SeifertData:

@@ -187,10 +187,11 @@ def _model_components_json(model: DltModel, bound: int, rows: bool = True) -> li
     """The report's component rows; with ``rows`` False only their count,
     refused past the row ceiling as the enumeration would refuse it."""
     from .calculus import DltKind, SingKind
-    from .components import checked_component_count, enumerate_components
 
     cls = model.sing_class
     if model.kind is DltKind.MODEL:
+        from .components import checked_component_count, enumerate_components
+
         if not rows:
             return checked_component_count(model, bound)
         return _arc_rows_json(enumerate_components(model, bound))

@@ -449,7 +449,8 @@ class ShapeClass(NamedTuple):
     sorted.  ``order`` lists a chain's vertices in path order from its
     smaller end, and a cycle's in traversal order from its smallest id
     towards that id's smaller neighbour; it is empty for a star, whose
-    legs ``star_legs`` reads, and for a general graph.
+    legs are the tails that ``calculus.minimal_dlt_model`` reads, and for a
+    general graph.
     """
 
     kind: Shape
@@ -524,8 +525,3 @@ def walk(g: PlumbingGraph, prev: str | None, start: str) -> Iterator[str]:
             u, w = inc.mult
             nxt = w if u == prev else u
         prev, cur = cur, nxt
-
-
-def star_legs(g: PlumbingGraph, center: str) -> list[list[str]]:
-    """Legs of a star, each listed from the center outward."""
-    return sorted(list(walk(g, center, first)) for first in g.neighbors(center))

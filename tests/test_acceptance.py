@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import pytest
 
-from arclink import checks, graph_core
+from arclink import calculus, checks, graph_core
 from arclink.calculus import DltModel, minimal_dlt_model
 from arclink.checks import (
     seifert_data,
@@ -23,6 +23,7 @@ from arclink.checks import (
     sweep_chain_system,
     sweep_duality,
     sweep_negative_definite,
+    sweep_quotient_detection,
     sweep_recover_roundtrip,
 )
 from arclink.components import enumerate_components
@@ -38,6 +39,7 @@ from arclink.quotient import (
     group_closure,
     mckay_report,
 )
+from conftest import star_graph
 
 
 def _report(n: int, text: str) -> None:
@@ -265,6 +267,19 @@ def test_mckay_sweep_computes_the_classes_once(monkeypatch):
     monkeypatch.setattr(quotient_mod, "conjugacy_classes", recompute)
     result = checks.sweep_mckay()
     assert result.passed and result.cases == 21, result.witness
+
+
+def test_quotient_detection_sweep_catches_a_wrong_tail_order(monkeypatch):
+    # One more than every tail's order on the model side: the first star,
+    # three -2 legs on a -3 centre, reads (3, 3, 3) and is classed general,
+    # while its Seifert legs are still (2, 1) each and pi_1 is finite.
+    assert sweep_quotient_detection().passed
+    real = calculus.hj_pair
+    monkeypatch.setattr(calculus, "hj_pair", lambda terms: (real(terms)[0] + 1, 1))
+    result = sweep_quotient_detection()
+    assert (result.passed, result.cases, result.witness) == (False, 1, "alphas (2, 2, 2)")
+    assert checks.hj_pair is hj_pair
+    assert seifert_data(star_graph(-3, [[2], [2], [2]])).pairs() == ((2, 1),) * 3
 
 
 def test_criterion_9_chain_system():

@@ -250,6 +250,19 @@ def _order_by_edge_scan(g: PlumbingGraph) -> list[str]:
     return order
 
 
+def _shuffled(g0: PlumbingGraph, rng: random.Random) -> PlumbingGraph:
+    """``g0`` as text with fresh ids, its vertex and edge lines shuffled
+    and each edge's ends in random order, parsed back."""
+    n = len(g0.vertices)
+    fresh = {vid: f"x{k}" for vid, k in zip(g0.vertex_ids(), rng.sample(range(100), n))}
+    lines = [f"vertex {fresh[v.id]} euler={v.euler} genus={v.genus}" for v in g0.vertices]
+    rng.shuffle(lines)
+    edges = [(fresh[u], fresh[w]) for u, w in g0.edges]
+    rng.shuffle(edges)
+    lines += [f"edge {u} {w}" if rng.random() < 0.5 else f"edge {w} {u}" for u, w in edges]
+    return parse_plumbing("\n".join(lines))
+
+
 def test_shape_order_matches_an_edge_scan():
     rng = random.Random(2606)
     for case in range(300):
@@ -259,13 +272,7 @@ def test_shape_order_matches_an_edge_scan():
             g0 = cycle_graph([rng.randint(2, 5) for _ in range(n)])
         else:
             g0 = chain_graph([rng.randint(1, 5) for _ in range(n)])
-        fresh = {vid: f"x{k}" for vid, k in zip(g0.vertex_ids(), rng.sample(range(100), n))}
-        lines = [f"vertex {fresh[v.id]} euler={v.euler} genus=0" for v in g0.vertices]
-        rng.shuffle(lines)
-        edges = [(fresh[u], fresh[w]) for u, w in g0.edges]
-        rng.shuffle(edges)
-        lines += [f"edge {u} {w}" if rng.random() < 0.5 else f"edge {w} {u}" for u, w in edges]
-        g = parse_plumbing("\n".join(lines))
+        g = _shuffled(g0, rng)
         shape = connected_shape(g)
         assert shape.kind.value == ("cycle" if cycle else "chain")
         assert list(shape.order) == _order_by_edge_scan(g), (case, g)
@@ -325,6 +332,39 @@ def test_spherical_triples():
     assert singularity_class(e8ish).kind is SingKind.NONCYCLIC_QUOTIENT
     assert singularity_class(star_graph(-2, [[2], [2], [5]])).kind is SingKind.NONCYCLIC_QUOTIENT
     assert singularity_class(star_graph(-1, [[2], [3], [7]])).kind is SingKind.GENERAL
+
+
+@pytest.mark.parametrize(
+    "legs, alphas",
+    [((1, 1, n - 1), (2, 2, n)) for n in range(2, 9)]  # D4..D10
+    + [((1, 2, 2), (2, 3, 3)), ((1, 2, 3), (2, 3, 4)), ((1, 2, 4), (2, 3, 5))],  # E6, E7, E8
+    ids=[f"D{n + 2}" for n in range(2, 9)] + ["E6", "E7", "E8"],
+)
+def test_dynkin_stars_are_noncyclic_quotients(legs, alphas):
+    # A leg of k -2 curves is one tail with m = k + 1.
+    star = star_graph(-2, [[2] * k for k in legs])
+    rng = random.Random(sum(legs))
+    for g in (star, _shuffled(star, rng), _shuffled(star, rng)):
+        model = minimal_dlt_model(g)
+        assert model.kind is DltKind.SELF_DLT and not model.orbifold_points
+        assert model.sing_class.kind is SingKind.NONCYCLIC_QUOTIENT
+        assert model.sing_class.alphas == alphas
+        assert singularity_class(g) == model.sing_class
+
+
+@pytest.mark.parametrize(
+    "center_euler, genus, legs",
+    [(-3, 0, [[2], [2], [2], [2]]), (-2, 1, [[2], [3], [5]]), (-2, 0, [[3], [3], [3]])],
+    ids=["four-legs", "genus-1", "euclidean-333"],
+)
+def test_boundary_stars_are_general_with_their_tails(center_euler, genus, legs):
+    g = star_graph(center_euler, legs, genus=genus)
+    model = minimal_dlt_model(g)
+    assert model.kind is DltKind.MODEL and model.sing_class.kind is SingKind.GENERAL
+    assert [v.id for v in model.residual.vertices] == ["c"]
+    points = [(p.host, p.m, p.omega, p.terms) for p in model.orbifold_points]
+    assert sorted(points) == sorted(("c", b, 1, (b,)) for (b,) in legs)
+    assert singularity_class(g) == model.sing_class
 
 
 def test_genus_center_is_general():

@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink.checks import sylvester_negative_definite
+from arclink.checks import star_legs, sylvester_negative_definite
 from arclink.graph_core import (
     GraphError,
     PlumbingGraph,
@@ -20,7 +20,6 @@ from arclink.graph_core import (
     is_negative_definite,
     is_negative_definite_graph,
     parse_plumbing,
-    star_legs,
     walk,
 )
 from conftest import chain_graph, cycle_graph, determinant, star_graph

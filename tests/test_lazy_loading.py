@@ -65,7 +65,8 @@ def fresh(code: str, *argv: str) -> list[str]:
         (["quotient", "--builtin", "2T"], {}, 0, CLI | {"arclink.quadratic", "arclink.quotient"}),
         (["inoue", "--field", "{f}"], {"f": FIELD_TEXT}, 0, CUSP_SIDE | {"arclink.inoue"}),
         (["analyze", "{g}"], {"g": CUSP_TEXT}, 0, GRAPH_SIDE),
-        (["analyze", "{g}"], {"g": CHAIN_TEXT}, 0, GRAPH_SIDE | {"arclink.quotient"}),
+        (["analyze", "{g}"], {"g": CHAIN_TEXT}, 0,
+         GRAPH_SIDE - {"arclink.components"} | {"arclink.quotient"}),
         (["frobnicate"], {}, 1, CLI),
     ],
     ids=["dual", "cusp", "quotient", "inoue", "analyze-cusp", "analyze-chain", "usage-error"],
