@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .cusp import CuspSequence, Vec, v_sequence
+from .cusp import CuspSequence
 from .graph_core import (
     GraphError,
     PlumbingGraph,
@@ -91,47 +91,14 @@ class OrbifoldPoint(Record):
         object.__setattr__(self, "tail_ids", tail_ids)
 
 
-EdgeInstance = tuple[str, str, int]
+class DltModel(NamedTuple):
+    """``source`` is the minimal log resolution the model was built from."""
 
-
-class CuspStructure(NamedTuple):
-    """The cusp frame of a cycle model.
-
-    ``fan`` holds v_0..v_k.  Curve order[t] carries the ray v_{t+1}
-    (indices mod k), and the edge instance of step t spans the sector
-    v_{t+1}, v_{t+2} with order[t] as the curve on its first ray.
-    """
-
-    sequence: CuspSequence
-    fan: tuple[Vec, ...]
-    ray: dict[str, int]                              # curve id -> fan index
-    sector: dict[EdgeInstance, tuple[int, str]]      # -> (fan index, first curve)
-
-
-class DltModel(Record):
-    """``source`` is the minimal log resolution the model was built from.
-    ``frame`` follows from the class: the cusp frame of the residual cycle
-    for a cusp model, None for every other model.  Equality, hash and repr
-    leave it out."""
-
-    __slots__ = ("kind", "residual", "orbifold_points", "sing_class", "source", "frame")
-    _fields = ("kind", "residual", "orbifold_points", "sing_class", "source")
-
-    def __init__(
-        self,
-        kind: DltKind,
-        residual: PlumbingGraph,
-        orbifold_points: tuple[OrbifoldPoint, ...],
-        sing_class: SingClass,
-        source: PlumbingGraph,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "orbifold_points", orbifold_points)
-        object.__setattr__(self, "sing_class", sing_class)
-        object.__setattr__(self, "source", source)
-        is_cusp = sing_class.kind is SingKind.CUSP
-        object.__setattr__(self, "frame", cusp_structure(residual) if is_cusp else None)
+    kind: DltKind
+    residual: PlumbingGraph
+    orbifold_points: tuple[OrbifoldPoint, ...]
+    sing_class: SingClass
+    source: PlumbingGraph
 
 
 # -- minimal log resolution ---------------------------------------------
@@ -288,21 +255,3 @@ def minimal_dlt_model(g: PlumbingGraph) -> DltModel:
     points.sort(key=lambda p: (p.host, p.leg))
     return DltModel(DltKind.MODEL, residual, tuple(points), SingClass(SingKind.GENERAL), g)
 
-
-def cusp_structure(g: PlumbingGraph) -> CuspStructure:
-    """The cusp frame of a cycle graph, built in one pass over its cycle order."""
-    order = connected_shape(g).order
-    k = len(order)
-    seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
-    ray: dict[str, int] = {}
-    sector: dict[EdgeInstance, tuple[int, str]] = {}
-    counts: dict[tuple[str, str], int] = {}
-    for t, u in enumerate(order):
-        i = (t + 1) % k
-        v = order[i]
-        key = (u, v) if u <= v else (v, u)
-        idx = counts.get(key, 0)
-        counts[key] = idx + 1
-        ray[u] = i
-        sector[(key[0], key[1], idx)] = (i, u)
-    return CuspStructure(seq, tuple(v_sequence(seq, 0, k)), ray, sector)

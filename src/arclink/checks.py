@@ -512,7 +512,12 @@ def seifert_data(g: PlumbingGraph) -> SeifertData:
         terms = tuple(-g.vertex(v).euler for v in chain)
         if any(t < 2 for t in terms):
             raise GraphError(f"leg through {chain[0]!r} is not minimal (some b < 2)")
-        alpha, omega = hj_pair(terms)
+        # Folded here from the free end, (p, q) <- (b*p - q, p), and not read
+        # from hjcf.hj_pair as the model's tails are: the two sides of the
+        # quotient-detection sweep then share no continued fraction.
+        alpha, omega = 1, 0
+        for b in reversed(terms):
+            alpha, omega = b * alpha - omega, alpha
         legs.append(SeifertLeg(alpha, omega, leg_id=chain[0], terms=terms))
     return SeifertData(b=-cv.euler, genus=cv.genus, legs=tuple(legs), center=center)
 

@@ -16,15 +16,12 @@ from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
-from .calculus import (
-    DltKind,
-    DltModel,
-    EdgeInstance,
-    SelfDltError,
-)
-from .cusp import Vec
-from .graph_core import GraphError
+from .calculus import DltKind, DltModel, SelfDltError, SingKind
+from .cusp import CuspSequence, Vec, v_sequence
+from .graph_core import GraphError, PlumbingGraph, Shape, connected_shape
 from .inputs import ROWS_CEILING, InputError
+
+EdgeInstance = tuple[str, str, int]
 
 
 # -- winding classes -------------------------------------------------------
@@ -192,27 +189,32 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     orbifold point's leg generator, and in a cusp frame its ray or its two
     sector vectors.  A lattice winding is its predecessor's plus the ray, or plus
     the sector's second vector, so a row costs one addition per coordinate.
+    The cusp frame is built here, once per call (see ``_cusp_frame``), and
+    a cusp model with an orbifold point is refused before any row is built.
     """
     if model.kind is not DltKind.MODEL:
         raise SelfDltError("quotient singularity: route to the quotient machinery")
     if bound < 1:
         raise ValueError("bound must be positive")
     checked_component_count(model, bound)
-    frame = model.frame
+    g = model.residual
+    cusp = model.sing_class.kind is SingKind.CUSP
+    if cusp and model.orbifold_points:
+        raise GraphError("an orbifold point has no winding in the frame of a cusp model")
+    rays, sectors = _cusp_frame(g) if cusp else ({}, {})
     singles = [(m,) for m in range(1, bound + 1)]
     out: list[ArcComponent] = []
     append = out.append
 
-    g = model.residual
     points_at = Counter(pt.host for pt in model.orbifold_points)
     curve = ComponentKind.CURVE_INTERIOR
     for vid in sorted(g.vertex_ids()):
         v = g.vertex(vid)
         location = (vid,)
-        if frame is None:
-            windings = [gamma_power(vid, m) for m in range(1, bound + 1)]
+        if cusp:
+            windings = _lattice_run((0, 0), rays[vid], bound)
         else:
-            windings = _lattice_run((0, 0), frame.fan[frame.ray[vid]], bound)
+            windings = [gamma_power(vid, m) for m in range(1, bound + 1)]
         branches = g.degree(vid) + points_at[vid]
         if branches:
             wedge = HomotopyType(HomotopyKind.CIRCLE_TIMES_WEDGE, wedge_count=2 * v.genus + branches - 1)
@@ -229,18 +231,15 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     torus = HomotopyType(HomotopyKind.TWO_TORUS)
     pairs = [[(mu, mv) for mv in range(1, bound - mu + 1)] for mu in range(1, bound)]
     for inst in sorted(g.edge_instances(), key=lambda e: (e[0], e[1], str(e[2]))):
-        if frame is not None:
-            i, first = frame.sector[inst]
-            a, b = frame.fan[i], frame.fan[i + 1]
-            if inst[0] != first:  # the multiplicities are in the instance's (u, v) order
-                a, b = b, a
+        if cusp:
+            a, b = sectors[inst]
             x = y = 0  # m_u * a
         for run in pairs:
-            if frame is None:
-                windings = [EdgeTorus(inst, mults) for mults in run]
-            else:
+            if cusp:
                 x, y = x + a[0], y + a[1]
                 windings = _lattice_run((x, y), b, len(run))
+            else:
+                windings = [EdgeTorus(inst, mults) for mults in run]
             for mults, winding in zip(run, windings):
                 append(ArcComponent(node, inst, mults, None, winding, torus))
 
@@ -248,14 +247,41 @@ def enumerate_components(model: DltModel, bound: int) -> list[ArcComponent]:
     circle = HomotopyType(HomotopyKind.CIRCLE)
     for pt in sorted(model.orbifold_points, key=lambda p: (p.host, p.leg)):
         location = (pt.host, pt.leg)
-        if frame is not None:
-            raise GraphError(f"orbifold point {location} has no winding in the cusp frame")
         generator = _leg_generator(pt.host, pt.leg)
         for mults in singles:
             if mults[0] % pt.m:
                 winding = SeifertWord(piece=pt.host, terms=((generator, mults[0]),))
                 append(ArcComponent(orbifold, location, mults, pt.m, winding, circle))
     return out
+
+
+def _cusp_frame(g: PlumbingGraph) -> tuple[dict[str, Vec], dict[EdgeInstance, tuple[Vec, Vec]]]:
+    """The cusp frame of a cycle: each curve's ray and each edge instance's
+    sector, from one walk of the cycle and one fan v_0..v_k.
+
+    Curve order[t] carries the ray v_{t+1} (indices mod k), and the edge
+    instance of step t spans the sector v_{t+1}, v_{t+2}, whose two vectors
+    come in the instance's (u, v) order.  Any graph but one cycle is refused.
+    """
+    shape = connected_shape(g)
+    order = shape.order
+    k = len(order)
+    # two disjoint cycles read as one cycle, whose walk comes round again
+    if shape.kind is not Shape.CYCLE or len(set(order)) != k:
+        raise GraphError(f"the residual {g.name!r} of a cusp model is not one cycle")
+    fan = v_sequence(CuspSequence(tuple(-g.vertex(v).euler for v in order)), 0, k)
+    ray: dict[str, Vec] = {}
+    sector: dict[EdgeInstance, tuple[Vec, Vec]] = {}
+    counts: dict[tuple[str, str], int] = {}
+    for t, u in enumerate(order):
+        i = (t + 1) % k
+        v = order[i]
+        key = (u, v) if u <= v else (v, u)
+        idx = counts.get(key, 0)
+        counts[key] = idx + 1
+        ray[u] = fan[i]
+        sector[(*key, idx)] = (fan[i], fan[i + 1]) if key[0] == u else (fan[i + 1], fan[i])
+    return ray, sector
 
 
 def _lattice_run(start: Vec, step: Vec, n: int) -> list[CuspLattice]:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import pytest
 
-from arclink import calculus, checks, graph_core
+from arclink import calculus, checks, graph_core, hjcf
 from arclink.calculus import DltModel, minimal_dlt_model
 from arclink.checks import (
     seifert_data,
@@ -280,6 +280,18 @@ def test_quotient_detection_sweep_catches_a_wrong_tail_order(monkeypatch):
     assert (result.passed, result.cases, result.witness) == (False, 1, "alphas (2, 2, 2)")
     assert checks.hj_pair is hj_pair
     assert seifert_data(star_graph(-3, [[2], [2], [2]])).pairs() == ((2, 1),) * 3
+
+
+def test_quotient_detection_sweep_catches_a_wrong_hj_pair(monkeypatch):
+    # The same wrong pair in hjcf and in every module that imports it moves
+    # the model's tails alone: the Seifert side folds its legs itself, and
+    # still reads a two-curve leg right.
+    real = hjcf.hj_pair
+    for module in (hjcf, calculus, checks):
+        monkeypatch.setattr(module, "hj_pair", lambda terms: (real(terms)[0] + 1, 1))
+    result = sweep_quotient_detection()
+    assert (result.passed, result.cases, result.witness) == (False, 1, "alphas (2, 2, 2)")
+    assert seifert_data(star_graph(-3, [[2, 3], [2], [5]])).pairs() == ((5, 3), (2, 1), (5, 1))
 
 
 def test_criterion_9_chain_system():

@@ -5,25 +5,29 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arclink import calculus
+from arclink import components
 from arclink.calculus import (
-    CuspStructure,
     DltKind,
     DltModel,
-    EdgeInstance,
+    OrbifoldPoint,
     SelfDltError,
+    SingClass,
+    SingKind,
     minimal_dlt_model,
     minimal_log_resolution,
+    singularity_class,
 )
 from arclink.checks import chain_system_solvable, seifert_data, seifert_labels
 from arclink.components import (
     ArcComponent,
     ComponentKind,
     CuspLattice,
+    EdgeInstance,
     EdgeTorus,
     HomotopyKind,
     HomotopyType,
@@ -35,7 +39,7 @@ from arclink.components import (
     gamma_power,
 )
 from arclink.cli import analysis_report
-from arclink.cusp import CuspSequence, enumerate_cusp_components, reduce_mod_monodromy
+from arclink.cusp import CuspSequence, Vec, enumerate_cusp_components, reduce_mod_monodromy, v_sequence
 from arclink.graph_core import GraphError, PlumbingGraph, Vertex, connected_shape, parse_plumbing
 from arclink.hjcf import hj_numerator
 from arclink.inputs import ROWS_CEILING, InputError
@@ -124,7 +128,38 @@ def _edge_label(model: DltModel, chain: EdgeInstance, mu: int, mv: int):
     return _reduce_leg_power(pt, host_m * pt.m + tail_m * hj_numerator(pt.terms[1:]))
 
 
-def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[int, ...]):
+class CuspFrame(NamedTuple):
+    """The oracle's own cusp frame of a cycle model.  ``fan`` holds
+    v_0..v_k.  Curve order[t] carries the ray v_{t+1} (indices mod k), and
+    the edge instance of step t spans the sector v_{t+1}, v_{t+2} with
+    order[t] as the curve on its first ray."""
+
+    sequence: CuspSequence
+    fan: list[Vec]
+    ray: dict[str, int]  # curve id -> fan index
+    sector: dict[EdgeInstance, tuple[int, str]]  # -> (fan index, first curve)
+
+
+def cusp_frame(model: DltModel) -> CuspFrame | None:
+    """The cusp frame of a cusp model's residual cycle, read in its walk
+    order; None for any other model."""
+    if model.sing_class.kind is not SingKind.CUSP:
+        return None
+    g = model.residual
+    order = connected_shape(g).order
+    k = len(order)
+    seq = CuspSequence(tuple(-g.vertex(v).euler for v in order))
+    ray, sector, copies = {}, {}, Counter()
+    for t, u in enumerate(order):
+        i = (t + 1) % k
+        key = tuple(sorted((u, order[i])))
+        ray[u] = i
+        sector[(*key, copies[key])] = (i, u)  # the copies of an edge count up in walk order
+        copies[key] += 1
+    return CuspFrame(seq, v_sequence(seq, 0, k), ray, sector)
+
+
+def _cusp_vector(frame: CuspFrame, location: tuple, multiplicities: tuple[int, ...]):
     """Lattice vector of gamma_v^m (location (v,)) or of an edge class
     (location an edge instance, multiplicities in its (u, v) order), from
     the closed forms m*v_i and m_u*v_i + m_v*v_{i+1}."""
@@ -145,7 +180,7 @@ def _cusp_vector(frame: CuspStructure, location: tuple, multiplicities: tuple[in
     return (mu * vi[0] + mv * vi1[0], mu * vi[1] + mv * vi1[1])
 
 
-def _cusp_label(frame: CuspStructure, w: WindingClass):
+def _cusp_label(frame: CuspFrame, w: WindingClass):
     if isinstance(w, CuspLattice):
         vec = w.vector
     elif isinstance(w, SeifertWord):
@@ -166,8 +201,9 @@ def canonical_label(w: WindingClass, model: DltModel) -> tuple:
         raise SelfDltError(
             "finite fundamental group: conjugacy goes through the quotient machinery"
         )
-    if model.frame is not None:
-        return _cusp_label(model.frame, w)
+    frame = cusp_frame(model)
+    if frame is not None:
+        return _cusp_label(frame, w)
     if isinstance(w, CuspLattice):
         raise ValueError("lattice classes only make sense on cusp graphs")
     if isinstance(w, SeifertWord):
@@ -395,8 +431,9 @@ def _closed_form_winding(model: DltModel, c: ArcComponent) -> WindingClass:
     """The winding of a row from its location and multiplicities alone:
     the closed-form lattice vector in a cusp frame, otherwise the fiber
     power, the edge class or the leg power."""
-    if model.frame is not None:
-        return CuspLattice(_cusp_vector(model.frame, c.location, c.multiplicities))
+    frame = cusp_frame(model)
+    if frame is not None:
+        return CuspLattice(_cusp_vector(frame, c.location, c.multiplicities))
     if c.kind is ComponentKind.CURVE_INTERIOR:
         return gamma_power(c.location[0], c.multiplicities[0])
     if c.kind is ComponentKind.NODE_POINT:
@@ -444,7 +481,7 @@ def test_report_rows_equal_rows_built_one_by_one():
             assert [c.winding for c in comps] == [_closed_form_winding(model, c) for c in comps]
             rows = analysis_report(g, bound)["components"]
             assert json.dumps(rows) == json.dumps([_component_json(c) for c in comps])
-        seen["cusp frame" if model.frame else model.sing_class.kind.value] += 1
+        seen[model.sing_class.kind.value] += 1
         seen["closed curve"] += any(not model.residual.degree(v) for v in model.residual.vertex_ids())
         seen["loop"] += any(u == v for u, v in model.residual.edges)
         seen["parallel edges"] += len(set(model.residual.edges)) < len(model.residual.edges)
@@ -666,25 +703,46 @@ def test_canonical_label_is_the_label_of_every_component():
         assert canonical_label(c.winding, model) == c.label()
 
 
-def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
+def test_cusp_frame_is_built_once_per_enumeration(monkeypatch, cusp333):
+    # The model holds its five fields alone; only the enumeration reads the
+    # fan, and it builds it once per call.
     calls = []
-    real = calculus.cusp_structure
-    monkeypatch.setattr(calculus, "cusp_structure", lambda g: calls.append(g) or real(g))
+    real = components.v_sequence
+    monkeypatch.setattr(components, "v_sequence", lambda *args: calls.append(args) or real(*args))
     model = minimal_dlt_model(cusp333)
-    for c in enumerate_components(model, 3):
-        canonical_label(c.winding, model)
-    assert len(calls) == 1
-    assert "frame" not in repr(model)
-    assert minimal_dlt_model(sigma237).frame is None
-
-
-def test_dlt_model_frame_follows_its_class(cusp333):
-    model = minimal_dlt_model(cusp333)
+    assert singularity_class(cusp333) == model.sing_class
+    assert analysis_report(cusp333, 3, rows=False)["components"] == component_count(model, 3)
+    assert calls == []
+    rows = enumerate_components(model, 3)
+    enumerate_components(model, 2)
+    assert len(calls) == 2
     by_hand = DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source)
-    assert by_hand == model and by_hand.frame == model.frame
-    assert enumerate_components(by_hand, 3) == enumerate_components(model, 3)
-    with pytest.raises(TypeError):
-        DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source, None)
+    assert by_hand == model and enumerate_components(by_hand, 3) == rows
+
+
+_TRIANGLE, _DOUBLE_EDGE = cycle_graph([3, 3, 3], "a"), cycle_graph([3, 4], "b")
+
+
+@pytest.mark.parametrize(
+    "residual, points, match",
+    [
+        (parse_plumbing("vertex u euler=-3 genus=0\nvertex v euler=-4 genus=0\nedge u v\n"), (), "not one cycle"),
+        (
+            PlumbingGraph(_TRIANGLE.vertices + _DOUBLE_EDGE.vertices, _TRIANGLE.edges + _DOUBLE_EDGE.edges, "two"),
+            (),
+            "not one cycle",
+        ),
+        (_DOUBLE_EDGE, (OrbifoldPoint("b0", 2, 1, leg="t", terms=(2,), tail_ids=("t",)),), "orbifold point"),
+    ],
+    ids=["chain", "two cycles", "orbifold point"],
+)
+def test_a_cusp_model_is_one_cycle_alone(residual, points, match):
+    # Read as one cycle, a chain would gain a sector for a closing edge it
+    # does not have, and two cycles would be walked round the first twice.
+    # An orbifold point has no winding in the frame.
+    model = DltModel(DltKind.MODEL, residual, points, SingClass(SingKind.CUSP, b_sequence=(3, 4)), residual)
+    with pytest.raises(GraphError, match=match):
+        enumerate_components(model, 3)
 
 
 def test_canonical_label_rejects_foreign_curve_and_edge(cusp333):

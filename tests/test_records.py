@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from arclink.calculus import DltModel, OrbifoldPoint, SingClass, SingKind, minimal_dlt_model
+from arclink.calculus import OrbifoldPoint, SingClass, SingKind, minimal_dlt_model
 from arclink.checks import SeifertData, SeifertLeg, SweepResult
 from arclink.components import (
     ArcComponent,
@@ -94,7 +94,6 @@ RECORDS = {
         lambda: OrbifoldPoint("c", 3, 2, leg="b", terms=(3,), tail_ids=("b",)),
     ),
     "DltModel": (lambda: _model(GENERAL_TEXT), lambda: _model(GENERAL_TEXT.replace("-3", "-4"))),
-    "CuspStructure": (lambda: _model(CUSP_TEXT).frame, lambda: _model(CUSP_TEXT.replace("-4", "-5")).frame),
     "SeifertWord": (_word, lambda: _word(4)),
     "EdgeTorus": (lambda: EdgeTorus(("a", "b", 0), (1, 2)), lambda: EdgeTorus(("a", "b", 0), (2, 1))),
     "CuspLattice": (lambda: CuspLattice((1, 2)), lambda: CuspLattice((2, 1))),
@@ -154,10 +153,6 @@ REPRS = {
         "Vertex(id='a', euler=-2, genus=0), Vertex(id='b', euler=-3, genus=0)), edges=(('a', 'c'), "
         "('b', 'c')), name='gen'))"
     ),
-    "CuspStructure": (
-        "CuspStructure(sequence=CuspSequence(b=(3, 4)), fan=((0, 1), (1, 0), (3, -1)), ray={'u': 1, 'v': 0}, "
-        "sector={('u', 'v', 0): (1, 'u'), ('u', 'v', 1): (0, 'v')})"
-    ),
     "SeifertWord": "SeifertWord(piece='c', terms=(('g[c/b]', 2),))",
     "EdgeTorus": "EdgeTorus(chain=('a', 'b', 0), vector=(1, 2))",
     "CuspLattice": "CuspLattice(vector=(1, 2))",
@@ -210,10 +205,6 @@ REPRS = {
     ),
 }
 
-# Records with a dict field: unhashable, as under the dataclass definition.
-UNHASHABLE = {"CuspStructure"}
-
-
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_refuses_assignment(name):
     record = RECORDS[name][0]()
@@ -231,12 +222,8 @@ def test_record_equality_and_hash_go_by_the_fields(name):
     record, twin, other = make(), make(), make_other()
     assert record is not twin and record == twin and not record != twin
     assert record != other
-    if name in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(record) == hash(twin)
-        assert len({record, twin, other}) == 2
+    assert hash(record) == hash(twin)
+    assert len({record, twin, other}) == 2
 
 
 @pytest.mark.parametrize("name", sorted(REPRS))
@@ -253,11 +240,10 @@ def test_record_survives_copy_and_pickle(name):
 
 
 def test_a_derived_field_is_left_out_of_equality_and_repr():
-    model = _model(CUSP_TEXT)
-    assert model.frame is not None and "frame" not in repr(model)
-    assert "_adj" not in repr(model.source) and "_by_id" not in repr(model.source)
-    rebuilt = DltModel(model.kind, model.residual, model.orbifold_points, model.sing_class, model.source)
-    assert rebuilt == model and rebuilt.frame == model.frame
+    g = parse_plumbing(CUSP_TEXT)
+    assert "_adj" not in repr(g) and "_by_id" not in repr(g)
+    rebuilt = PlumbingGraph(g.vertices, g.edges, g.name)
+    assert rebuilt == g and hash(rebuilt) == hash(g)
 
 
 def test_a_record_validates_and_normalises_in_its_constructor():
