@@ -703,7 +703,7 @@ def test_canonical_label_is_the_label_of_every_component():
         assert canonical_label(c.winding, model) == c.label()
 
 
-def test_cusp_frame_is_built_once_per_enumeration(monkeypatch, cusp333):
+def test_cusp_frame_is_built_once_per_model(monkeypatch, cusp333, sigma237):
     # The model holds its five fields alone; only the enumeration reads the
     # fan, and it builds it once per call.
     calls = []
@@ -713,11 +713,25 @@ def test_cusp_frame_is_built_once_per_enumeration(monkeypatch, cusp333):
     assert singularity_class(cusp333) == model.sing_class
     assert analysis_report(cusp333, 3, rows=False)["components"] == component_count(model, 3)
     assert calls == []
-    rows = enumerate_components(model, 3)
+    for c in enumerate_components(model, 3):
+        canonical_label(c.winding, model)
+    assert len(calls) == 1
     enumerate_components(model, 2)
     assert len(calls) == 2
+    assert "frame" not in repr(model)
+    enumerate_components(minimal_dlt_model(sigma237), 3)
+    assert len(calls) == 2
+
+
+def test_dlt_model_frame_follows_its_class(cusp333):
+    # A hand-built model with the same five fields is the same model, and
+    # the enumeration builds the same frame from its class.
+    model = minimal_dlt_model(cusp333)
     by_hand = DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source)
-    assert by_hand == model and enumerate_components(by_hand, 3) == rows
+    assert by_hand == model and hash(by_hand) == hash(model)
+    assert enumerate_components(by_hand, 3) == enumerate_components(model, 3)
+    with pytest.raises(TypeError):
+        DltModel(DltKind.MODEL, model.residual, (), model.sing_class, model.source, None)
 
 
 _TRIANGLE, _DOUBLE_EDGE = cycle_graph([3, 3, 3], "a"), cycle_graph([3, 4], "b")
