@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 input error, 2 falsified mathematical identity
 byte-identical report.
 
 Each ``cmd_*`` returns ``(report, text, failure)``: the JSON report, a
-function that prints the text form, and the witness of a falsification
-or None.  ``main`` alone prints one of the two forms and then reports the
-falsification.
+function that yields the lines of the text form, and the witness of a
+falsification or None.  ``main`` alone prints one of the two forms, making
+its whole text before it writes any, and then reports the falsification.
+An integer longer than the interpreter's int-to-str limit is refused in
+``main`` alone, where it fails to become text.
 
 Each subcommand imports the library modules it uses when it runs, so a call
 loads only those; at module level this file imports the standard library and
@@ -47,29 +49,6 @@ def positive_int(text: str) -> int:
 
 
 # -- serialization helpers ----------------------------------------------------
-
-
-def _refuse_unprintable(numbers) -> None:
-    """Refuse, before anything is printed, an output integer longer than
-    the interpreter's limit on int-to-str conversion.  The limit stays: it
-    also guards the parsing of ``--seq`` tokens."""
-    limit = sys.get_int_max_str_digits()
-    largest = max(map(abs, numbers), default=0)
-    if not limit or largest < 10 ** limit:
-        return
-    # 1233 / 4096 < log10(2), so this starts at or below the digit count
-    digits = largest.bit_length() * 1233 >> 12
-    while largest >= 10 ** digits:
-        digits += 1
-    raise InputError(f"the output would print a {digits}-digit integer, "
-                     f"more than the limit of {limit} digits")
-
-
-def _refuse_unprintable_windings(components) -> None:
-    """``_refuse_unprintable`` over the winding vectors of a report's
-    component rows: a cusp-lattice vector grows with the cycle length."""
-    if isinstance(components, list):
-        _refuse_unprintable([x for c in components for x in c.get("winding", {}).get("vector", ())])
 
 
 def _fraction_text(n: int, d: int) -> str:
@@ -255,29 +234,29 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _pretty_report(report: dict) -> None:
-    print(f"input: {report['input']}")
-    print(f"singularity class: {report['singularity_class']['description']}")
-    print(f"negative definite: {report['negative_definite']}")
+def _pretty_report(report: dict):
+    yield f"input: {report['input']}"
+    yield f"singularity class: {report['singularity_class']['description']}"
+    yield f"negative definite: {report['negative_definite']}"
     model = report["dlt_model"]
     if model["kind"] == "self_dlt":
-        print("minimal dlt modification: the singularity itself (quotient)")
+        yield "minimal dlt modification: the singularity itself (quotient)"
     else:
         res = model["residual"]
-        print(
+        yield (
             f"dlt model: {len(res['vertices'])} curve(s), "
             f"{len(model['orbifold_points'])} orbifold point(s)"
         )
         for p in model["orbifold_points"]:
-            print(f"  orbifold point ({p['m']},{p['omega']}) on {p['host']} (leg {p['leg']})")
+            yield f"  orbifold point ({p['m']},{p['omega']}) on {p['host']} (leg {p['leg']})"
     comps = report["components"]
     if isinstance(comps, dict):
-        print(comps["note"])
+        yield comps["note"]
         return
-    print(f"components (bound {report['bound']}): {len(comps)}")
+    yield f"components (bound {report['bound']}): {len(comps)}"
     for c in comps:
         if c["kind"] == "cyclic_quotient_label":
-            print(
+            yield (
                 f"  {c['intersection_number']:>8}  {c['center']}  "
                 f"model arc t -> (t^{c['model_arc']['m1']}, t^{c['model_arc']['c']})"
             )
@@ -285,10 +264,10 @@ def _pretty_report(report: dict) -> None:
             loc = ",".join(c["location"])
             mult = ",".join(str(m) for m in c["multiplicities"])
             extra = f" = {c['intersection_number']}" if "intersection_number" in c else ""
-            print(f"  {c['kind']}[{loc}] mult ({mult}){extra}  {c['homotopy']['description']}")
+            yield f"  {c['kind']}[{loc}] mult ({mult}){extra}  {c['homotopy']['description']}"
     if "duality" in report:
         d = report["duality"]
-        print(
+        yield (
             f"dual sequence: {','.join(map(str, d['dual_sequence']))}  "
             f"auto-dual: {d['auto_dual']}  MT=TM*: {d['mt_equals_tm_star']}"
         )
@@ -300,8 +279,6 @@ def cmd_analyze(args):
     g = parse_plumbing(_read(args.graph))
     # --quiet without --json prints nothing, so no row is built
     report = analysis_report(g, args.bound, rows=args.json or not args.quiet)
-    if args.json:  # the text form prints no winding
-        _refuse_unprintable_windings(report["components"])
     if args.dot:
         write_dot(g, args.dot)
     return report, lambda: _pretty_report(report), None
@@ -311,19 +288,17 @@ def cmd_components(args):
     from .graph_core import parse_plumbing
 
     g = parse_plumbing(_read(args.graph))
-    rows = args.json or not args.quiet  # --quiet alone prints nothing
-    report = analysis_report(g, args.bound, rows=rows)
+    # --quiet without --json prints nothing, so no row is built
+    report = analysis_report(g, args.bound, rows=args.json or not args.quiet)
     comps = report["components"]
-    if rows:
-        _refuse_unprintable_windings(comps)
     out = {"schema": SCHEMA, "input": report["input"], "bound": args.bound, "components": comps}
 
     def text():
         if isinstance(comps, dict):
-            print(comps["note"])
+            yield comps["note"]
         else:
             for c in comps:
-                print(json.dumps(c))
+                yield json.dumps(c)
 
     return out, text, None
 
@@ -344,8 +319,6 @@ def cmd_cusp(args):
     m = monodromy(c)
     dual = check_duality(c)
     comps = enumerate_cusp_components(c, args.bound)
-    _refuse_unprintable([m.p, m.q, m.r, m.s, m.trace(),
-                         *(x for comp in comps for x in comp.vector)])
     dual_sequence, auto_dual = dual.canonical_dual()
     report = {
         "schema": SCHEMA,
@@ -367,13 +340,13 @@ def cmd_cusp(args):
     }
 
     def text():
-        print(f"monodromy {m}, trace {m.trace()}")
-        print(f"dual sequence: {','.join(map(str, dual_sequence))}")
-        print(f"auto-dual: {auto_dual}")
-        print(f"fundamental-domain components, mass <= {args.bound}:")
+        yield f"monodromy {m}, trace {m.trace()}"
+        yield f"dual sequence: {','.join(map(str, dual_sequence))}"
+        yield f"auto-dual: {auto_dual}"
+        yield f"fundamental-domain components, mass <= {args.bound}:"
         for comp in comps:
             mult = ",".join(map(str, comp.multiplicities))
-            print(f"  {comp.kind}[{comp.index}] ({mult}) -> {comp.vector}")
+            yield f"  {comp.kind}[{comp.index}] ({mult}) -> {comp.vector}"
 
     return report, text, None if dual.ok else f"MT = TM* failed for {c.b}"
 
@@ -383,8 +356,6 @@ def cmd_dual(args):
 
     c = _parse_seq(args.seq)
     report = check_duality(c)
-    m, m_star = report.m, report.m_star
-    _refuse_unprintable([m.p, m.q, m.r, m.s, m_star.p, m_star.q, m_star.r, m_star.s])
     dual_sequence, auto_dual = report.canonical_dual()
     out = {
         "schema": SCHEMA,
@@ -400,9 +371,9 @@ def cmd_dual(args):
     }
 
     def text():
-        print(f"dual of {','.join(map(str, c.b))}: {','.join(map(str, dual_sequence))}")
-        print(f"M = {report.m}, M* = {report.m_star}")
-        print(f"MT = TM*: {report.t_identity_holds}; traces equal: {report.traces_equal}")
+        yield f"dual of {','.join(map(str, c.b))}: {','.join(map(str, dual_sequence))}"
+        yield f"M = {report.m}, M* = {report.m_star}"
+        yield f"MT = TM*: {report.t_identity_holds}; traces equal: {report.traces_equal}"
 
     failure = None if report.ok else (
         f"duality identity failed for {c.b}: M={report.m}, M*={report.m_star}")
@@ -435,7 +406,7 @@ def cmd_quotient(args):
     except InputError as exc:
         out["mckay"] = {"error": str(exc)}
         line = f"order={group.order} classes={classes.count} (not an SL(2)-type catalog group)"
-        return out, lambda: print(line), None
+        return out, lambda: [line], None
     out["mckay"] = {
         "family": report.family,
         "nontrivial_classes": report.nontrivial_classes,
@@ -443,7 +414,7 @@ def cmd_quotient(args):
         "matches": report.matches,
     }
     failure = None if report.matches else "McKay class count does not match the exceptional-curve count"
-    return out, lambda: print(report.render()), failure
+    return out, lambda: [report.render()], failure
 
 
 def cmd_inoue(args):
@@ -463,7 +434,7 @@ def cmd_inoue(args):
     }
     fail = report.first_failure()
     failure = None if fail is None else f"{fail.name}: {fail.detail}"
-    return out, lambda: print(report.render()), failure
+    return out, lambda: [report.render()], failure
 
 
 def cmd_check(args):
@@ -480,7 +451,7 @@ def cmd_check(args):
     }
     fail = next((r for r in results if not r.passed), None)
     failure = None if fail is None else f"{fail.name}: {fail.witness}"
-    return out, lambda: print("\n".join(r.render() for r in results)), failure
+    return out, lambda: [r.render() for r in results], failure
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,16 +510,26 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report, text, failure = args.fn(args)
+        # each form is made whole before any of it is written, so a refused
+        # integer leaves stdout empty
         if args.json:
             print(json.dumps(report, indent=2))
         elif not args.quiet:
-            text()
+            print(*text(), sep="\n")
         sys.stdout.flush()
         if failure is not None:
             raise Falsified(failure)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # the interpreter's refusal to turn a too-long integer into text,
+        # met while the report or its text is made; any other is a bug
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: the report holds an integer of more than {sys.get_int_max_str_digits()} "
+              "digits, the interpreter's limit on int-to-str conversion", file=sys.stderr)
         return 1
     except Falsified as exc:
         print(f"FALSIFIED: {exc}", file=sys.stderr)

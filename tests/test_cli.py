@@ -351,6 +351,19 @@ _MINUS_THREE_CYCLE_12K = "".join(
     [f"vertex v{i} euler=-3 genus=0\n" for i in range(12_000)]
     + [f"edge v{i} v{(i + 1) % 12_000}\n" for i in range(12_000)]
 )
+# a -2 centre with legs -3, -3 and a leg of 4,600 -9 curves: the orbifold
+# point at the end of the long leg has an order m of 4,365 digits
+_LONG_LEG_STAR_4600 = "".join(
+    ["vertex c euler=-2 genus=0\n", "vertex a euler=-3 genus=0\n", "vertex b euler=-3 genus=0\n",
+     "edge c a\n", "edge c b\n"]
+    + [f"vertex l{i} euler=-9 genus=0\n" for i in range(4_600)]
+    + ["edge c l0\n"] + [f"edge l{i} l{i + 1}\n" for i in range(4_599)]
+)
+# a chain of 4,600 -9 curves: its class description prints an m past the limit
+_MINUS_NINE_CHAIN_4600 = "".join(
+    [f"vertex v{i} euler=-9 genus=0\n" for i in range(4_600)]
+    + [f"edge v{i} v{i + 1}\n" for i in range(4_599)]
+)
 
 
 def _subprocess_env() -> dict[str, str]:
@@ -363,6 +376,14 @@ def _run_subprocess(*argv, timeout: int = 120) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=timeout)
 
 
+def _run_with_files(tmp_path, argv, files) -> subprocess.CompletedProcess:
+    """Run ``argv`` with each ``{name}`` token naming a file of ``tmp_path``,
+    after writing the texts of ``files`` there."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return _run_subprocess(*[str(tmp_path / tok[1:-1]) if tok.startswith("{") else tok for tok in argv])
+
+
 def test_inverse_unit_field_finishes(graph_file):
     # u^-1 = (3 - sqrt5)/2 < 1 once looped for good in the orbit reduction
     path = graph_file("d=5\nbasis=1 1/2+1/2*sqrt\nu=3/2-1/2*sqrt\n", "u-inverse.field")
@@ -371,22 +392,30 @@ def test_inverse_unit_field_finishes(graph_file):
     assert proc.stdout.count("[ok]") == 8 and "recovered cusp sequence: 3" in proc.stdout
 
 
-def test_closed_stdout_gives_one_error_line():
-    # `cusp --seq 3,3,3 --bound 200 | head -1`: 60,300 rows, far more than
-    # the pipe holds, so the writer meets the closed end.
-    proc = subprocess.Popen([sys.executable, "-m", "arclink.cli", "cusp", "--seq", "3,3,3", "--bound", "200"],
-                            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    with proc:
-        try:
-            assert proc.stdout.readline().startswith("monodromy ")
-            proc.stdout.close()
-            _, err = proc.communicate(timeout=120)
-        finally:
-            proc.kill()
-    assert proc.returncode == 1
-    assert "Traceback" not in err and "Exception ignored" not in err
-    lines = [ln for ln in err.splitlines() if ln.strip()]
-    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+def test_closed_stdout_gives_one_error_line(graph_file):
+    # `<call> | head -1` on each write path: the text lines printed in one
+    # call, the JSON text, and the text of the components rows.  Each
+    # output is far more than the pipe holds, so the writer meets the
+    # closed end.
+    double = graph_file(DOUBLE_EDGE_TEXT, "double.graph")
+    for argv, first in [
+        (["cusp", "--seq", "3,3,3", "--bound", "200"], "monodromy "),  # 60,300 rows
+        (["cusp", "--seq", "3,3,3", "--bound", "200", "--json"], "{"),
+        (["components", double, "--bound", "200"], '{"kind": '),  # 40,200 rows
+    ]:
+        proc = subprocess.Popen([sys.executable, "-m", "arclink.cli", *argv],
+                                env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        with proc:
+            try:
+                assert proc.stdout.readline().startswith(first)
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=120)
+            finally:
+                proc.kill()
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in err and "Exception ignored" not in err
+        lines = [ln for ln in err.splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 @pytest.mark.parametrize(
@@ -433,13 +462,17 @@ def test_closed_stdout_gives_one_error_line():
         # one -3 curve, B*V + B(B-1)/2*E = 25,005,000 for a double edge
         (["analyze", "{g}", "--bound", "100000000"], {"g": "vertex a euler=-3 genus=0\n"}),
         (["components", "{g}", "--bound", "5000"], {"g": DOUBLE_EDGE_TEXT}),
+        # the m of the long leg's orbifold point, in the report's rows and text
+        (["analyze", "{g}", "--bound", "1", "--json"], {"g": _LONG_LEG_STAR_4600}),
+        (["analyze", "{g}", "--bound", "1"], {"g": _LONG_LEG_STAR_4600}),
+        (["components", "{g}", "--bound", "1"], {"g": _LONG_LEG_STAR_4600}),
+        # the m of the chain's class description, made in every mode
+        (["analyze", "{g}", "--bound", "1", "--quiet"], {"g": _MINUS_NINE_CHAIN_4600}),
+        (["analyze", "{g}", "--bound", "1", "--json"], {"g": _MINUS_NINE_CHAIN_4600}),
     ],
 )
 def test_malformed_input_gives_one_error_line(tmp_path, argv, files):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / tok[1:-1]) if tok.startswith("{") else tok for tok in argv]
-    proc = _run_subprocess(*argv)
+    proc = _run_with_files(tmp_path, argv, files)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = [ln for ln in proc.stderr.splitlines() if ln.strip()]
@@ -455,17 +488,49 @@ def test_long_windings_are_refused_only_where_printed(graph_file, capsys):
     assert run(capsys, "components", path, "--bound", "1", "--quiet") == (0, "")
 
 
-def test_unprintable_integer_names_its_exact_digit_count():
-    from arclink.cli import _refuse_unprintable
-    from arclink.inputs import InputError
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        # --quiet makes no text, so nothing refuses the long m or monodromy
+        (["analyze", "{g}", "--bound", "1", "--quiet"], {"g": _LONG_LEG_STAR_4600}),
+        (["cusp", "--seq", _THREE_TWO_10K, "--bound", "1", "--quiet"], {}),
+        (["dual", "--seq", _THREE_TWO_10K, "--quiet"], {}),
+    ],
+)
+def test_long_integers_pass_where_no_text_is_made(tmp_path, argv, files):
+    proc = _run_with_files(tmp_path, argv, files)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
-    limit = sys.get_int_max_str_digits()
-    if not limit:
+
+def test_unprintable_integer_is_refused_with_the_limit(capsys):
+    default = sys.get_int_max_str_digits()
+    if not default:
         pytest.skip("the interpreter has no int-to-str digit limit")
-    _refuse_unprintable([10 ** limit - 1, -5])  # exactly at the limit: printable
-    for n, digits in [(10 ** limit, limit + 1), (1 - 10 ** (limit + 7), limit + 7)]:
-        with pytest.raises(InputError, match=f"a {digits}-digit integer"):
-            _refuse_unprintable([3, n])
+    try:
+        for limit in (default, 640):  # 640 is the least limit the interpreter takes
+            sys.set_int_max_str_digits(limit)
+            assert main(["dual", "--seq", _THREE_TWO_10K]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: the report holds an integer of more than {limit} digits, "
+                                    "the interpreter's limit on int-to-str conversion\n")
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_a_plain_value_error_in_the_text_is_a_bug(graph_file, capsys, monkeypatch):
+    # The refusal of a long integer hides no other ValueError, and a line
+    # made before the error is never written.
+    import arclink.cli as cli
+
+    def broken(report):
+        yield "input: e8"
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_pretty_report", broken)
+    with pytest.raises(ValueError, match="boom"):
+        main(["analyze", graph_file(E8_TEXT), "--bound", "1"])
+    assert capsys.readouterr().out == ""
 
 
 def test_quotient_refuses_two_sources(graph_file, capsys):
